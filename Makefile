@@ -58,8 +58,8 @@ concurrency:
 bench:
 	$(PYTEST) benchmarks/ --benchmark-only
 
-# Serving benchmark: batch vs per-group execution over the Figure 7
-# merged-candidate workload; writes BENCH_serving.json.
+# Serving benchmark: shared vs per-group-rung execution over the
+# Figure 7 merged-candidate workload; writes BENCH_serving.json.
 bench-serve:
 	PYTHONPATH=src python scripts/bench_serving.py
 
@@ -83,11 +83,12 @@ bench-phonetics:
 	PYTHONPATH=src python scripts/bench_phonetics.py
 
 # Performance gates: (1) tracing must cost under 5% wall-clock
-# (MUVE_OVERHEAD_THRESHOLD); (2) batch execution must be no slower than
-# the per-group loop and cut scans per request (MUVE_BATCH_TOLERANCE,
-# MUVE_BATCH_SCAN_FACTOR); (3) pruned phonetic retrieval must beat the
-# exhaustive scan by MUVE_PHONETIC_SPEEDUP_FACTOR at 100k terms within
-# the MUVE_PHONETIC_P50_MS latency budget.
+# (MUVE_OVERHEAD_THRESHOLD); (2) shared plan execution must be no slower
+# than the per-group rung (run_plan without a request context) and cut
+# scans per request (MUVE_BATCH_TOLERANCE, MUVE_BATCH_SCAN_FACTOR);
+# (3) pruned phonetic retrieval must beat the exhaustive scan by
+# MUVE_PHONETIC_SPEEDUP_FACTOR at 100k terms within the
+# MUVE_PHONETIC_P50_MS latency budget.
 # (4) secondary indexes must beat MUVE_INDEXES=0 scans by
 # MUVE_INDEX_SPEEDUP_FACTOR at p50 on the 1M-row grouped-equality
 # workload, with bit-identical results (MUVE_INDEX_ROWS).

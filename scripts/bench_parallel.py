@@ -56,9 +56,9 @@ def measure_parallel_scaling(rows_list, workers_list, requests: int,
         for rows in rows_list:
             database, plans = build_requests(rows, requests, candidates,
                                              seed)
-            reference = [plan.run(database, batch=True, parallel=False)
+            reference = [plan.run(database, parallel=False)
                          for plan in plans]
-            serial = measure(database, plans, batch=True, rounds=rounds,
+            serial = measure(database, plans, rounds=rounds,
                              parallel=False)
             by_workers = {}
             for workers in workers_list:
@@ -67,11 +67,10 @@ def measure_parallel_scaling(rows_list, workers_list, requests: int,
                 # scheduling overhead.
                 configure_pool(workers)
                 for plan, expected in zip(plans, reference):
-                    assert plan.run(database, batch=True,
-                                    parallel=True) == expected, \
+                    assert plan.run(database, parallel=True) == expected, \
                         f"parallel ({workers} workers) diverged from serial"
-                timing = measure(database, plans, batch=True,
-                                 rounds=rounds, parallel=True)
+                timing = measure(database, plans, rounds=rounds,
+                                 parallel=True)
                 timing["speedup_p50"] = round(
                     serial["p50_ms"] / max(timing["p50_ms"], 1e-9), 2)
                 by_workers[str(workers)] = timing

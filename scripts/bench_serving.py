@@ -50,7 +50,7 @@ import numpy as np
 from repro.caching.phonetic import phonetic_probe_cache
 from repro.datasets.generators import DATASET_GENERATORS
 from repro.datasets.workload import WorkloadGenerator
-from repro.execution.batch import plan_scan_counts
+from repro.execution.batch import plan_scan_counts, run_plan
 from repro.execution.merging import plan_execution
 from repro.flags import env_int, env_str
 from repro.nlq.candidates import CandidateGenerator
@@ -79,9 +79,13 @@ def build_requests(rows: int, count: int, candidates: int, seed: int = 0):
     return database, plans
 
 
-def measure(database: Database, plans, batch: bool, rounds: int,
-            **run_kwargs) -> dict:
+def measure(database: Database, plans, rounds: int,
+            per_group: bool = False, **run_kwargs) -> dict:
     """Latency/throughput over all requests in one mode.
+
+    ``per_group`` times the per-group rung (:func:`run_plan` without a
+    request context: every group alone through ``Database.execute``)
+    instead of the shared path, :meth:`ExecutionPlan.run`.
 
     An untimed warmup pass first: both modes then run with warm
     statement/cost caches and touched table columns, so the timed pass
@@ -92,15 +96,20 @@ def measure(database: Database, plans, batch: bool, rounds: int,
     arguments pass through to :meth:`ExecutionPlan.run` (the parallel
     sweep pins ``parallel=``).
     """
+    def run(plan):
+        if per_group:
+            return run_plan(plan, database)
+        return plan.run(database, **run_kwargs)
+
     for plan in plans:
-        plan.run(database, batch=batch, **run_kwargs)
+        run(plan)
     best = [float("inf")] * len(plans)
     best_wall = float("inf")
     for _ in range(rounds):
         begin = time.perf_counter()
         for index, plan in enumerate(plans):
             start = time.perf_counter()
-            plan.run(database, batch=batch, **run_kwargs)
+            run(plan)
             best[index] = min(best[index],
                               (time.perf_counter() - start) * 1000.0)
         best_wall = min(best_wall, time.perf_counter() - begin)
@@ -179,16 +188,16 @@ def measure_row_scaling(rows_list, requests: int, candidates: int,
     for rows in rows_list:
         database, plans = build_grouped_equality_requests(
             rows, requests, candidates, seed)
-        reference = [plan.run(database, batch=True) for plan in plans]
+        reference = [plan.run(database) for plan in plans]
         set_indexes_enabled(False)
         try:
             for plan, expected in zip(plans, reference):
-                assert plan.run(database, batch=True) == expected, \
+                assert plan.run(database) == expected, \
                     "indexed and scan results diverged"
-            scan = measure(database, plans, batch=True, rounds=rounds)
+            scan = measure(database, plans, rounds=rounds)
         finally:
             set_indexes_enabled(True)
-        indexed = measure(database, plans, batch=True, rounds=rounds)
+        indexed = measure(database, plans, rounds=rounds)
         entries.append({
             "rows": rows,
             "indexed": indexed,
@@ -285,9 +294,9 @@ def main(argv=None) -> int:
         legacy_scans.append(legacy)
         batch_scans.append(batch)
 
-    legacy = measure(database, plans, batch=False, rounds=rounds)
+    legacy = measure(database, plans, rounds=rounds, per_group=True)
     legacy["scans_per_request"] = round(statistics.fmean(legacy_scans), 2)
-    batched = measure(database, plans, batch=True, rounds=rounds)
+    batched = measure(database, plans, rounds=rounds)
     batched["scans_per_request"] = round(statistics.fmean(batch_scans), 2)
 
     report = {

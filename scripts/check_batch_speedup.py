@@ -2,8 +2,9 @@
 
 Replays a merged-candidate workload (the Figure 7 shape: each request is
 one target query expanded to its phonetically-similar candidate set and
-planned with cost-based merging) through the one-pass batch executor and
-the per-group loop, and fails (exit 1) if either
+planned with cost-based merging) through the shared plan execution
+(``ExecutionPlan.run``) and the per-group rung of the degradation ladder
+(``run_plan`` without a request context), and fails (exit 1) if either
 
 * the batch path's mean per-request latency is slower than the
   per-group path's (beyond ``MUVE_BATCH_TOLERANCE``), or
@@ -53,8 +54,8 @@ def main() -> int:
     batch_scans = statistics.fmean(s[1] for s in scans)
     reduction = legacy_scans / max(batch_scans, 1e-9)
 
-    legacy = measure(database, plans, batch=False, rounds=ROUNDS)
-    batched = measure(database, plans, batch=True, rounds=ROUNDS)
+    legacy = measure(database, plans, rounds=ROUNDS, per_group=True)
+    batched = measure(database, plans, rounds=ROUNDS)
 
     print(f"merged-candidate workload: {requests} requests x "
           f"{candidates} candidates on {rows} rows")

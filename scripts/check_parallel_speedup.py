@@ -67,11 +67,11 @@ def main() -> int:
     database, plans = build_requests(rows, requests, candidates)
     set_indexes_enabled(False)
     try:
-        reference = [plan.run(database, batch=True, parallel=False)
+        reference = [plan.run(database, parallel=False)
                      for plan in plans]
         configure_pool(workers)
         for index, (plan, expected) in enumerate(zip(plans, reference)):
-            got = plan.run(database, batch=True, parallel=True)
+            got = plan.run(database, parallel=True)
             if got != expected:
                 diverged = sorted(
                     q.to_sql() for q in expected
@@ -89,9 +89,9 @@ def main() -> int:
                   f"Bit-identity was still enforced.")
             return 0
 
-        serial = measure(database, plans, batch=True, rounds=ROUNDS,
+        serial = measure(database, plans, rounds=ROUNDS,
                          parallel=False)
-        pooled = measure(database, plans, batch=True, rounds=ROUNDS,
+        pooled = measure(database, plans, rounds=ROUNDS,
                          parallel=True)
     finally:
         set_indexes_enabled(True)

@@ -93,10 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--access-log", action="store_true",
                         help="with --serve: write one JSON line per "
                              "HTTP request to stderr")
-    parser.add_argument("--no-batch-exec", action="store_true",
-                        help="disable the one-pass batch executor and "
-                             "run every merged group separately (the "
-                             "pre-batch execution path)")
     parser.add_argument("--no-phonetic-pruning", action="store_true",
                         help="disable pruned phonetic retrieval and scan "
                              "the whole vocabulary per probe (identical "
@@ -133,9 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def make_muve(args: argparse.Namespace) -> Muve:
-    if getattr(args, "no_batch_exec", False):
-        from repro.execution.batch import set_batch_enabled
-        set_batch_enabled(False)
     if getattr(args, "no_phonetic_pruning", False):
         from repro.phonetics.index import set_pruning_enabled
         set_pruning_enabled(False)

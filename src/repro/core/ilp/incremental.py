@@ -39,8 +39,12 @@ def incremental_solve(problem: MultiplotSelectionProblem,
 
     Defaults follow the paper's Figure 9 configuration (``k = 62.5 ms``,
     ``b = 2``).  Iteration stops when a step proves optimality or the
-    cumulative budget is exhausted.  Steps where the solver found no
-    incumbent at all are skipped silently (nothing to show yet).
+    cumulative budget is exhausted.  A residual budget too short for the
+    step after the current one is folded into the current step, so
+    timeouts never shrink: with a 1 s budget the schedule is 0.0625,
+    0.125, 0.25, then 0.5625.  Steps where
+    the solver found no incumbent at all are skipped silently (nothing
+    to show yet).
     """
     if initial_timeout <= 0 or growth_factor <= 1.0:
         raise SolverError(
@@ -48,10 +52,13 @@ def incremental_solve(problem: MultiplotSelectionProblem,
     solver = solver or IlpSolver()
     best_cost = float("inf")
     cumulative = 0.0
+    remaining = total_budget
     step = 0
-    while cumulative < total_budget:
-        timeout = min(initial_timeout * growth_factor ** step,
-                      total_budget - cumulative)
+    while remaining > 0:
+        timeout = initial_timeout * growth_factor ** step
+        if remaining < timeout * (1.0 + growth_factor):
+            timeout = remaining
+        remaining -= timeout
         try:
             solution = solver.solve(problem,
                                     processing_groups=processing_groups,

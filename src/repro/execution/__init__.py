@@ -10,11 +10,9 @@ first and refines in the background.
 """
 
 from repro.execution.batch import (
-    batch_enabled,
     batch_stats,
     request_context,
     reset_batch_stats,
-    set_batch_enabled,
 )
 from repro.execution.engine import MuveExecutor, VisualizationUpdate
 from repro.execution.parallel import (
@@ -51,7 +49,6 @@ __all__ = [
     "ProcessingStrategy",
     "VisualizationUpdate",
     "WorkerPool",
-    "batch_enabled",
     "batch_stats",
     "configure_pool",
     "get_pool",
@@ -63,7 +60,6 @@ __all__ = [
     "reset_batch_stats",
     "reset_parallel_stats",
     "reset_pool",
-    "set_batch_enabled",
     "set_parallel_enabled",
     "warm_database",
 ]

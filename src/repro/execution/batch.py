@@ -1,14 +1,16 @@
-"""One-pass batch execution for candidate workloads (Section 8.1 fast path).
+"""One-pass plan execution for candidate workloads (Section 8.1).
 
 An :class:`~repro.execution.merging.ExecutionPlan` answers a whole
-candidate set, but the per-group path re-reads the base table for every
-group: each merged statement lexes, parses, binds, and evaluates its WHERE
-clause from scratch, even though candidate queries are near-duplicates
-whose predicates differ in a single constant.  The batch executor answers
-the entire plan with shared work:
+candidate set with a handful of merged statements that are
+near-duplicates: their predicates differ in a single constant.
+:func:`run_plan` is the one loop that executes a plan's groups.  Every
+group statement goes through :meth:`~repro.sqldb.database.Database.execute`
+and so through :func:`~repro.sqldb.executor.execute_bound`, the one
+statement executor; what this module adds is the work the groups share
+(:class:`_RequestContext`, the executor's ``shared`` argument):
 
-* **Statement binding up front** — every group statement resolves through
-  the database's parsed-and-bound statement cache
+* **Statement binding** — every group statement resolves through the
+  database's parsed-and-bound statement cache
   (:meth:`~repro.sqldb.database.Database.bound_statement`), so repeated
   SQL never touches the lexer or parser again.
 * **Mask cache** — leaf predicates (``borough = 'Brooklyn'``,
@@ -19,19 +21,13 @@ the entire plan with shared work:
   column comparison exactly once.
 * **Shared factorisation** — numeric GROUP BY columns are factorised once
   per request (``np.unique(..., return_inverse=True)`` over the full
-  column) and the codes are masked per group; TEXT columns already share
-  the table's dictionary encoding.
-* **Fused aggregate kernels** — per-group aggregates run through the same
-  ``np.bincount``-based kernels as the engine
-  (:func:`~repro.sqldb.executor._grouped_aggregate`), guaranteeing results
-  identical to per-group execution bit for bit.
+  column) and the codes are gathered per group; TEXT columns already
+  share the table's dictionary encoding.
 
-Shapes the batch kernels do not cover fall back to a plain
-``database.execute`` per group, and the whole path can be disabled with
-:func:`set_batch_enabled` (CLI ``--no-batch-exec``, environment
-``MUVE_BATCH_EXEC=off``) or is bypassed automatically when the database
-simulates page I/O (the disk-resident scaling regime, where per-statement
-sleeps model the scan cost the batch path would skip).
+The aggregate kernels are the engine's own, so results are identical to
+executing each group alone, bit for bit.  That plain execution is also
+the per-group rung of the degradation ladder: ``run_plan`` without a
+context runs every group serially through plain ``Database.execute``.
 
 On top of the shared work, plans execute in parallel on the shared
 worker pool (:mod:`repro.execution.parallel`): independent merged
@@ -43,28 +39,26 @@ Results stay bit-identical to serial execution (``MUVE_PARALLEL=0`` /
 ``--no-parallel`` keeps the serial oracle) because morsel boundaries
 are fixed and every reduction combines partials in morsel order.
 
-Observability: each plan runs inside an ``executor.batch`` span carrying
-mask-reuse and scans-saved attributes; per-group ``executor.group`` and
-``sqldb.execute`` spans match the legacy path's shape so traces stay
-comparable, and process-wide counters are exposed through
-:func:`batch_stats` (``/api/stats``) and the metrics registry.
+Observability: each shared plan runs inside an ``executor.batch`` span
+carrying mask-reuse and scans-saved attributes, with one
+``executor.group`` and one ``sqldb.execute`` span per group on either
+path, and process-wide counters are exposed through :func:`batch_stats`
+(``/api/stats``) and the metrics registry.
 
 A **scan** here is one full pass over a base-table column to build a
-boolean mask (a leaf predicate or a TABLESAMPLE draw).  The legacy path
-performs one per leaf per group; the batch path one per *distinct* leaf
-per request — the difference is the ``scans_saved`` metric.
+boolean mask (a leaf predicate or a TABLESAMPLE draw).  The per-group
+rung performs one per leaf per group; the shared path one per *distinct*
+leaf per request — the difference is the ``scans_saved`` metric.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import NullAggregateError
-from repro.flags import env_switch
 from repro.observability import get_registry, trace_span
 from repro.resilience import current_deadline
 from repro.execution.parallel import (
@@ -74,57 +68,24 @@ from repro.execution.parallel import (
     parallel_gather,
 )
 from repro.sqldb.database import Database, QueryResult
-from repro.sqldb.executor import (
-    BoundStatement,
-    _apply_having,
-    _grouped_aggregate,
-    _order_and_limit,
-    _scalar_aggregate,
-)
 from repro.sqldb import executor as _kernels
 from repro.sqldb.expressions import And, BooleanExpr, Not, Or
-from repro.sqldb.index import (
-    indexes_enabled,
-    record_index_fallback,
-    record_index_statement,
-    resolve_leaf,
-    resolve_selection,
-    selection_size,
-)
+from repro.sqldb.index import resolve_leaf, resolve_selection
 from repro.sqldb.table import Table
+from repro.testing.faults import fault_point
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from repro.caching import QueryResultCache
-    from repro.execution.merging import ExecutionPlan
+    from repro.execution.merging import ExecutionPlan, MergedGroup
     from repro.sqldb.query import AggregateQuery
 
 __all__ = [
-    "batch_enabled",
     "batch_stats",
     "register_batch_metrics",
     "request_context",
     "reset_batch_stats",
     "run_plan",
-    "set_batch_enabled",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Enable flag (escape hatch)
-# ---------------------------------------------------------------------------
-
-_enabled = env_switch("MUVE_BATCH_EXEC")
-
-
-def batch_enabled() -> bool:
-    """Whether execution plans default to the batch path."""
-    return _enabled
-
-
-def set_batch_enabled(enabled: bool) -> None:
-    """Globally enable/disable the batch path (``--no-batch-exec``)."""
-    global _enabled
-    _enabled = bool(enabled)
 
 
 # ---------------------------------------------------------------------------
@@ -143,19 +104,17 @@ class _BatchStats:
         with getattr(self, "_lock", threading.Lock()):
             self.requests = 0
             self.groups = 0
-            self.fallback_groups = 0
             self.masks_computed = 0
             self.masks_reused = 0
             self.scans_saved = 0
             self.index_statements = 0
 
-    def record(self, groups: int, fallbacks: int, masks_computed: int,
+    def record(self, groups: int, masks_computed: int,
                masks_reused: int, scans_saved: int,
                index_statements: int = 0) -> None:
         with self._lock:
             self.requests += 1
             self.groups += groups
-            self.fallback_groups += fallbacks
             self.masks_computed += masks_computed
             self.masks_reused += masks_reused
             self.scans_saved += scans_saved
@@ -166,7 +125,6 @@ class _BatchStats:
             return {
                 "requests": float(self.requests),
                 "groups": float(self.groups),
-                "fallback_groups": float(self.fallback_groups),
                 "masks_computed": float(self.masks_computed),
                 "masks_reused": float(self.masks_reused),
                 "scans_saved": float(self.scans_saved),
@@ -188,8 +146,8 @@ def reset_batch_stats() -> None:
 
 def register_batch_metrics(registry) -> None:
     """Expose the batch counters as callback gauges on *registry*."""
-    for key in ("requests", "groups", "fallback_groups", "masks_computed",
-                "masks_reused", "scans_saved", "index_statements"):
+    for key in ("requests", "groups", "masks_computed", "masks_reused",
+                "scans_saved", "index_statements"):
         registry.register_gauge(f"batch_{key}",
                                 lambda key=key: batch_stats()[key])
 
@@ -295,7 +253,7 @@ class _RequestContext:
         self.masks_computed = 0
         self.masks_reused = 0
         self.sample_masks = 0
-        self.legacy_scans = 0  # masks the per-group path would have built
+        self.legacy_scans = 0  # masks the per-group rung would have built
         self.index_statements = 0
         self._leaf_counts: dict[int, int] = {}
 
@@ -304,6 +262,17 @@ class _RequestContext:
     def bump(self, counter: str, delta: int = 1) -> None:
         with self._lock:
             setattr(self, counter, getattr(self, counter) + delta)
+
+    def record_statement(self, where: BooleanExpr | None, sampled: bool,
+                         indexed: bool) -> None:
+        """Charge one executed statement: the full-column scans the
+        per-group rung would pay for it (one per leaf, plus the
+        TABLESAMPLE draw), the draw itself, and an index answer."""
+        legacy = self.leaf_count(where) + int(sampled)
+        with self._lock:
+            self.legacy_scans += legacy
+            self.sample_masks += int(sampled)
+            self.index_statements += int(indexed)
 
     def counters(self) -> dict[str, int]:
         """Snapshot of the effectiveness counters; ``run_plan`` records
@@ -463,7 +432,12 @@ class _RequestContext:
 
         return resolve_selection(where, table, leaf_cache=leaf)
 
-    # -- shared numeric factorisation ------------------------------------
+    # -- gathers and shared numeric factorisation ------------------------
+
+    def gather(self, array: np.ndarray,
+               selection: np.ndarray) -> np.ndarray:
+        """``array[selection]``, scattered across morsels on the pool."""
+        return parallel_gather(array, selection, self.runner)
 
     def numeric_factor(self, table: Table,
                        column: str) -> tuple[np.ndarray, np.ndarray]:
@@ -521,241 +495,132 @@ def _count_leaves(expr: BooleanExpr | None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Statement execution with shared state
-# ---------------------------------------------------------------------------
-
-
-def _execute_statement(ctx: _RequestContext,
-                       bound: BoundStatement) -> QueryResult:
-    """Execute one (bound) group statement through the batch kernels.
-
-    Mirrors :func:`repro.sqldb.executor.execute_bound` step for step —
-    the only differences are the request-shared mask cache and GROUP BY
-    factorisations, which produce bit-identical filtered arrays and group
-    partitions, hence bit-identical results.
-    """
-    statement = bound.statement
-    database = ctx.database
-    table = database.table(statement.table)
-    with trace_span("sqldb.execute") as span:
-        span.set_attribute("table", statement.table)
-        span.set_attribute("batch", True)
-        start = time.perf_counter()
-
-        # Like the engine, ``selection`` is either a boolean mask or an
-        # int64 positions array; ``legacy_scans`` keeps charging what
-        # the per-group path *would* have scanned either way.
-        selection: np.ndarray | None = None
-        access_path = "scan"
-        if statement.sample_fraction is not None \
-                and statement.sample_fraction < 1.0:
-            rng = database.sampling_rng(statement)
-            selection = (rng.random(table.num_rows)
-                         < statement.sample_fraction)
-            ctx.bump("sample_masks")
-            ctx.bump("legacy_scans")
-            if bound.where is not None:
-                selection = selection & ctx.mask(bound.where, table)
-                ctx.bump("legacy_scans", ctx.leaf_count(bound.where))
-        elif bound.where is not None:
-            ctx.bump("legacy_scans", ctx.leaf_count(bound.where))
-            if indexes_enabled():
-                selection = ctx.selection(bound.where, table)
-            if selection is not None:
-                access_path = "index"
-                ctx.bump("index_statements")
-                record_index_statement(selection_size(selection),
-                                       table.num_rows)
-            else:
-                if indexes_enabled():
-                    record_index_fallback()
-                selection = ctx.mask(bound.where, table)
-
-        needed = {agg.column for agg in bound.aggregates
-                  if agg.column is not None}
-        if selection is None:
-            arrays = {name: table.column(name) for name in needed}
-            row_count = table.num_rows
-        else:
-            arrays = {name: parallel_gather(table.column(name), selection,
-                                            ctx.runner)
-                      for name in needed}
-            row_count = selection_size(selection)
-        span.set_attribute("rows_scanned", row_count)
-        span.set_attribute("rows_total", table.num_rows)
-        span.set_attribute("access_path", access_path)
-
-        if bound.group_columns:
-            # The pre-grouped aggregate probe: full-table group codes
-            # (dictionary or shared factorisation) gathered at only the
-            # selected positions — O(result), not O(rows), when the
-            # predicate came out of an index.
-            group_factors: list[tuple[np.ndarray, np.ndarray]] = []
-            for name in bound.group_columns:
-                column = table.column(name)
-                if column.dtype == object:
-                    uniques, codes, _ = table.dictionary(name)
-                else:
-                    uniques, codes = ctx.numeric_factor(table, name)
-                group_factors.append(
-                    (uniques,
-                     codes if selection is None
-                     else parallel_gather(codes, selection, ctx.runner)))
-            names, rows = _grouped_aggregate(
-                arrays, row_count, bound.group_columns, group_factors,
-                bound.aggregates, having=statement.having,
-                runner=ctx.runner)
-        else:
-            names, rows = _scalar_aggregate(arrays, row_count,
-                                            bound.aggregates)
-            if statement.having:
-                rows = _apply_having(names, rows, statement)
-        rows = _order_and_limit(names, rows, statement)
-        elapsed = time.perf_counter() - start
-        span.set_attribute("rows_returned", len(rows))
-        span.set_attribute("elapsed_ms", round(elapsed * 1000.0, 4))
-    # The aggregate kernels already emit tuples per row; no re-tupling.
-    return QueryResult(columns=names, rows=tuple(rows),
-                       elapsed_seconds=elapsed)
-
-
-def _supported(bound: BoundStatement) -> bool:
-    """Shapes the batch kernels cover; everything else falls back."""
-    return not bound.statement.explain
-
-
-def _execute_group(ctx: _RequestContext, sql: str,
-                   fallbacks: list[str]) -> QueryResult:
-    """One group through the batch kernels, or ``database.execute``."""
-    bound = ctx.database.bound_statement(sql)
-    if not _supported(bound):
-        fallbacks.append(sql)
-        ctx.bump("legacy_scans", ctx.leaf_count(bound.where))
-        ctx.bump("masks_computed", ctx.leaf_count(bound.where))
-        return ctx.database.execute(sql)
-    return _execute_statement(ctx, bound)
-
-
-# ---------------------------------------------------------------------------
 # Plan execution
 # ---------------------------------------------------------------------------
-
-
-#: Sentinel a group task returns for the NullAggregateError outcome
-#: (aggregate over zero qualifying rows) so the expected case never
-#: travels as an exception through the pool.
-_NULL_RESULT = object()
 
 
 def run_plan(plan: "ExecutionPlan", database: Database,
              sample_fraction: float | None = None,
              cache: "QueryResultCache | None" = None,
              ctx: _RequestContext | None = None,
-             parallel: bool | None = None,
              ) -> dict["AggregateQuery", float | None]:
-    """Answer every group of *plan* with request-shared work.
+    """Answer every group of *plan*: the one loop over a plan's groups.
 
-    Drop-in equivalent of the per-group loop in
-    :meth:`~repro.execution.merging.ExecutionPlan.run` — same results
-    (bit for bit, including TABLESAMPLE draws and NULL/zero-row
-    normalisation), same result-cache interoperation, same span shape —
-    but each distinct predicate mask and GROUP BY factorisation is
-    computed once per request instead of once per group.
+    With a request context *ctx* (from :func:`request_context`) each
+    group statement runs through ``Database.execute`` with *ctx* as its
+    shared work, so every distinct predicate mask and GROUP BY
+    factorisation is computed once per context instead of once per
+    group, and independent groups run as tasks on the context's pool.
+    Effectiveness counters are recorded as per-plan deltas, so one
+    context may serve several plans of a request.
 
-    Independent groups execute as tasks on the shared worker pool (and
-    within each group the kernels scatter across morsels); pass
-    ``parallel=False`` — or flip ``MUVE_PARALLEL=0`` — for the serial
-    oracle.  The request deadline is polled per group and per morsel
-    either way.  *ctx* lets one request share a context (mask cache,
-    pool) across several plans; counters are recorded as per-plan
-    deltas.
+    ``ctx=None`` is the per-group rung of the degradation ladder: every
+    group runs serially through plain ``Database.execute`` behind the
+    ``executor.group`` fault point.  Both give the same results bit for
+    bit, including TABLESAMPLE draws (the rng derives from the statement
+    text), NULL/zero-row normalisation and result-cache entries (keyed
+    on the same group SQL).  The request deadline is polled per group
+    (and per morsel on the pool).
     """
     from repro.execution.merging import (
         _extract_group_results,
         _normalize,
         _with_sample,
     )
-    if ctx is None:
-        ctx = request_context(database, parallel=parallel)
-    base = ctx.counters()
-    fallbacks: list[str] = []
-    results: dict["AggregateQuery", float | None] = {}
-    with trace_span("executor.batch") as batch_span:
-        batch_span.set_attribute("groups", len(plan.groups))
-        batch_span.set_attribute("parallel", ctx.pool is not None)
-        if ctx.pool is not None:
-            batch_span.set_attribute("workers", ctx.pool.workers)
 
-        def run_group(group):
-            sql = group.sql
-            if sample_fraction is not None and sample_fraction < 1.0:
-                sql = _with_sample(sql, sample_fraction)
-            with trace_span("executor.group") as span:
-                span.set_attribute("queries", len(group.queries))
-                span.set_attribute("merged", group.is_merged)
-                span.set_attribute("estimated_cost",
-                                   round(group.estimated_cost, 3))
-                span.set_attribute("batch", True)
+    def run_group(group: "MergedGroup",
+                  ) -> dict["AggregateQuery", float | None]:
+        if ctx is None:
+            fault_point("executor.group")
+        deadline = current_deadline()
+        if deadline is not None:
+            deadline.check("executor.group")
+        sql = group.sql
+        if sample_fraction is not None and sample_fraction < 1.0:
+            sql = _with_sample(sql, sample_fraction)
+        with trace_span("executor.group") as span:
+            span.set_attribute("queries", len(group.queries))
+            span.set_attribute("merged", group.is_merged)
+            span.set_attribute("estimated_cost",
+                               round(group.estimated_cost, 3))
+            executed = True
+
+            def execute(text: str) -> QueryResult:
+                nonlocal executed
                 executed = True
-                try:
-                    if cache is not None:
-                        executed = False
+                return database.execute(text, shared=ctx)
 
-                        def execute(text: str) -> QueryResult:
-                            nonlocal executed
-                            executed = True
-                            return _execute_group(ctx, text, fallbacks)
+            try:
+                if cache is not None:
+                    executed = False
+                    outcome = cache.get_or_execute(sql, execute)
+                    span.set_attribute(
+                        "cache", "miss" if executed else "hit")
+                else:
+                    outcome = execute(sql)
+            except NullAggregateError:
+                # Aggregate over zero qualifying rows (SQL NULL): report
+                # every member query as missing/zero.  Other
+                # ExecutionErrors are genuine failures (bad SQL, a
+                # dropped table, an unsupported aggregate) and propagate
+                # to the caller instead of being folded into "no data".
+                span.set_attribute("null_result", True)
+                return {query: _normalize(query, None)
+                        for query in group.queries}
+            if executed:
+                # Cost-model estimation error: the optimizer's EXPLAIN
+                # estimate (abstract units) vs. the measured runtime.
+                # Cache hits skip this — their elapsed time belongs to
+                # the original execution.
+                actual_ms = outcome.elapsed_seconds * 1000.0
+                span.set_attribute("actual_ms", round(actual_ms, 4))
+                if group.estimated_cost > 0:
+                    span.set_attribute(
+                        "ms_per_cost_unit",
+                        round(actual_ms / group.estimated_cost, 6))
+        results: dict["AggregateQuery", float | None] = {}
+        _extract_group_results(group, outcome, results)
+        return results
 
-                        outcome = cache.get_or_execute(sql, execute)
-                        span.set_attribute(
-                            "cache", "miss" if executed else "hit")
-                    else:
-                        outcome = _execute_group(ctx, sql, fallbacks)
-                except NullAggregateError:
-                    # Aggregate over zero qualifying rows (SQL NULL):
-                    # report every member query as missing/zero.  Real
-                    # execution failures propagate to the caller.
-                    span.set_attribute("null_result", True)
-                    return _NULL_RESULT
-                if executed:
-                    actual_ms = outcome.elapsed_seconds * 1000.0
-                    span.set_attribute("actual_ms", round(actual_ms, 4))
-                    if group.estimated_cost > 0:
-                        span.set_attribute(
-                            "ms_per_cost_unit",
-                            round(actual_ms / group.estimated_cost, 6))
-                return outcome
-
-        if ctx.pool is not None and len(plan.groups) > 1:
-            outcomes = ctx.pool.run_tasks(
+    def run_groups() -> list[dict["AggregateQuery", float | None]]:
+        pool = None if ctx is None else ctx.pool
+        if pool is not None and len(plan.groups) > 1:
+            return pool.run_tasks(
                 [lambda group=group: run_group(group)
                  for group in plan.groups],
                 site="executor.group")
-        else:
-            deadline = current_deadline()
-            outcomes = []
-            for group in plan.groups:
-                if deadline is not None:
-                    deadline.check("executor.group")
-                outcomes.append(run_group(group))
-        for group, outcome in zip(plan.groups, outcomes):
-            if outcome is _NULL_RESULT:
-                for query in group.queries:
-                    results[query] = _normalize(query, None)
-            else:
-                _extract_group_results(group, outcome, results)
-        current = ctx.counters()
-        delta = {key: current[key] - base[key] for key in current}
-        batch_scans = delta["masks_computed"] + delta["sample_masks"]
-        scans_saved = max(0, delta["legacy_scans"] - batch_scans)
-        batch_span.set_attribute("masks_computed", delta["masks_computed"])
-        batch_span.set_attribute("masks_reused", delta["masks_reused"])
-        batch_span.set_attribute("scans_saved", scans_saved)
-        batch_span.set_attribute("index_statements",
-                                 delta["index_statements"])
-        if fallbacks:
-            batch_span.set_attribute("fallback_groups", len(fallbacks))
-    _STATS.record(groups=len(plan.groups), fallbacks=len(fallbacks),
+        return [run_group(group) for group in plan.groups]
+
+    if ctx is None:
+        parts = run_groups()
+    else:
+        with trace_span("executor.batch") as batch_span:
+            batch_span.set_attribute("groups", len(plan.groups))
+            batch_span.set_attribute("parallel", ctx.pool is not None)
+            if ctx.pool is not None:
+                batch_span.set_attribute("workers", ctx.pool.workers)
+            base = ctx.counters()
+            parts = run_groups()
+            _record_plan(batch_span, len(plan.groups), base,
+                         ctx.counters())
+    results: dict["AggregateQuery", float | None] = {}
+    for part in parts:
+        results.update(part)
+    return results
+
+
+def _record_plan(span, groups: int, base: dict[str, int],
+                 current: dict[str, int]) -> None:
+    """Publish one shared plan's counter deltas on its span, the
+    process-wide :func:`batch_stats` and the metrics registry."""
+    delta = {key: current[key] - base[key] for key in current}
+    batch_scans = delta["masks_computed"] + delta["sample_masks"]
+    scans_saved = max(0, delta["legacy_scans"] - batch_scans)
+    span.set_attribute("masks_computed", delta["masks_computed"])
+    span.set_attribute("masks_reused", delta["masks_reused"])
+    span.set_attribute("scans_saved", scans_saved)
+    span.set_attribute("index_statements", delta["index_statements"])
+    _STATS.record(groups=groups,
                   masks_computed=delta["masks_computed"],
                   masks_reused=delta["masks_reused"],
                   scans_saved=scans_saved,
@@ -767,7 +632,6 @@ def run_plan(plan: "ExecutionPlan", database: Database,
             delta["masks_reused"])
     if scans_saved:
         registry.counter("batch_scans_saved_total").inc(scans_saved)
-    return results
 
 
 def plan_scan_counts(plan: "ExecutionPlan", database: Database,

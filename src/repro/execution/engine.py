@@ -54,14 +54,9 @@ class MuveExecutor:
     """
 
     def __init__(self, database: Database, merge: bool = True,
-                 result_cache: "QueryResultCache | None" = None,
-                 batch: bool | None = None) -> None:
-        """``batch=None`` (the default) lets each plan follow the global
-        batch-executor flag; ``True``/``False`` pins the choice for every
-        plan this executor runs (tests and A/B benchmarks use this)."""
+                 result_cache: "QueryResultCache | None" = None) -> None:
         self._database = database
         self._merge = merge
-        self._batch = batch
         self.result_cache = result_cache
 
     def run(self, multiplot: Multiplot,
@@ -88,8 +83,7 @@ class MuveExecutor:
         strategy = strategy or DefaultProcessing()
         yield from strategy.updates(self._database, multiplot,
                                     merge=self._merge,
-                                    cache=self.result_cache,
-                                    batch=self._batch)
+                                    cache=self.result_cache)
 
     def run_incremental_ilp(self, problem: MultiplotSelectionProblem,
                             solver: IlpSolver | None = None,
@@ -127,7 +121,6 @@ class MuveExecutor:
                                           merge=self._merge)
                     cache.update(plan.run(self._database,
                                           cache=self.result_cache,
-                                          batch=self._batch,
                                           request_ctx=ctx))
                 updates.append(VisualizationUpdate(
                     elapsed_seconds=time.perf_counter() - start,

@@ -14,6 +14,10 @@ The grouping structure is exactly the template structure of
 by IN/GROUP BY, queries sharing an ``agg_func``/``agg_column`` template
 merge by multi-aggregate select.  ``pred_column`` templates do not merge
 (their members filter different columns).
+
+This module plans; :meth:`ExecutionPlan.run` executes through
+:func:`repro.execution.batch.run_plan`, the one loop over a plan's
+groups, and keeps the batch→per-group rung of the degradation ladder.
 """
 
 from __future__ import annotations
@@ -21,8 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from repro.errors import ExecutionError, NullAggregateError, TransientError
-from repro.observability import trace_span
+from repro.errors import ExecutionError, TransientError
 from repro.resilience import (
     current_deadline,
     exception_reason,
@@ -65,7 +68,6 @@ class ExecutionPlan:
     def run(self, database: Database,
             sample_fraction: float | None = None,
             cache: "QueryResultCache | None" = None,
-            batch: bool | None = None,
             request_ctx=None,
             parallel: bool | None = None,
             ) -> dict[AggregateQuery, float | None]:
@@ -79,95 +81,38 @@ class ExecutionPlan:
         (sampled statements carry their fraction in the SQL text, so exact
         and approximate runs never share an entry).
 
-        ``batch`` routes the whole plan through the one-pass batch
-        executor (:mod:`repro.execution.batch`), which shares predicate
-        masks and GROUP BY factorisations across groups — and executes
-        groups and morsels on the shared worker pool — and returns
-        results identical to this per-group loop.  ``None`` (the default)
-        follows the global flag (:func:`repro.execution.batch
-        .batch_enabled`); the batch path is skipped when the database
-        simulates page I/O, whose per-statement sleeps model exactly the
-        repeated scans the batch executor elides.
-
+        The groups run through :func:`repro.execution.batch.run_plan`,
+        which shares predicate masks and GROUP BY factorisations across
+        groups and executes groups and morsels on the shared worker pool.
         ``request_ctx`` (from :func:`repro.execution.batch
-        .request_context`) shares one mask cache and pool across several
-        plans of the same request — the progressive strategies run one
-        plan per emitted update; ``parallel`` overrides the global
-        parallel flag for this plan (the benchmark's A/B switch).
+        .request_context`) shares that work across several plans of the
+        same request — the progressive strategies run one plan per
+        emitted update; without one, a fresh context is made, on the
+        pool unless ``parallel`` (the benchmark's A/B switch) or the
+        global parallel flag says otherwise.
         """
         from repro.execution import batch as batch_executor
-        if batch is None:
-            batch = batch_executor.batch_enabled()
-        if batch and database.io_millis_per_page == 0.0:
-            try:
-                fault_point("executor.batch")
-                deadline = current_deadline()
-                if deadline is not None:
-                    deadline.check("executor.batch")
-                return batch_executor.run_plan(
-                    self, database, sample_fraction=sample_fraction,
-                    cache=cache, ctx=request_ctx, parallel=parallel)
-            except TransientError as exc:
-                # batch→per-group rung: a transient batch failure falls
-                # back to the legacy loop, which computes bit-identical
-                # results one group at a time.  Deadline exhaustion is
-                # NOT handled here — per-group is the *slower* path, so
-                # the caller must shrink the multiplot instead.
-                record_degradation("executor", "batch_to_per_group",
-                                   exception_reason(exc))
-        results: dict[AggregateQuery, float | None] = {}
-        for group in self.groups:
-            fault_point("executor.group")
+        try:
+            fault_point("executor.batch")
             deadline = current_deadline()
             if deadline is not None:
-                deadline.check("executor.group")
-            sql = group.sql
-            if sample_fraction is not None and sample_fraction < 1.0:
-                sql = _with_sample(sql, sample_fraction)
-            with trace_span("executor.group") as span:
-                span.set_attribute("queries", len(group.queries))
-                span.set_attribute("merged", group.is_merged)
-                span.set_attribute("estimated_cost",
-                                   round(group.estimated_cost, 3))
-                executed = True
-                try:
-                    if cache is not None:
-                        executed = False
-
-                        def execute(text: str):
-                            nonlocal executed
-                            executed = True
-                            return database.execute(text)
-
-                        outcome = cache.get_or_execute(sql, execute)
-                        span.set_attribute(
-                            "cache", "miss" if executed else "hit")
-                    else:
-                        outcome = database.execute(sql)
-                except NullAggregateError:
-                    # Aggregate over zero qualifying rows (SQL NULL):
-                    # report every member query as missing/zero.  Other
-                    # ExecutionErrors are genuine failures (bad SQL, a
-                    # dropped table, an unsupported aggregate) and
-                    # propagate to the caller instead of being silently
-                    # folded into "no data".
-                    span.set_attribute("null_result", True)
-                    for query in group.queries:
-                        results[query] = _normalize(query, None)
-                    continue
-                if executed:
-                    # Cost-model estimation error: the optimizer's
-                    # EXPLAIN estimate (abstract units) vs. the
-                    # measured runtime.  Cache hits skip this — their
-                    # elapsed time belongs to the original execution.
-                    actual_ms = outcome.elapsed_seconds * 1000.0
-                    span.set_attribute("actual_ms", round(actual_ms, 4))
-                    if group.estimated_cost > 0:
-                        span.set_attribute(
-                            "ms_per_cost_unit",
-                            round(actual_ms / group.estimated_cost, 6))
-            _extract_group_results(group, outcome, results)
-        return results
+                deadline.check("executor.batch")
+            if request_ctx is None:
+                request_ctx = batch_executor.request_context(
+                    database, parallel=parallel)
+            return batch_executor.run_plan(
+                self, database, sample_fraction=sample_fraction,
+                cache=cache, ctx=request_ctx)
+        except TransientError as exc:
+            # batch→per-group rung: a transient failure of the shared
+            # path re-runs the plan without shared work, one group at a
+            # time, for bit-identical results.  Deadline exhaustion is
+            # NOT handled here — per-group is the *slower* path, so the
+            # caller must shrink the multiplot instead.
+            record_degradation("executor", "batch_to_per_group",
+                               exception_reason(exc))
+        return batch_executor.run_plan(
+            self, database, sample_fraction=sample_fraction, cache=cache)
 
 
 def candidate_processing_groups(database: Database, candidates):
@@ -213,9 +158,17 @@ def plan_execution(database: Database,
 
     by_template: dict[QueryTemplate, list[AggregateQuery]] = {}
     for query in unique:
+        columns = [p.column.lower() for p in query.predicates]
         for template in templates_of(query):
-            if template.kind in _MERGEABLE_KINDS:
-                by_template.setdefault(template, []).append(query)
+            if template.kind not in _MERGEABLE_KINDS:
+                continue
+            # A member's GROUP BY row is looked up by its (first)
+            # predicate on the anchor, so a query filtering the anchor
+            # column twice cannot be answered from a pred_value group.
+            if template.kind == "pred_value" \
+                    and columns.count(str(template.anchor).lower()) > 1:
+                continue
+            by_template.setdefault(template, []).append(query)
 
     assigned: set[AggregateQuery] = set()
     groups: list[MergedGroup] = []

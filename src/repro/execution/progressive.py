@@ -86,7 +86,6 @@ class ProcessingStrategy:
     def updates(self, database: Database, multiplot: Multiplot,
                 merge: bool = True,
                 cache: "QueryResultCache | None" = None,
-                batch: bool | None = None,
                 ) -> Iterator["VisualizationUpdate"]:
         raise NotImplementedError
 
@@ -99,7 +98,6 @@ class DefaultProcessing(ProcessingStrategy):
     def updates(self, database: Database, multiplot: Multiplot,
                 merge: bool = True,
                 cache: "QueryResultCache | None" = None,
-                batch: bool | None = None,
                 ) -> Iterator["VisualizationUpdate"]:
         from repro.execution.batch import request_context
         from repro.execution.engine import VisualizationUpdate
@@ -110,8 +108,7 @@ class DefaultProcessing(ProcessingStrategy):
         # The span closes before the yield: an open span across a yield
         # would tear down in the consumer's context.
         with trace_span("executor.update", final=True) as span:
-            results = plan.run(database, cache=cache, batch=batch,
-                               request_ctx=ctx)
+            results = plan.run(database, cache=cache, request_ctx=ctx)
             update = VisualizationUpdate(
                 elapsed_seconds=time.perf_counter() - start,
                 multiplot=_fill_values(multiplot, results),
@@ -144,7 +141,6 @@ class IncrementalPlotting(ProcessingStrategy):
     def updates(self, database: Database, multiplot: Multiplot,
                 merge: bool = True,
                 cache: "QueryResultCache | None" = None,
-                batch: bool | None = None,
                 ) -> Iterator["VisualizationUpdate"]:
         from repro.execution.batch import request_context
         from repro.execution.engine import VisualizationUpdate
@@ -166,7 +162,6 @@ class IncrementalPlotting(ProcessingStrategy):
                 if queries:
                     plan = _plan_with_span(database, queries, merge)
                     results.update(plan.run(database, cache=cache,
-                                            batch=batch,
                                             request_ctx=ctx))
                 span.set_attribute("new_queries", len(queries))
                 shown.add(index)
@@ -263,7 +258,6 @@ class ApproximateProcessing(ProcessingStrategy):
     def updates(self, database: Database, multiplot: Multiplot,
                 merge: bool = True,
                 cache: "QueryResultCache | None" = None,
-                batch: bool | None = None,
                 ) -> Iterator["VisualizationUpdate"]:
         from repro.execution.batch import request_context
         from repro.execution.engine import VisualizationUpdate
@@ -283,7 +277,7 @@ class ApproximateProcessing(ProcessingStrategy):
             with trace_span("executor.update", approximate=True) as span:
                 span.set_attribute("sample_fraction", round(fraction, 6))
                 raw = plan.run(database, sample_fraction=fraction,
-                               cache=cache, batch=batch, request_ctx=ctx)
+                               cache=cache, request_ctx=ctx)
                 scaled = {
                     query: (None if value is None else
                             scale_aggregate(query.aggregate.func, value,
@@ -300,8 +294,7 @@ class ApproximateProcessing(ProcessingStrategy):
                 )
             yield update
         with trace_span("executor.update", final=True) as span:
-            results = plan.run(database, cache=cache, batch=batch,
-                               request_ctx=ctx)
+            results = plan.run(database, cache=cache, request_ctx=ctx)
             update = VisualizationUpdate(
                 elapsed_seconds=time.perf_counter() - start,
                 multiplot=_fill_values(multiplot, results),

@@ -75,10 +75,6 @@ def _flag(name: str, kind: str, default: str, description: str,
 # Serving & execution
 # ---------------------------------------------------------------------------
 
-_flag("MUVE_BATCH_EXEC", "switch", "on",
-      "One-pass batch execution of whole candidate plans "
-      "(`--no-batch-exec`); off restores the per-group loop.",
-      "Execution")
 _flag("MUVE_PARALLEL", "switch", "on",
       "Morsel/group scattering onto the shared worker pool "
       "(`--no-parallel`); off keeps the bit-identical serial path.",

@@ -165,11 +165,6 @@ class Muve:
         truth coverage); defaults to the process-wide engine
         (``GET /api/slo``).  Thresholds come from ``MUVE_SLO_LATENCY_MS``
         and ``MUVE_SLO_COVERAGE``.
-    batch_execution:
-        ``None`` (the default) follows the global batch-executor flag
-        (:func:`repro.execution.batch.batch_enabled`, the CLI's
-        ``--no-batch-exec``); ``True``/``False`` pins the one-pass batch
-        path on or off for this pipeline.
     deadline_ms:
         Per-request latency budget.  Every ask runs under a
         :class:`~repro.resilience.Deadline` of this many milliseconds;
@@ -201,7 +196,6 @@ class Muve:
                  enable_caching: bool = True,
                  metrics: MetricsRegistry | None = None,
                  slo: SloEngine | None = None,
-                 batch_execution: bool | None = None,
                  deadline_ms: float | None = None) -> None:
         self.database = database
         self.deadline_ms = (deadline_ms if deadline_ms is not None
@@ -226,8 +220,7 @@ class Muve:
         if enable_caching and self.planner.plan_cache is None:
             self.planner.plan_cache = PlanCache()
         self._executor = MuveExecutor(database,
-                                      result_cache=self.result_cache,
-                                      batch=batch_execution)
+                                      result_cache=self.result_cache)
         self.metrics = metrics if metrics is not None else get_registry()
         self.slo = slo if slo is not None else get_slo_engine()
         from repro.observability.slo import default_objectives

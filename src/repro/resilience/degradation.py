@@ -12,9 +12,14 @@ site                      action                     replaces
 ``candidates``            ``seed_only`` /            full candidate set
                           ``top_m``
 ``planner``               ``ilp_to_greedy``          ILP / best planning
-``executor``              ``batch_to_per_group``     one-pass batch path
+``executor``              ``batch_to_per_group``     shared plan execution
 ``executor``              ``single_plot``            full multiplot
 ========================  =========================  ====================
+
+``batch_to_per_group`` re-runs the plan through the same group loop
+(:func:`repro.execution.batch.run_plan`) without a request context:
+serially, each group through plain ``Database.execute``, with
+bit-identical values.
 
 Events are appended to a contextvar-scoped collector opened per request
 (:func:`degradation_scope`), attached to the outgoing

@@ -17,6 +17,7 @@ from repro.errors import CatalogError, ExecutionError
 from repro.observability import trace_span
 from repro.sqldb.executor import (
     BoundStatement,
+    SharedWork,
     bind_statement,
     execute_bound,
 )
@@ -24,6 +25,7 @@ from repro.sqldb.index import index_eligible, indexes_enabled
 from repro.sqldb.parser import SelectStatement, parse
 from repro.sqldb.planner import PlanNode, plan_select
 from repro.sqldb.query import AggregateQuery
+from repro.sqldb.sampling import derive_rng
 from repro.sqldb.schema import Catalog, ColumnSchema, TableSchema
 from repro.sqldb.statistics import TableStatistics
 from repro.sqldb.table import Table
@@ -304,41 +306,35 @@ class Database:
         self._raw_statements[sql] = bound
         return bound
 
-    def sampling_rng(self, statement: SelectStatement,
-                     ) -> np.random.Generator:
-        """The derived generator :meth:`execute` uses for TABLESAMPLE.
-
-        Exposed so alternative execution paths (the batch executor)
-        sample exactly the rows a plain ``execute`` of the same statement
-        would.
-        """
-        from repro.sqldb.sampling import derive_rng
-        return derive_rng(self._seed, statement.to_sql())
-
     def execute(self, query: str | SelectStatement | AggregateQuery,
-                rng: np.random.Generator | None = None) -> QueryResult:
+                rng: np.random.Generator | None = None,
+                shared: SharedWork | None = None) -> QueryResult:
         """Parse (if needed), execute, and time a query.
 
         ``rng`` overrides the sampling generator; by default one is derived
         from the database seed and the statement text, making sampled
         results reproducible and thread-interleaving-independent.
+        ``shared`` is the request-shared work of a plan's groups (see
+        :func:`~repro.sqldb.executor.execute_bound`); results are
+        identical with or without it.
         """
         bound = self.bound_statement(query)
         statement = bound.statement
         table = self.table(statement.table)
         if rng is None and statement.sample_fraction is not None:
-            rng = self.sampling_rng(statement)
+            rng = derive_rng(self._seed, statement.to_sql())
         with trace_span("sqldb.execute") as span:
             span.set_attribute("table", statement.table)
+            span.set_attribute("shared", shared is not None)
             start = time.perf_counter()
-            columns, rows = execute_bound(bound, table, rng)
+            columns, rows = execute_bound(bound, table, rng, shared)
             if self.io_millis_per_page > 0.0:
                 self._simulate_io(bound, table)
             elapsed = time.perf_counter() - start
             span.set_attribute("rows_returned", len(rows))
             span.set_attribute("elapsed_ms", round(elapsed * 1000.0, 4))
-        return QueryResult(columns=columns,
-                           rows=tuple(tuple(row) for row in rows),
+        # The aggregate kernels already emit one tuple per row.
+        return QueryResult(columns=columns, rows=tuple(rows),
                            elapsed_seconds=elapsed)
 
     def _simulate_io(self, bound: BoundStatement, table: Table) -> None:

@@ -14,7 +14,7 @@ engine-level optimisations:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Protocol, Sequence
 
 import numpy as np
 
@@ -97,31 +97,78 @@ def execute_select(statement: SelectStatement, table: Table,
     return execute_bound(bind_statement(statement, table), table, rng)
 
 
+class SharedWork(Protocol):
+    """Work shared by the statements of one request.
+
+    Implemented by the request context of :mod:`repro.execution.batch`
+    (:func:`~repro.execution.batch.request_context`), which memoises
+    leaf masks and index selections (single-flight, backed by the
+    database's cross-request selection cache), factorises numeric GROUP
+    BY columns once over the full table, and scatters kernels across
+    morsels with :attr:`runner`.  Every method returns exactly what the
+    plain evaluation would, so results stay bit-identical.
+    """
+
+    runner: MorselRunner | None
+
+    def mask(self, expr: BooleanExpr, table: Table) -> np.ndarray: ...
+
+    def selection(self, where: BooleanExpr,
+                  table: Table) -> np.ndarray | None: ...
+
+    def numeric_factor(self, table: Table,
+                       column: str) -> tuple[np.ndarray, np.ndarray]: ...
+
+    def gather(self, array: np.ndarray,
+               selection: np.ndarray) -> np.ndarray: ...
+
+    def record_statement(self, where: BooleanExpr | None, sampled: bool,
+                         indexed: bool) -> None: ...
+
+
 def execute_bound(bound: BoundStatement, table: Table,
                   rng: np.random.Generator | None,
+                  shared: SharedWork | None = None,
                   ) -> tuple[tuple[str, ...], list[tuple[Any, ...]]]:
-    """Run an already-bound statement (the statement-cache fast path)."""
+    """Run an already-bound statement (the statement-cache fast path).
+
+    *shared* supplies the work shared across a request's statements
+    (see :class:`SharedWork`).  ``None`` evaluates everything for this
+    statement alone: ``expr.evaluate`` for masks, ``resolve_selection``
+    for index paths, plain fancy indexing, and numeric GROUP BY columns
+    factorised on the filtered rows.
+    """
     statement = bound.statement
     bound_where = bound.where
     bound_aggs = bound.aggregates
     group_columns = bound.group_columns
+
+    def mask(expr: BooleanExpr) -> np.ndarray:
+        return (expr.evaluate(table) if shared is None
+                else shared.mask(expr, table))
+
+    def gather(array: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return array[rows] if shared is None else shared.gather(array, rows)
 
     # ``selection`` is either a boolean mask or an int64 array of row
     # positions in ascending order — numpy fancy indexing treats both
     # identically, so everything downstream is representation-agnostic.
     selection: np.ndarray | None = None
     access_path = "scan"
-    if statement.sample_fraction is not None \
-            and statement.sample_fraction < 1.0:
+    sampled = (statement.sample_fraction is not None
+               and statement.sample_fraction < 1.0)
+    if sampled:
         if rng is None:
             raise ExecutionError(
                 "TABLESAMPLE execution requires an explicit rng")
         selection = rng.random(table.num_rows) < statement.sample_fraction
         if bound_where is not None:
-            selection = selection & bound_where.evaluate(table)
+            selection = selection & mask(bound_where)
     elif bound_where is not None:
         if indexes_enabled():
-            selection = resolve_selection(bound_where, table)
+            selection = (resolve_selection(bound_where, table)
+                         if shared is None
+                         else shared.selection(bound_where, table))
         if selection is not None:
             access_path = "index"
             record_index_statement(selection_size(selection),
@@ -129,7 +176,10 @@ def execute_bound(bound: BoundStatement, table: Table,
         else:
             if indexes_enabled():
                 record_index_fallback()
-            selection = bound_where.evaluate(table)
+            selection = mask(bound_where)
+    if shared is not None:
+        shared.record_statement(bound_where, sampled,
+                                indexed=access_path == "index")
 
     needed = {agg.column for agg in bound_aggs
               if agg.column is not None}
@@ -137,7 +187,8 @@ def execute_bound(bound: BoundStatement, table: Table,
         arrays = {name: table.column(name) for name in needed}
         row_count = table.num_rows
     else:
-        arrays = {name: table.column(name)[selection] for name in needed}
+        arrays = {name: gather(table.column(name), selection)
+                  for name in needed}
         row_count = selection_size(selection)
     # Annotate whatever stage is being traced (typically the enclosing
     # ``sqldb.execute`` span) with the scan shape; a no-op when tracing
@@ -148,23 +199,30 @@ def execute_bound(bound: BoundStatement, table: Table,
     span.set_attribute("access_path", access_path)
 
     if group_columns:
-        # Grouping on TEXT columns reuses the table's dictionary codes;
-        # numeric group columns are factorized on the filtered rows.
+        # TEXT group columns reuse the table's dictionary codes, gathered
+        # at the selected rows — O(result), not O(rows), when the
+        # predicate came out of an index.  Numeric columns use the
+        # request's full-table factorisation when shared, and are
+        # factorised on the filtered rows otherwise; ``np.unique`` sorts
+        # either way, so the group order is the same.
         group_factors: list[tuple[np.ndarray, np.ndarray]] = []
         for name in group_columns:
             column = table.column(name)
             if column.dtype == object:
                 uniques, codes, _ = table.dictionary(name)
-                group_factors.append(
-                    (uniques,
-                     codes if selection is None else codes[selection]))
+            elif shared is not None:
+                uniques, codes = shared.numeric_factor(table, name)
             else:
-                filtered = (column if selection is None
-                            else column[selection])
-                group_factors.append(_factorize(filtered))
-        names, rows = _grouped_aggregate(arrays, row_count, group_columns,
-                                         group_factors, bound_aggs,
-                                         having=statement.having)
+                group_factors.append(_factorize(
+                    column if selection is None else column[selection]))
+                continue
+            group_factors.append(
+                (uniques,
+                 codes if selection is None else gather(codes, selection)))
+        names, rows = _grouped_aggregate(
+            arrays, row_count, group_columns, group_factors, bound_aggs,
+            having=statement.having,
+            runner=None if shared is None else shared.runner)
     else:
         names, rows = _scalar_aggregate(arrays, row_count, bound_aggs)
         if statement.having:
@@ -428,27 +486,33 @@ def _chunked_group_extreme(row_groups: np.ndarray, array: np.ndarray,
                            n_groups: int, maximize: bool,
                            runner: MorselRunner | None) -> np.ndarray:
     """Per-group MIN/MAX; min/max is associative and rounding-free, so
-    per-chunk partials combined in chunk order equal the single pass."""
+    per-chunk partials combined in chunk order equal the single pass.
+
+    NaN measures propagate, as in the scalar path's ``array.min()``: a
+    group holding any NaN (an all-NaN group included) yields NaN.  The
+    comparisons run under ``np.errstate(invalid="ignore")`` because
+    that propagation is the intended result, not a warning.
+    """
     fill = -np.inf if maximize else np.inf
     reduce_at = np.maximum.at if maximize else np.minimum.at
     n_rows = len(row_groups)
-    if runner is None or n_rows <= MORSEL_ROWS:
-        out = np.full(n_groups, fill)
-        reduce_at(out, row_groups, array.astype(float))
-        return out
 
     def partial(lo: int, hi: int) -> np.ndarray:
         out = np.full(n_groups, fill)
-        reduce_at(out, row_groups[lo:hi], array[lo:hi].astype(float))
+        with np.errstate(invalid="ignore"):
+            reduce_at(out, row_groups[lo:hi], array[lo:hi].astype(float))
         return out
 
+    if runner is None or n_rows <= MORSEL_ROWS:
+        return partial(0, n_rows)
     parts = _run_chunks(
         [lambda lo=lo, hi=hi: partial(lo, hi)
          for lo, hi in _chunk_bounds(n_rows)], runner)
     combine = np.maximum if maximize else np.minimum
     totals = parts[0]
-    for part in parts[1:]:
-        totals = combine(totals, part)
+    with np.errstate(invalid="ignore"):
+        for part in parts[1:]:
+            totals = combine(totals, part)
     return totals
 
 

@@ -13,8 +13,9 @@ Sites (the registry production code is instrumented with)::
     candidates.generate   Muve._run_pipeline, before candidate expansion
     phonetics.lookup      CandidateGenerator, before each index probe
     planner.solve         VisualizationPlanner, before the primary solve
-    executor.batch        ExecutionPlan.run, before the one-pass batch
-    executor.group        ExecutionPlan.run, before each merged group
+    executor.batch        ExecutionPlan.run, before the shared plan run
+    executor.group        batch.run_plan's per-group rung, before each
+                          merged group
     session.replan        MuveSession, before the history-based replan
 
 Fault kinds:

@@ -1,8 +1,10 @@
 """Tests for incremental ILP optimisation and the planner façade."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.core.ilp import incremental_solve
+from repro.core.ilp import IlpSolver, incremental_solve
 from repro.core.model import ScreenGeometry
 from repro.core.planner import VisualizationPlanner
 from repro.core.problem import MultiplotSelectionProblem
@@ -18,6 +20,21 @@ def make_problem(n=6, width=900, rows=1) -> MultiplotSelectionProblem:
         geometry=ScreenGeometry(width_pixels=width, num_rows=rows))
 
 
+class _NeverOptimalSolver:
+    """Stub ILP solver: every call times out with a slightly better
+    incumbent than the last, recording the timeout it was given."""
+
+    def __init__(self, problem: MultiplotSelectionProblem) -> None:
+        self.timeouts: list[float] = []
+        self._base = IlpSolver().solve(problem, timeout_seconds=10.0)
+
+    def solve(self, problem, processing_groups=None, timeout_seconds=None):
+        self.timeouts.append(timeout_seconds)
+        return replace(self._base, optimal=False, timed_out=True,
+                       expected_cost=(self._base.expected_cost
+                                      + 1.0 / len(self.timeouts)))
+
+
 class TestIncrementalSolve:
     def test_yields_at_least_one_step(self):
         steps = list(incremental_solve(make_problem(), total_budget=2.0))
@@ -30,6 +47,31 @@ class TestIncrementalSolve:
         timeouts = [s.timeout_seconds for s in steps]
         for earlier, later in zip(timeouts, timeouts[1:]):
             assert later >= earlier - 1e-9
+
+    def test_schedule_folds_residual_when_never_optimal(self):
+        """A solver that never proves optimality runs the whole budget:
+        the Section 5.4 steps ``k * b**i`` with the residual folded into
+        the last one, independent of how fast the host solves."""
+        problem = make_problem()
+        solver = _NeverOptimalSolver(problem)
+        steps = list(incremental_solve(
+            problem, solver=solver, initial_timeout=0.0625,
+            growth_factor=2.0, total_budget=1.0))
+        assert solver.timeouts == [0.0625, 0.125, 0.25, 0.5625]
+        assert [s.timeout_seconds for s in steps] == solver.timeouts
+        assert steps[-1].cumulative_seconds == pytest.approx(1.0)
+        assert all(s.improved for s in steps)
+
+    @pytest.mark.parametrize("budget", [0.03, 0.1, 0.5, 1.0, 4.0, 7.3])
+    def test_timeouts_never_shrink_and_fill_budget(self, budget):
+        problem = make_problem()
+        solver = _NeverOptimalSolver(problem)
+        list(incremental_solve(problem, solver=solver,
+                               total_budget=budget))
+        timeouts = solver.timeouts
+        for earlier, later in zip(timeouts, timeouts[1:]):
+            assert later >= earlier
+        assert sum(timeouts) == pytest.approx(budget)
 
     def test_costs_never_increase_across_improved_steps(self):
         steps = list(incremental_solve(make_problem(n=10, rows=2),

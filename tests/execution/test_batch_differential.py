@@ -1,9 +1,11 @@
-"""Differential tests: the batch executor is a drop-in for per-group runs.
+"""Differential tests: shared plan execution equals per-group runs.
 
-The one-pass batch executor (:mod:`repro.execution.batch`) claims results
-*identical* to the per-group loop in :meth:`ExecutionPlan.run` — not
-approximately equal: both paths run the same kernels on the same filtered
-arrays, so every float must match bit for bit, NULL/zero-row
+:meth:`ExecutionPlan.run` shares predicate masks and GROUP BY
+factorisations across a plan's groups (:mod:`repro.execution.batch`) and
+claims results *identical* to executing every group on its own — the
+test-side oracle :func:`tests.execution.oracle.run_per_group` — not
+approximately equal: both paths run the same kernels on the same
+filtered arrays, so every float must match bit for bit, NULL/zero-row
 normalisation included, and TABLESAMPLE draws must pick the same rows
 (both derive their generator from the statement text).  Hypothesis
 generates candidate-style workloads and the tests compare the two paths
@@ -21,8 +23,10 @@ from repro.datasets import make_nyc311_table
 from repro.errors import ExecutionError, NullAggregateError
 from repro.execution import batch as batch_executor
 from repro.execution.merging import plan_execution
+from repro.sqldb import database as database_module
 from repro.sqldb.database import Database
 from repro.sqldb.query import AggregateQuery
+from tests.execution.oracle import run_per_group
 
 _DB = Database(seed=0)
 _DB.register_table(make_nyc311_table(num_rows=1500, seed=9))
@@ -68,8 +72,7 @@ def _assert_identical(batch, legacy):
 @settings(max_examples=40, deadline=None)
 def test_batch_equals_per_group_exactly(queries, merge):
     plan = plan_execution(_DB, queries, merge=merge)
-    _assert_identical(plan.run(_DB, batch=True),
-                      plan.run(_DB, batch=False))
+    _assert_identical(plan.run(_DB), run_per_group(plan, _DB))
 
 
 @given(query_sets(),
@@ -80,20 +83,20 @@ def test_batch_equals_per_group_under_sampling(queries, fraction):
     they must draw the same rows and report the same sampled results."""
     plan = plan_execution(_DB, queries, merge=True)
     _assert_identical(
-        plan.run(_DB, sample_fraction=fraction, batch=True),
-        plan.run(_DB, sample_fraction=fraction, batch=False))
+        plan.run(_DB, sample_fraction=fraction),
+        run_per_group(plan, _DB, sample_fraction=fraction))
 
 
 @given(query_sets())
 @settings(max_examples=15, deadline=None)
 def test_batch_and_legacy_share_result_cache_entries(queries):
-    """A batch run populates the result cache with entries a later
+    """A shared run populates the result cache with entries a later
     per-group run hits (both key on the same normalised group SQL)."""
     cache = QueryResultCache()
     plan = plan_execution(_DB, queries, merge=True)
-    first = plan.run(_DB, cache=cache, batch=True)
+    first = plan.run(_DB, cache=cache)
     misses_after_batch = cache.stats.misses
-    second = plan.run(_DB, cache=cache, batch=False)
+    second = run_per_group(plan, _DB, cache=cache)
     _assert_identical(first, second)
     # Groups whose aggregate raised NullAggregateError are never cached
     # (on either path), so only they may miss again on the rerun.  Bound
@@ -121,8 +124,7 @@ def test_null_aggregate_normalisation_on_batch_path():
         AggregateQuery.build("nyc311", "sum", "num_calls",
                              {"borough": "Atlantis"}),
     ]
-    results = plan_execution(_DB, queries, merge=False).run(_DB,
-                                                            batch=True)
+    results = plan_execution(_DB, queries, merge=False).run(_DB)
     assert results[queries[0]] is None
     assert results[queries[1]] is None
     assert results[queries[2]] == 0.0
@@ -140,7 +142,7 @@ def test_batch_reuses_masks_across_groups():
     # predicate would be evaluated four times by the per-group path.
     plan = plan_execution(_DB, queries, merge=False)
     before = batch_executor.batch_stats()
-    plan.run(_DB, batch=True)
+    plan.run(_DB)
     after = batch_executor.batch_stats()
     assert after["masks_reused"] - before["masks_reused"] >= 3
     assert after["scans_saved"] - before["scans_saved"] >= 3
@@ -159,28 +161,27 @@ class TestCrossRequestMaskCache:
     def test_data_mutation_drops_cached_masks(self):
         db, query = self._fresh()
         plan = plan_execution(db, [query], merge=False)
-        first = plan.run(db, batch=True)[query]
+        first = plan.run(db)[query]
         table = db.table("nyc311")
         names = list(table.schema.column_names)
         row = [table.column(name)[0] for name in names]
         row[names.index("borough")] = "Brooklyn"
         db.insert_rows("nyc311", [row])
         # A stale mask would keep the old row count.
-        assert plan.run(db, batch=True)[query] == first + 1
+        assert plan.run(db)[query] == first + 1
 
     def test_zero_budget_disables_cross_request_reuse(self):
         db, query = self._fresh(mask_cache_bytes=0)
         plan = plan_execution(db, [query], merge=False)
-        expected = plan.run(db, batch=False)[query]
-        assert plan.run(db, batch=True)[query] == expected
-        assert plan.run(db, batch=True)[query] == expected
+        expected = run_per_group(plan, db)[query]
+        assert plan.run(db)[query] == expected
+        assert plan.run(db)[query] == expected
 
     def test_tiny_budget_still_correct(self):
         # Smaller than one mask: every store trips clear-all eviction.
         db, query = self._fresh(mask_cache_bytes=8)
         plan = plan_execution(db, [query], merge=False)
-        assert (plan.run(db, batch=True)[query]
-                == plan.run(db, batch=False)[query])
+        assert plan.run(db)[query] == run_per_group(plan, db)[query]
 
 
 class TestRealFailuresPropagate:
@@ -188,8 +189,9 @@ class TestRealFailuresPropagate:
 
     The plan runner treats :class:`NullAggregateError` (an aggregate over
     no qualifying rows) as SQL NULL; any *other* :class:`ExecutionError`
-    is a bug or an environmental failure and must reach the caller on
-    both execution paths.
+    is a bug or an environmental failure and must reach the caller, both
+    from the shared path and from the per-group rung
+    (``run_plan`` without a request context).
     """
 
     def _plan(self):
@@ -200,29 +202,30 @@ class TestRealFailuresPropagate:
     def test_per_group_path_propagates(self, monkeypatch):
         plan = self._plan()
 
-        def boom(sql, rng=None):
+        def boom(sql, rng=None, shared=None):
             raise ExecutionError("injected engine failure")
 
         monkeypatch.setattr(_DB, "execute", boom)
         with pytest.raises(ExecutionError, match="injected"):
-            plan.run(_DB, batch=False)
+            batch_executor.run_plan(plan, _DB)
 
     def test_batch_path_propagates(self, monkeypatch):
         plan = self._plan()
 
-        def boom(ctx, bound):
+        def boom(bound, table, rng, shared=None):
             raise ExecutionError("injected engine failure")
 
-        monkeypatch.setattr(batch_executor, "_execute_statement", boom)
+        monkeypatch.setattr(database_module, "execute_bound", boom)
         with pytest.raises(ExecutionError, match="injected"):
-            plan.run(_DB, batch=True)
+            plan.run(_DB)
 
     def test_null_aggregate_is_still_normalised(self):
         query = AggregateQuery.build("nyc311", "max", "num_calls",
                                      {"borough": "Atlantis"})
         plan = plan_execution(_DB, [query], merge=False)
-        for batch in (True, False):
-            assert plan.run(_DB, batch=batch) == {query: None}
+        assert plan.run(_DB) == {query: None}
+        assert batch_executor.run_plan(plan, _DB) == {query: None}
+        assert run_per_group(plan, _DB) == {query: None}
 
     def test_null_aggregate_error_is_an_execution_error(self):
         # Backward compatibility: older callers catching ExecutionError

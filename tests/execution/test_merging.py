@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.execution.merging import plan_execution
-from repro.sqldb.query import AggregateQuery
+from repro.errors import NullAggregateError
+from repro.execution.merging import _normalize, plan_execution
+from repro.sqldb.expressions import AggregateCall, AggregateFunction
+from repro.sqldb.query import AggregateQuery, Predicate
 
 
 def q(func, column, preds) -> AggregateQuery:
@@ -108,6 +110,46 @@ class TestExecution:
         results = plan.run(emp_db, sample_fraction=0.5)
         for query in queries:
             assert 0.0 <= results[query] <= 6.0
+
+    def test_repeated_predicate_column_values_are_exact(self, nyc_db):
+        """A query filtering one column twice (speech noise can produce
+        ``agency = 'DOT' AND agency = 'NYPD'``) must not be answered
+        from the GROUP BY row of its first predicate's value: every
+        member's value equals executing that query on its own."""
+        def two_on_agency(func, column, first, second):
+            return AggregateQuery(
+                "nyc311", AggregateCall(AggregateFunction(func), column),
+                (Predicate("agency", first), Predicate("agency", second)))
+
+        def direct(query):
+            try:
+                value = nyc_db.execute(query).scalar()
+            except NullAggregateError:
+                value = None
+            return _normalize(query, value)
+
+        agencies = ("DOT", "NYPD", "HPD")
+        queries = []
+        for func, column in (("count", None),
+                             ("avg", "resolution_hours"),
+                             ("sum", "num_calls")):
+            queries += [AggregateQuery.build("nyc311", func, column,
+                                             {"agency": agency})
+                        for agency in agencies]
+            queries += [two_on_agency(func, column, "DOT", second)
+                        for second in agencies]
+        plan = plan_execution(nyc_db, queries, merge=True)
+        assert any(g.is_merged for g in plan.groups)
+        results = plan.run(nyc_db)
+        for query in queries:
+            expected = direct(query)
+            if expected is None:
+                assert results[query] is None, query.to_sql()
+            else:
+                assert results[query] == pytest.approx(expected), \
+                    query.to_sql()
+        for group in plan.groups:
+            assert len(set(group.queries)) == len(group.queries)
 
     def test_larger_merged_batch(self, nyc_db, nyc_candidates):
         queries = [c.query for c in nyc_candidates]

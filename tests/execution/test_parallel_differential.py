@@ -71,7 +71,7 @@ def query_sets(draw):
 def _run(plan, database, parallel, sample_fraction=None):
     ctx = request_context(database, parallel=parallel)
     return plan.run(database, sample_fraction=sample_fraction,
-                    batch=True, request_ctx=ctx)
+                    request_ctx=ctx)
 
 
 def _assert_identical(parallel, serial):
@@ -182,8 +182,8 @@ def test_shared_context_across_plans_stays_identical():
                for b in ("Brooklyn", "Bronx", "Queens")]
     plan = plan_execution(_DB, queries, merge=False)
     ctx = request_context(_DB, parallel=True)
-    first = plan.run(_DB, batch=True, request_ctx=ctx)
-    second = plan.run(_DB, batch=True, request_ctx=ctx)
+    first = plan.run(_DB, request_ctx=ctx)
+    second = plan.run(_DB, request_ctx=ctx)
     _assert_identical(first, _run(plan, _DB, parallel=False))
     _assert_identical(second, first)
 

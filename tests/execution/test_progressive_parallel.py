@@ -27,6 +27,7 @@ from repro.execution.progressive import (
     IncrementalPlotting,
 )
 from repro.sqldb import executor as _kernels
+from tests.execution.oracle import per_group_plans
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -85,17 +86,22 @@ def test_updates_identical_with_and_without_parallelism(
 
 @pytest.mark.parametrize("batch", [True, False],
                          ids=["batch", "per-group"])
-def test_parallel_matches_both_batch_modes(nyc_db, planned, batch):
-    """The serial per-group loop is the original oracle: the pooled
-    batch path must agree with it update for update."""
+def test_parallel_matches_both_batch_modes(nyc_db, planned, batch,
+                                           monkeypatch):
+    """The pooled shared path must agree update for update with the
+    serial shared path and with the test-side per-group oracle."""
     strategy = IncrementalPlotting()
     set_parallel_enabled(True)
     try:
-        pooled = MuveExecutor(nyc_db, batch=True).run(planned, strategy)
+        pooled = MuveExecutor(nyc_db).run(planned, strategy)
     finally:
         set_parallel_enabled(False)
     try:
-        oracle = MuveExecutor(nyc_db, batch=batch).run(planned, strategy)
+        if batch:
+            oracle = MuveExecutor(nyc_db).run(planned, strategy)
+        else:
+            with per_group_plans(monkeypatch):
+                oracle = MuveExecutor(nyc_db).run(planned, strategy)
     finally:
         set_parallel_enabled(True)
     assert _fingerprint(pooled) == _fingerprint(oracle)

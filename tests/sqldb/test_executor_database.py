@@ -1,5 +1,8 @@
 """Tests for query execution and the Database façade."""
 
+import struct
+
+import numpy as np
 import pytest
 
 from repro.errors import CatalogError, ExecutionError
@@ -105,6 +108,62 @@ class TestGroupBy:
         result = emp_db.execute(
             "SELECT age, COUNT(*) FROM emp GROUP BY age")
         assert all(isinstance(row[0], int) for row in result.rows)
+
+
+class TestNanExtremes:
+    """Grouped MIN/MAX agree with the scalar path when measures hold NaN:
+    any NaN in a group (an all-NaN group included) gives NaN."""
+
+    GROUPS = {"mixed": [1.0, float("nan"), -2.0],
+              "all_nan": [float("nan"), float("nan")],
+              "clean": [4.0, 3.0, 5.0],
+              "single_nan": [float("nan")]}
+
+    @pytest.fixture()
+    def nan_db(self):
+        db = Database()
+        db.create_table("m", [("g", DataType.TEXT), ("v", DataType.FLOAT)])
+        db.insert_rows("m", [(group, value)
+                             for group, values in self.GROUPS.items()
+                             for value in values])
+        return db
+
+    @staticmethod
+    def _bits(value):
+        return struct.pack("<d", value)
+
+    @pytest.mark.parametrize("func", ["MIN", "MAX"])
+    def test_grouped_equals_scalar(self, nan_db, func):
+        grouped = {row[0]: row[1] for row in nan_db.execute(
+            f"SELECT g, {func}(v) FROM m GROUP BY g").rows}
+        assert set(grouped) == set(self.GROUPS)
+        for group in self.GROUPS:
+            scalar = nan_db.execute(
+                f"SELECT {func}(v) FROM m WHERE g = '{group}'").scalar()
+            assert self._bits(grouped[group]) == self._bits(scalar), group
+        assert np.isnan(grouped["all_nan"])
+        assert np.isnan(grouped["mixed"])
+        assert grouped["clean"] == (3.0 if func == "MIN" else 5.0)
+
+    @pytest.mark.parametrize("maximize", [False, True])
+    def test_chunked_kernel_equals_single_pass(self, monkeypatch,
+                                               maximize):
+        """Per-morsel partials combined in morsel order keep the NaN
+        propagation of the single-pass kernel."""
+        from repro.sqldb import executor as kernels
+        rng = np.random.default_rng(0)
+        values = rng.normal(size=40)
+        values[rng.random(40) < 0.3] = np.nan
+        row_groups = rng.integers(0, 5, size=40)
+        values[row_groups == 4] = np.nan  # one all-NaN group
+        single = kernels._chunked_group_extreme(row_groups, values, 5,
+                                                maximize, runner=None)
+        monkeypatch.setattr(kernels, "MORSEL_ROWS", 7)
+        chunked = kernels._chunked_group_extreme(
+            row_groups, values, 5, maximize,
+            runner=lambda thunks: [thunk() for thunk in thunks])
+        assert single.tobytes() == chunked.tobytes()
+        assert np.isnan(single[4])
 
 
 class TestSampling:

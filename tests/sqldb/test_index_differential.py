@@ -31,6 +31,7 @@ from repro.sqldb.schema import ColumnSchema, TableSchema
 from repro.sqldb.table import Table
 from repro.sqldb.types import DataType
 from repro.testing.faults import inject_faults
+from tests.execution.oracle import run_per_group
 
 _CITIES = ["nyc", "sf", "la", "boston", "austin"]
 _DEPTS = ["sales", "eng", "hr"]
@@ -207,19 +208,20 @@ def test_sampling_bypasses_indexes_identically(sql, percent):
 @settings(max_examples=30, deadline=None)
 def test_batch_indexed_equals_scan(queries, merge):
     plan = plan_execution(_DB, queries, merge=merge)
-    indexed, scanned = _both_modes(lambda: plan.run(_DB, batch=True))
+    indexed, scanned = _both_modes(lambda: plan.run(_DB))
     assert indexed == scanned
 
 
 @given(query_sets())
 @settings(max_examples=15, deadline=None)
 def test_batch_indexed_equals_legacy_per_group(queries):
-    """Cross both axes at once: indexed batch vs per-group full scan."""
+    """Cross both axes at once: indexed shared run vs the per-group
+    full-scan oracle."""
     plan = plan_execution(_DB, queries, merge=True)
-    indexed_batch = _outcome(lambda: plan.run(_DB, batch=True))
+    indexed_batch = _outcome(lambda: plan.run(_DB))
     try:
         set_indexes_enabled(False)
-        legacy = _outcome(lambda: plan.run(_DB, batch=False))
+        legacy = _outcome(lambda: run_per_group(plan, _DB))
     finally:
         set_indexes_enabled(True)
     assert indexed_batch == legacy
@@ -233,11 +235,11 @@ def test_selection_cache_interaction(queries, budget):
     db = Database(seed=0, mask_cache_bytes=budget)
     db.register_table(make_nyc311_table(num_rows=600, seed=9))
     plan = plan_execution(db, queries, merge=True)
-    first = _outcome(lambda: plan.run(db, batch=True))
-    second = _outcome(lambda: plan.run(db, batch=True))
+    first = _outcome(lambda: plan.run(db))
+    second = _outcome(lambda: plan.run(db))
     try:
         set_indexes_enabled(False)
-        scanned = _outcome(lambda: plan.run(db, batch=True))
+        scanned = _outcome(lambda: plan.run(db))
     finally:
         set_indexes_enabled(True)
     assert first == second == scanned
@@ -279,11 +281,11 @@ class TestFaultsAndDeadlines:
         """The batch->per-group degradation rung stays lossless with
         indexes on: same fault plan, same answers, both modes."""
         plan = plan_execution(_DB, self.QUERIES, merge=True)
-        baseline = plan.run(_DB, batch=True)
+        baseline = plan.run(_DB)
 
         def degraded_run():
             with inject_faults("executor.batch:error"):
-                return plan.run(_DB, batch=True)
+                return plan.run(_DB)
 
         indexed, scanned = _both_modes(degraded_run)
         assert indexed == scanned == ("ok", baseline)
@@ -297,7 +299,7 @@ class TestFaultsAndDeadlines:
         def degraded_run():
             with inject_faults("executor.batch:exhaust_deadline"):
                 with deadline_scope(60_000):
-                    return plan.run(_DB, batch=True)
+                    return plan.run(_DB)
 
         indexed, scanned = _both_modes(degraded_run)
         assert indexed == scanned

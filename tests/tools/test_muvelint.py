@@ -488,3 +488,31 @@ def test_repo_registry_covers_all_flag_mentions():
         mentioned.update(
             re.findall(r"MUVE_[A-Z0-9_]+", module.source))
     assert mentioned <= declared, sorted(mentioned - declared)
+
+
+def test_repo_registry_declares_only_read_flags():
+    # The reverse: every declared flag must be read through a
+    # repro.flags accessor somewhere in src/ or scripts/ outside the
+    # registry, so a flag whose last reader was deleted cannot linger
+    # in the registry (and the generated README table).
+    import ast
+
+    from tools.muvelint.rules.envflags import (
+        _HELPERS,
+        REGISTRY_PATH,
+        declared_flags,
+    )
+    modules = collect_modules(REPO_ROOT, roots=("src/repro", "scripts"))
+    registry = next(m for m in modules if m.relpath == REGISTRY_PATH)
+    read = set()
+    for module in modules:
+        if module is registry:
+            continue
+        for node in ast.walk(module.tree):
+            if (isinstance(node, ast.Call) and node.args
+                    and isinstance(node.args[0], ast.Constant)
+                    and ast.unparse(node.func).rpartition(".")[2]
+                    in _HELPERS):
+                read.add(node.args[0].value)
+    unread = set(declared_flags(registry.tree)) - read
+    assert not unread, sorted(unread)
