@@ -1,8 +1,7 @@
 PYTEST := PYTHONPATH=src python -m pytest
 
 .PHONY: check fast concurrency bench bench-serve bench-index \
-	bench-parallel bench-phonetics bench-quality sentinel profile chaos \
-	lint lockdep
+	bench-phonetics bench-quality sentinel profile chaos lint lockdep
 
 # The gating suite: the full test tree (tier 1), then the concurrency
 # and caching suites plus the index differential suite (indexed ==
@@ -45,7 +44,7 @@ lint:
 
 # The gating suite once more with the lockdep runtime checker
 # recording the lock acquisition-order graph (repro.testing.lockdep);
-# any cycle or lock-held-across-pool-wait fails the session.
+# any lock-order cycle fails the session.
 lockdep:
 	MUVE_LOCKDEP=1 $(MAKE) check
 
@@ -69,13 +68,6 @@ bench-serve:
 bench-index:
 	PYTHONPATH=src python scripts/check_index_speedup.py
 
-# Parallel-execution benchmark: serial vs the shared worker pool at
-# 1/2/4/8 workers across 200k/1M rows on the Figure 7 workload (indexes
-# off so the morsel-scattered scan path is what scales); merges a
-# parallel_scaling section into BENCH_serving.json.
-bench-parallel:
-	PYTHONPATH=src python scripts/bench_parallel.py
-
 # Phonetic retrieval benchmark: pruned exact top-k vs the exhaustive
 # scan on synthetic 10k/100k (1M with MUVE_BENCH_FULL=1) vocabularies;
 # writes BENCH_phonetics.json.
@@ -92,15 +84,10 @@ bench-phonetics:
 # (4) secondary indexes must beat MUVE_INDEXES=0 scans by
 # MUVE_INDEX_SPEEDUP_FACTOR at p50 on the 1M-row grouped-equality
 # workload, with bit-identical results (MUVE_INDEX_ROWS).
-# (5) parallel execution must match the MUVE_PARALLEL=0 serial oracle
-# bit for bit (always), and beat it by MUVE_PARALLEL_SPEEDUP_FACTOR at
-# p50 on the 1M-row Figure 7 workload with 4 workers — enforced only on
-# hosts with at least MUVE_PARALLEL_MIN_CPUS cores, skipped explicitly
-# otherwise.
-# (6) under overload the server must shed with typed 429s while
+# (5) under overload the server must shed with typed 429s while
 # admitted requests still meet their deadlines (MUVE_SHED_CLIENTS,
 # MUVE_SHED_INFLIGHT, MUVE_SHED_DEADLINE_MS).
-# (7) the regression sentinel: the seeded voice workload's quality and
+# (6) the regression sentinel: the seeded voice workload's quality and
 # latency snapshot must stay within the tolerance bands of the
 # committed BENCH_quality.json baseline (MUVE_SENTINEL_LATENCY_REL).
 profile:
@@ -108,7 +95,6 @@ profile:
 	PYTHONPATH=src python scripts/check_batch_speedup.py
 	PYTHONPATH=src python scripts/check_phonetics_speedup.py
 	PYTHONPATH=src python scripts/check_index_speedup.py
-	PYTHONPATH=src python scripts/check_parallel_speedup.py
 	PYTHONPATH=src python scripts/check_shedding.py
 	PYTHONPATH=src python scripts/obs_report.py --check BENCH_quality.json
 

@@ -80,7 +80,7 @@ def build_requests(rows: int, count: int, candidates: int, seed: int = 0):
 
 
 def measure(database: Database, plans, rounds: int,
-            per_group: bool = False, **run_kwargs) -> dict:
+            per_group: bool = False) -> dict:
     """Latency/throughput over all requests in one mode.
 
     ``per_group`` times the per-group rung (:func:`run_plan` without a
@@ -92,14 +92,12 @@ def measure(database: Database, plans, rounds: int,
     compares execution strategies, not cache state.  Each request keeps
     its best latency across *rounds* passes — per-request minima are the
     standard way to strip scheduler noise from microsecond-scale
-    measurements (scan work only ever adds time).  Extra keyword
-    arguments pass through to :meth:`ExecutionPlan.run` (the parallel
-    sweep pins ``parallel=``).
+    measurements (scan work only ever adds time).
     """
     def run(plan):
         if per_group:
             return run_plan(plan, database)
-        return plan.run(database, **run_kwargs)
+        return plan.run(database)
 
     for plan in plans:
         run(plan)

@@ -13,7 +13,7 @@ churns through predicates — at which point nothing in the cache is
 worth ranking.  Plain-dict operations keep the read path lock-free
 under the GIL; mutations serialise on a small lock so the byte
 accounting and the monotonic :attr:`~SelectionCache.version` counter
-stay consistent under the worker pool's concurrent stores.  A racing
+stay consistent under concurrent requests' stores.  A racing
 double-store is harmless (both stores are the same pure value).
 """
 

@@ -101,16 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="disable secondary-index access paths and "
                              "answer every predicate with full scans "
                              "(identical results, debugging escape hatch)")
-    parser.add_argument("--no-parallel", action="store_true",
-                        help="disable the shared worker pool and run "
-                             "groups/morsels serially (identical "
-                             "results, debugging escape hatch; same as "
-                             "MUVE_PARALLEL=0)")
-    parser.add_argument("--workers-exec", type=int, default=None,
-                        metavar="N",
-                        help="worker threads of the shared execution "
-                             "pool (default: MUVE_WORKERS, else "
-                             "min(8, cpu_count))")
     parser.add_argument("--deadline-ms", type=float, default=None,
                         help="per-request latency budget; stages that "
                              "would blow it degrade instead of running "
@@ -135,12 +125,6 @@ def make_muve(args: argparse.Namespace) -> Muve:
     if getattr(args, "no_indexes", False):
         from repro.sqldb.index import set_indexes_enabled
         set_indexes_enabled(False)
-    if getattr(args, "no_parallel", False):
-        from repro.execution.parallel import set_parallel_enabled
-        set_parallel_enabled(False)
-    if getattr(args, "workers_exec", None):
-        from repro.execution.parallel import configure_pool
-        configure_pool(args.workers_exec)
     if getattr(args, "faults", None):
         from repro.testing.faults import FaultPlan, set_fault_plan
         set_fault_plan(FaultPlan.parse(args.faults, seed=args.seed))
@@ -174,8 +158,9 @@ def _load_test_questions(muve: Muve, args: argparse.Namespace,
 def run_load_test(muve: Muve, args: argparse.Namespace, out) -> int:
     """Hammer one shared pipeline from --workers threads; print stats."""
     import time as _time
+    from concurrent.futures import ThreadPoolExecutor
 
-    from repro.execution.parallel import WorkerPool, warm_database
+    from repro.execution.parallel import warm_database
 
     count = args.load_test
     if count <= 0:
@@ -187,9 +172,9 @@ def run_load_test(muve: Muve, args: argparse.Namespace, out) -> int:
     latencies: list[float] = []
     errors = 0
 
-    # Build statistics and secondary indexes through the shared
-    # execution pool before timing starts, so the measured latencies
-    # reflect steady-state serving rather than first-touch builds.
+    # Build statistics and secondary indexes before timing starts, so
+    # the measured latencies reflect steady-state serving rather than
+    # first-touch builds.
     built = warm_database(muve.database, [muve.table_name])
     print(f"warmed {built} statistics/index structures", file=out)
 
@@ -204,21 +189,10 @@ def run_load_test(muve: Muve, args: argparse.Namespace, out) -> int:
             return None
         return _time.perf_counter() - begin
 
-    # A dedicated pool sized to the requested concurrency; the caller
-    # does not participate (participate=False blocks on queue room
-    # instead), so --workers N means exactly N in-flight questions —
-    # the contract the old ThreadPoolExecutor gave.  Request execution
-    # scatters onto the *global* pool, never back onto this one.
-    pool = WorkerPool(workers, queue_capacity=workers * 4,
-                      name="muve-loadtest")
+    # --workers N means exactly N questions in flight.
     started = _time.perf_counter()
-    try:
-        outcomes = pool.run_tasks(
-            [lambda question=question: one(question)
-             for question in questions],
-            site="cli.load_test", participate=False)
-    finally:
-        pool.shutdown()
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        outcomes = list(pool.map(one, questions))
     for outcome in outcomes:
         if outcome is None:
             errors += 1

@@ -306,11 +306,9 @@ class MuveDemoServer:
         }
         stats.update(self.muve.cache_stats())
         from repro.execution.batch import batch_stats
-        from repro.execution.parallel import pool_stats
         from repro.phonetics.index import phonetic_stats
         from repro.sqldb.index import index_stats
         stats["batch_executor"] = batch_stats()
-        stats["parallel"] = pool_stats()
         stats["phonetics"] = phonetic_stats()
         stats["indexes"] = index_stats()
         return stats

@@ -15,18 +15,7 @@ from repro.execution.batch import (
     reset_batch_stats,
 )
 from repro.execution.engine import MuveExecutor, VisualizationUpdate
-from repro.execution.parallel import (
-    WorkerPool,
-    configure_pool,
-    get_pool,
-    parallel_enabled,
-    pool_stats,
-    register_parallel_metrics,
-    reset_parallel_stats,
-    reset_pool,
-    set_parallel_enabled,
-    warm_database,
-)
+from repro.execution.parallel import warm_database
 from repro.execution.merging import (
     ExecutionPlan,
     MergedGroup,
@@ -48,18 +37,9 @@ __all__ = [
     "MuveExecutor",
     "ProcessingStrategy",
     "VisualizationUpdate",
-    "WorkerPool",
     "batch_stats",
-    "configure_pool",
-    "get_pool",
-    "parallel_enabled",
     "plan_execution",
-    "pool_stats",
-    "register_parallel_metrics",
     "request_context",
     "reset_batch_stats",
-    "reset_parallel_stats",
-    "reset_pool",
-    "set_parallel_enabled",
     "warm_database",
 ]

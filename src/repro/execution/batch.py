@@ -27,17 +27,11 @@ statement executor; what this module adds is the work the groups share
 The aggregate kernels are the engine's own, so results are identical to
 executing each group alone, bit for bit.  That plain execution is also
 the per-group rung of the degradation ladder: ``run_plan`` without a
-context runs every group serially through plain ``Database.execute``.
+context runs every group through plain ``Database.execute``.
 
-On top of the shared work, plans execute in parallel on the shared
-worker pool (:mod:`repro.execution.parallel`): independent merged
-groups become pool tasks, and within a group the leaf-mask scans,
-selection gathers and grouped-aggregate kernels scatter across fixed
-64k-row morsels.  The per-request memo below is single-flight, so
-concurrent groups wanting the same leaf mask compute it exactly once.
-Results stay bit-identical to serial execution (``MUVE_PARALLEL=0`` /
-``--no-parallel`` keeps the serial oracle) because morsel boundaries
-are fixed and every reduction combines partials in morsel order.
+Execution is single-threaded: a plan's groups run in order on the
+calling thread, and one request context is only ever used by the thread
+serving its request, so the memos below are plain dicts.
 
 Observability: each shared plan runs inside an ``executor.batch`` span
 carrying mask-reuse and scans-saved attributes, with one
@@ -61,14 +55,7 @@ import numpy as np
 from repro.errors import NullAggregateError
 from repro.observability import get_registry, trace_span
 from repro.resilience import current_deadline
-from repro.execution.parallel import (
-    WorkerPool,
-    get_pool,
-    parallel_enabled,
-    parallel_gather,
-)
 from repro.sqldb.database import Database, QueryResult
-from repro.sqldb import executor as _kernels
 from repro.sqldb.expressions import And, BooleanExpr, Not, Or
 from repro.sqldb.index import resolve_leaf, resolve_selection
 from repro.sqldb.table import Table
@@ -157,99 +144,25 @@ def register_batch_metrics(registry) -> None:
 # ---------------------------------------------------------------------------
 
 
-class _MorselView:
-    """A contiguous row window of a :class:`Table` for per-morsel leaf
-    evaluation.
-
-    Exposes exactly the surface leaf predicates touch — ``schema``,
-    ``num_rows``, ``column`` and ``dictionary`` — as zero-copy slices.
-    Every leaf evaluates elementwise per row (comparisons, dictionary
-    code membership, LIKE over dictionary matches), so concatenating
-    per-morsel masks in index order reproduces the full-table
-    ``expr.evaluate(table)`` bit for bit.
-    """
-
-    __slots__ = ("_table", "_lo", "_hi", "schema")
-
-    def __init__(self, table: Table, lo: int, hi: int) -> None:
-        self._table = table
-        self._lo = lo
-        self._hi = hi
-        self.schema = table.schema
-
-    @property
-    def num_rows(self) -> int:
-        return self._hi - self._lo
-
-    def column(self, name: str) -> np.ndarray:
-        return self._table.column(name)[self._lo:self._hi]
-
-    def dictionary(self, name: str):
-        uniques, codes, index = self._table.dictionary(name)
-        return uniques, codes[self._lo:self._hi], index
-
-
-def _evaluate_leaf(expr: BooleanExpr, table: Table,
-                   runner) -> np.ndarray:
-    """Evaluate one leaf predicate, scattered across morsels when the
-    table is big enough for the pool to pay for itself."""
-    n_rows = table.num_rows
-    if runner is None or n_rows < 2 * _kernels.MORSEL_ROWS:
-        return expr.evaluate(table)
-    # Lazy structures (column arrays, dictionaries) build under the
-    # table's double-checked locks: the first morsel builds, siblings
-    # wait — same total cost as the serial path.
-    parts = runner([
-        lambda lo=lo, hi=hi: expr.evaluate(_MorselView(table, lo, hi))
-        for lo, hi in _kernels._chunk_bounds(n_rows)])
-    return np.concatenate(parts)
-
-
-class _Missing:
-    pass
-
-
-_MISSING = _Missing()
-
-
-class _Pending:
-    """In-flight marker for the single-flight memo cells."""
-
-    __slots__ = ("event",)
-
-    def __init__(self) -> None:
-        self.event = threading.Event()
-
-
 class _RequestContext:
     """Work shared across all groups of one request.
 
     Holds the leaf-predicate mask cache, index-selection cache and the
     numeric GROUP BY factorisations; all are keyed on bound
     (schema-canonical) objects so textual variations of the same
-    predicate share one entry.  Since groups of one plan now execute
-    concurrently on the worker pool, every memo is **single-flight**:
-    the first group to want a key computes it while later groups block
-    on its event, so each distinct leaf is still scanned exactly once
-    per request.  One context may serve several ``run_plan`` calls of
-    the same request (the progressive strategies execute one plan per
-    emitted update) — create it with :func:`request_context`.
+    predicate share one entry, and each distinct leaf is scanned at
+    most once per context.  One context may serve several ``run_plan``
+    calls of the same request (the progressive strategies execute one
+    plan per emitted update) — create it with :func:`request_context`.
     """
 
-    def __init__(self, database: Database,
-                 pool: WorkerPool | None = None) -> None:
+    def __init__(self, database: Database) -> None:
         self.database = database
-        self.pool = pool
-        if pool is not None:
-            self.runner = (lambda thunks:
-                           pool.run_tasks(thunks, site="executor.morsel"))
-        else:
-            self.runner = None
-        self._lock = threading.Lock()
-        self._masks: dict[tuple[str, BooleanExpr], object] = {}
+        self._masks: dict[tuple[str, BooleanExpr], np.ndarray] = {}
         self._selections: dict[
-            tuple[str, str, BooleanExpr], object] = {}
-        self._numeric_factors: dict[tuple[str, str], object] = {}
+            tuple[str, str, BooleanExpr], np.ndarray | None] = {}
+        self._numeric_factors: dict[
+            tuple[str, str], tuple[np.ndarray, np.ndarray]] = {}
         self.masks_computed = 0
         self.masks_reused = 0
         self.sample_masks = 0
@@ -257,74 +170,32 @@ class _RequestContext:
         self.index_statements = 0
         self._leaf_counts: dict[int, int] = {}
 
-    # -- thread-safe counters --------------------------------------------
-
-    def bump(self, counter: str, delta: int = 1) -> None:
-        with self._lock:
-            setattr(self, counter, getattr(self, counter) + delta)
+    # -- counters --------------------------------------------------------
 
     def record_statement(self, where: BooleanExpr | None, sampled: bool,
                          indexed: bool) -> None:
         """Charge one executed statement: the full-column scans the
         per-group rung would pay for it (one per leaf, plus the
         TABLESAMPLE draw), the draw itself, and an index answer."""
-        legacy = self.leaf_count(where) + int(sampled)
-        with self._lock:
-            self.legacy_scans += legacy
-            self.sample_masks += int(sampled)
-            self.index_statements += int(indexed)
+        self.legacy_scans += self.leaf_count(where) + int(sampled)
+        self.sample_masks += int(sampled)
+        self.index_statements += int(indexed)
 
     def counters(self) -> dict[str, int]:
         """Snapshot of the effectiveness counters; ``run_plan`` records
         per-plan deltas between two snapshots so a shared context keeps
         every plan's numbers honest."""
-        with self._lock:
-            return {
-                "masks_computed": self.masks_computed,
-                "masks_reused": self.masks_reused,
-                "sample_masks": self.sample_masks,
-                "legacy_scans": self.legacy_scans,
-                "index_statements": self.index_statements,
-            }
-
-    # -- single-flight memoisation ---------------------------------------
-
-    def _single_flight(self, store: dict, key, compute):
-        """``(value, cached)`` from *store*, computing at most once.
-
-        The first caller installs a :class:`_Pending` cell and computes
-        outside the lock; concurrent callers wait on its event and
-        re-read.  A failed compute removes the cell so the next caller
-        retries.  ``None`` is a legitimate cached value (index
-        selections memoise misses).
-        """
-        while True:
-            with self._lock:
-                cell = store.get(key, _MISSING)
-                if cell is _MISSING:
-                    pending = _Pending()
-                    store[key] = pending
-                    break
-                if not isinstance(cell, _Pending):
-                    return cell, True
-            cell.event.wait()
-        try:
-            value = compute()
-        except BaseException:
-            with self._lock:
-                del store[key]
-            pending.event.set()
-            raise
-        with self._lock:
-            store[key] = value
-        pending.event.set()
-        return value, False
+        return {
+            "masks_computed": self.masks_computed,
+            "masks_reused": self.masks_reused,
+            "sample_masks": self.sample_masks,
+            "legacy_scans": self.legacy_scans,
+            "index_statements": self.index_statements,
+        }
 
     def leaf_count(self, where: BooleanExpr | None) -> int:
         """Leaf predicates of a bound WHERE tree, memoised by identity
-        (bound statements are cached, so trees recur across requests).
-        Plain dict ops are atomic under the GIL and the count is
-        idempotent, so concurrent groups at worst compute it twice."""
+        (bound statements are cached, so trees recur across requests)."""
         if where is None:
             return 0
         key = id(where)
@@ -344,13 +215,13 @@ class _RequestContext:
         combinator results almost never recur once identical WHERE
         clauses have been merged away (hashing whole subtrees per lookup
         cost more than it saved).  The cache has two levels — this
-        request's single-flight dict, then the database's cross-request
-        mask cache (leaf masks are pure functions of table data; the
-        database drops them on any mutation).  Combinators replicate
-        the engine's evaluation (including its short-circuiting)
-        exactly.  Returned arrays may be cache-owned — callers must not
-        mutate them in place (all call sites combine with
-        ``&``/``~``/fancy indexing, which allocate).
+        request's dict, then the database's cross-request mask cache
+        (leaf masks are pure functions of table data; the database drops
+        them on any mutation).  Combinators replicate the engine's
+        evaluation (including its short-circuiting) exactly.  Returned
+        arrays may be cache-owned — callers must not mutate them in
+        place (all call sites combine with ``&``/``~``/fancy indexing,
+        which allocate).
         """
         return self._mask(expr, table, table.schema.name.lower())
 
@@ -377,22 +248,19 @@ class _RequestContext:
         if isinstance(expr, Not):
             return ~self._mask(expr.child, table, table_key)
         key = (table_key, expr)
-
-        def compute() -> np.ndarray:
-            cached = self.database.cached_mask(key)
-            if cached is not None:
-                # Warm from an earlier request: the leaf was never
-                # scanned.
-                self.bump("masks_reused")
-                return cached
-            computed = _evaluate_leaf(expr, table, self.runner)
-            self.bump("masks_computed")
-            self.database.store_mask(key, computed)
-            return computed
-
-        mask, cached = self._single_flight(self._masks, key, compute)
-        if cached:
-            self.bump("masks_reused")
+        mask = self._masks.get(key)
+        if mask is not None:
+            self.masks_reused += 1
+            return mask
+        mask = self.database.cached_mask(key)
+        if mask is not None:
+            # Warm from an earlier request: the leaf was never scanned.
+            self.masks_reused += 1
+        else:
+            mask = expr.evaluate(table)
+            self.masks_computed += 1
+            self.database.store_mask(key, mask)
+        self._masks[key] = mask
         return mask
 
     # -- index selections ------------------------------------------------
@@ -403,41 +271,34 @@ class _RequestContext:
 
         Leaf selections (postings, range positions/masks) share the same
         two-level memoisation as boolean leaf masks — this request's
-        single-flight dict, then the database's cross-request cache
-        (dropped on any data mutation) — under ``("idx", table, expr)``
-        keys so they never collide with scan masks for the same
-        predicate.  A leaf with no index path memoises ``None`` for the
-        request, which makes the whole tree fall back to the mask path.
+        dict, then the database's cross-request cache (dropped on any
+        data mutation) — under ``("idx", table, expr)`` keys so they
+        never collide with scan masks for the same predicate.  A leaf
+        with no index path memoises ``None`` for the request, which
+        makes the whole tree fall back to the mask path.
         """
         table_key = table.schema.name.lower()
 
         def leaf(expr: BooleanExpr, leaf_table: Table):
             key = ("idx", table_key, expr)
-
-            def compute():
-                selection = self.database.cached_mask(key)
-                if selection is not None:
-                    self.bump("masks_reused")
-                    return selection
-                selection = resolve_leaf(expr, leaf_table)
-                if selection is not None:
-                    self.database.store_mask(key, selection)
-                return selection
-
-            value, cached = self._single_flight(self._selections, key,
-                                                compute)
-            if cached and value is not None:
-                self.bump("masks_reused")
+            if key in self._selections:
+                value = self._selections[key]
+                if value is not None:
+                    self.masks_reused += 1
+                return value
+            value = self.database.cached_mask(key)
+            if value is not None:
+                self.masks_reused += 1
+            else:
+                value = resolve_leaf(expr, leaf_table)
+                if value is not None:
+                    self.database.store_mask(key, value)
+            self._selections[key] = value
             return value
 
         return resolve_selection(where, table, leaf_cache=leaf)
 
-    # -- gathers and shared numeric factorisation ------------------------
-
-    def gather(self, array: np.ndarray,
-               selection: np.ndarray) -> np.ndarray:
-        """``array[selection]``, scattered across morsels on the pool."""
-        return parallel_gather(array, selection, self.runner)
+    # -- shared numeric factorisation ------------------------------------
 
     def numeric_factor(self, table: Table,
                        column: str) -> tuple[np.ndarray, np.ndarray]:
@@ -448,39 +309,22 @@ class _RequestContext:
         per-group factorisation would produce.
         """
         key = (table.schema.name.lower(), column)
-
-        def compute() -> tuple[np.ndarray, np.ndarray]:
-            array = table.column(column)
-            uniques, codes = np.unique(array, return_inverse=True)
-            return uniques, codes
-
-        value, _ = self._single_flight(self._numeric_factors, key,
-                                       compute)
-        return value
+        factor = self._numeric_factors.get(key)
+        if factor is None:
+            uniques, codes = np.unique(table.column(column),
+                                       return_inverse=True)
+            factor = self._numeric_factors[key] = (uniques, codes)
+        return factor
 
 
-def request_context(database: Database,
-                    parallel: bool | None = None) -> _RequestContext:
-    """Shared per-request batch state, pool-backed when parallel
-    execution is on.
+def request_context(database: Database) -> _RequestContext:
+    """Shared per-request batch state.
 
     The progressive strategies create one context per request and pass
     it through every ``run_plan`` call they make, so all emitted updates
-    share one mask cache and one pool.  *parallel* is three-valued:
-    ``None`` (auto, the serving default) uses the pool when the global
-    :func:`~repro.execution.parallel.parallel_enabled` flag is on *and*
-    the pool has more than one worker — a one-worker pool (e.g. the
-    ``min(8, cpu_count)`` default on a single-core host) can never run
-    tasks concurrently with a participating submitter paying for it, so
-    auto mode keeps such hosts on the plain serial path.  ``True``
-    forces the pool regardless of size (differential tests and the
-    scaling benchmark measure the pool itself); ``False`` is the serial
-    oracle.
+    share one mask cache.
     """
-    if parallel is None:
-        parallel = parallel_enabled() and get_pool().workers > 1
-    pool = get_pool() if parallel else None
-    return _RequestContext(database, pool=pool)
+    return _RequestContext(database)
 
 
 def _count_leaves(expr: BooleanExpr | None) -> int:
@@ -510,17 +354,15 @@ def run_plan(plan: "ExecutionPlan", database: Database,
     group statement runs through ``Database.execute`` with *ctx* as its
     shared work, so every distinct predicate mask and GROUP BY
     factorisation is computed once per context instead of once per
-    group, and independent groups run as tasks on the context's pool.
-    Effectiveness counters are recorded as per-plan deltas, so one
-    context may serve several plans of a request.
+    group.  Effectiveness counters are recorded as per-plan deltas, so
+    one context may serve several plans of a request.
 
     ``ctx=None`` is the per-group rung of the degradation ladder: every
-    group runs serially through plain ``Database.execute`` behind the
+    group runs through plain ``Database.execute`` behind the
     ``executor.group`` fault point.  Both give the same results bit for
     bit, including TABLESAMPLE draws (the rng derives from the statement
     text), NULL/zero-row normalisation and result-cache entries (keyed
-    on the same group SQL).  The request deadline is polled per group
-    (and per morsel on the pool).
+    on the same group SQL).  The request deadline is polled per group.
     """
     from repro.execution.merging import (
         _extract_group_results,
@@ -582,25 +424,13 @@ def run_plan(plan: "ExecutionPlan", database: Database,
         _extract_group_results(group, outcome, results)
         return results
 
-    def run_groups() -> list[dict["AggregateQuery", float | None]]:
-        pool = None if ctx is None else ctx.pool
-        if pool is not None and len(plan.groups) > 1:
-            return pool.run_tasks(
-                [lambda group=group: run_group(group)
-                 for group in plan.groups],
-                site="executor.group")
-        return [run_group(group) for group in plan.groups]
-
     if ctx is None:
-        parts = run_groups()
+        parts = [run_group(group) for group in plan.groups]
     else:
         with trace_span("executor.batch") as batch_span:
             batch_span.set_attribute("groups", len(plan.groups))
-            batch_span.set_attribute("parallel", ctx.pool is not None)
-            if ctx.pool is not None:
-                batch_span.set_attribute("workers", ctx.pool.workers)
             base = ctx.counters()
-            parts = run_groups()
+            parts = [run_group(group) for group in plan.groups]
             _record_plan(batch_span, len(plan.groups), base,
                          ctx.counters())
     results: dict["AggregateQuery", float | None] = {}

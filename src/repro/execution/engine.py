@@ -104,7 +104,7 @@ class MuveExecutor:
             updates: list[VisualizationUpdate] = []
             cache: dict[AggregateQuery, float | None] = {}
             # All per-step plans of one incremental solve share one
-            # request context (mask cache + pool): successive steps
+            # request context (one mask cache): successive steps
             # mostly re-select queries over the same predicates.
             ctx = request_context(self._database)
             steps = list(incremental_solve(

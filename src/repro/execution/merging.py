@@ -69,7 +69,6 @@ class ExecutionPlan:
             sample_fraction: float | None = None,
             cache: "QueryResultCache | None" = None,
             request_ctx=None,
-            parallel: bool | None = None,
             ) -> dict[AggregateQuery, float | None]:
         """Execute every group; returns per-query results.
 
@@ -83,13 +82,10 @@ class ExecutionPlan:
 
         The groups run through :func:`repro.execution.batch.run_plan`,
         which shares predicate masks and GROUP BY factorisations across
-        groups and executes groups and morsels on the shared worker pool.
-        ``request_ctx`` (from :func:`repro.execution.batch
+        groups.  ``request_ctx`` (from :func:`repro.execution.batch
         .request_context`) shares that work across several plans of the
         same request — the progressive strategies run one plan per
-        emitted update; without one, a fresh context is made, on the
-        pool unless ``parallel`` (the benchmark's A/B switch) or the
-        global parallel flag says otherwise.
+        emitted update; without one, a fresh context is made.
         """
         from repro.execution import batch as batch_executor
         try:
@@ -98,8 +94,7 @@ class ExecutionPlan:
             if deadline is not None:
                 deadline.check("executor.batch")
             if request_ctx is None:
-                request_ctx = batch_executor.request_context(
-                    database, parallel=parallel)
+                request_ctx = batch_executor.request_context(database)
             return batch_executor.run_plan(
                 self, database, sample_fraction=sample_fraction,
                 cache=cache, ctx=request_ctx)

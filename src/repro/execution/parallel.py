@@ -1,546 +1,35 @@
-"""Morsel-driven parallel execution on a shared worker pool.
+"""Cache warming, and the execution thread count.
 
-Every request so far evaluated its candidate plan on a single core:
-batch execution shares work *across* groups and secondary indexes cut
-the work per statement, but neither uses more than one thread of it.
-This module adds the two missing axes of parallelism (the architecture
-of Leis et al.'s morsel-driven scheme, adapted to a GIL runtime where
-NumPy kernels release the GIL):
-
-* **Intra-query data parallelism** — tables are partitioned into
-  fixed-size *morsels* (:data:`~repro.sqldb.executor.MORSEL_ROWS` rows,
-  64k by default, aligned to the 8192-row zone-map blocks).  Leaf
-  predicate masks, selection gathers and the ``bincount``-family
-  grouped-aggregate partials run per morsel on the pool and are
-  combined by a deterministic, morsel-ordered reduction.
-* **Inter-candidate task parallelism** — the batch executor submits the
-  independent merged groups of one candidate plan to the same pool (see
-  :func:`repro.execution.batch.run_plan`).
-
-**Determinism contract.** Morsel boundaries are fixed (independent of
-worker count) and every reduction combines partial results in morsel
-index order, so execution is bit-identical to the serial engine for any
-pool size — including one.  Exactness per aggregate family: COUNT
-partials are integer bincounts (addition exact), MIN/MAX combine with
-``np.minimum``/``np.maximum`` (associative, no rounding), and SUM/AVG
-use the *fixed-chunk* summation kernel the serial engine itself runs
-(:func:`repro.sqldb.executor._chunked_weighted_bincount`), so serial
-and parallel runs perform the same additions in the same order.  The
-serial path is retained as oracle behind ``MUVE_PARALLEL=0`` /
-``--no-parallel``; the Hypothesis suite in
-``tests/execution/test_parallel_differential.py`` pins the equivalence.
-
-**Scheduling.** The pool is process-wide and lazily started
-(``MUVE_WORKERS`` / ``--workers-exec``, default ``min(8, cpu_count)``).
-Its queue is bounded; :meth:`WorkerPool.run_tasks` enqueues what fits
-and the *submitting thread participates* — it claims and runs tasks
-that no worker has picked up yet.  Participation makes nested scatters
-(group tasks scattering morsels onto the same pool) deadlock-free by
-construction: a thread waiting for its scatter always has work it can
-steal, and a saturated pool degrades gracefully into inline (serial)
-execution, recorded on the degradation ladder.  Nesting is additionally
-capped at two levels (groups -> morsels); deeper scatters run inline.
-
-**Resilience.** Each task polls the request deadline (propagated by the
-task's copied :mod:`contextvars` context) before running; a failed or
-deadline-exceeded task cancels its scatter, so queued sibling morsels
-drain without running.  A scatter that could not enqueue anything
-records an ``executor / parallel_to_serial`` degradation event.
-
-**Observability.** Every scatter runs inside a ``parallel.map`` span
-carrying task/inline/worker counts; pool effectiveness is exposed as
-``pool_*`` gauges on the metrics registry and as the ``parallel``
-section of ``/api/stats``.
+Execution is single-threaded: one request's plan runs its groups in
+order on the calling thread (concurrent requests still run on
+concurrent server threads).  This module remains because the benchmark
+harness (``perfbench/run.py``) imports :func:`warm_database` and
+:func:`default_workers` from it.
 """
 
 from __future__ import annotations
 
-import contextvars
-import os
-import threading
-from collections import deque
 from typing import TYPE_CHECKING, Callable, Sequence
 
-import numpy as np
-
-from repro.errors import ReproError
-from repro.flags import env_raw, env_switch
-from repro.observability import get_registry, trace_span
-from repro.resilience import current_deadline, record_degradation
-from repro.sqldb import executor as _kernels
-
 if TYPE_CHECKING:  # pragma: no cover - type hints only
-    from repro.observability import MetricsRegistry
     from repro.sqldb.database import Database
 
-__all__ = [
-    "WorkerPool",
-    "configure_pool",
-    "default_workers",
-    "get_pool",
-    "morsel_bounds",
-    "parallel_enabled",
-    "parallel_gather",
-    "pool_stats",
-    "register_parallel_metrics",
-    "reset_parallel_stats",
-    "reset_pool",
-    "set_parallel_enabled",
-    "warm_database",
-]
-
-
-# ---------------------------------------------------------------------------
-# Enable flag (escape hatch)
-# ---------------------------------------------------------------------------
-
-_enabled = env_switch("MUVE_PARALLEL")
-
-
-def parallel_enabled() -> bool:
-    """Whether execution scatters work onto the shared pool."""
-    return _enabled
-
-
-def set_parallel_enabled(enabled: bool) -> None:
-    """Globally enable/disable parallel execution (``--no-parallel``)."""
-    global _enabled
-    _enabled = bool(enabled)
+__all__ = ["default_workers", "warm_database"]
 
 
 def default_workers() -> int:
-    """Worker count from ``MUVE_WORKERS``, default ``min(8, cpu_count)``."""
-    raw = (env_raw("MUVE_WORKERS") or "").strip()
-    if raw:
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ReproError(
-                f"MUVE_WORKERS must be an integer, got {raw!r}") from None
-        if value <= 0:
-            raise ReproError(
-                f"MUVE_WORKERS must be positive, got {value}")
-        return value
-    return min(8, os.cpu_count() or 1)
-
-
-# ---------------------------------------------------------------------------
-# Process-wide counters
-# ---------------------------------------------------------------------------
-
-
-class _PoolStats:
-    """Thread-safe counters describing pool effectiveness."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.reset()
-
-    def reset(self) -> None:
-        with getattr(self, "_lock", threading.Lock()):
-            self.scatters = 0
-            self.tasks = 0
-            self.inline_runs = 0
-            self.worker_runs = 0
-            self.rejected = 0
-            self.saturations = 0
-            self.cancelled = 0
-            self.depth_clips = 0
-
-    def record_scatter(self, tasks: int, inline: int, worker: int,
-                       rejected: int, saturated: bool,
-                       cancelled: int) -> None:
-        with self._lock:
-            self.scatters += 1
-            self.tasks += tasks
-            self.inline_runs += inline
-            self.worker_runs += worker
-            self.rejected += rejected
-            self.saturations += int(saturated)
-            self.cancelled += cancelled
-
-    def record_depth_clip(self, tasks: int) -> None:
-        with self._lock:
-            self.depth_clips += 1
-            self.tasks += tasks
-            self.inline_runs += tasks
-
-    def snapshot(self) -> dict[str, float]:
-        with self._lock:
-            return {
-                "scatters": float(self.scatters),
-                "tasks": float(self.tasks),
-                "inline_runs": float(self.inline_runs),
-                "worker_runs": float(self.worker_runs),
-                "rejected": float(self.rejected),
-                "saturations": float(self.saturations),
-                "cancelled": float(self.cancelled),
-                "depth_clips": float(self.depth_clips),
-            }
-
-
-_STATS = _PoolStats()
-
-
-def reset_parallel_stats() -> None:
-    _STATS.reset()
-
-
-def pool_stats() -> dict[str, float]:
-    """Process-wide pool counters (the ``parallel`` section of
-    ``/api/stats``)."""
-    stats = _STATS.snapshot()
-    pool = _POOL
-    stats["workers"] = float(pool.workers if pool is not None
-                             else default_workers())
-    stats["queue_depth"] = float(pool.queue_depth if pool is not None
-                                 else 0)
-    stats["started"] = 1.0 if pool is not None and pool.started else 0.0
-    stats["enabled"] = 1.0 if _enabled else 0.0
-    return stats
-
-
-def register_parallel_metrics(registry: "MetricsRegistry") -> None:
-    """Expose the pool counters as callback gauges on *registry*."""
-    for key in ("scatters", "tasks", "inline_runs", "worker_runs",
-                "rejected", "saturations", "cancelled", "depth_clips",
-                "workers", "queue_depth", "started", "enabled"):
-        registry.register_gauge(f"pool_{key}",
-                                lambda key=key: pool_stats()[key])
-
-
-# ---------------------------------------------------------------------------
-# The worker pool
-# ---------------------------------------------------------------------------
-
-#: Scatter depth cap: request-level group tasks (depth 0 -> 1) may
-#: scatter morsels (depth 1 -> 2); anything deeper runs inline.  The cap
-#: bounds queue pressure and makes the participation argument local.
-_MAX_SCATTER_DEPTH = 2
-
-_DEPTH: contextvars.ContextVar[int] = contextvars.ContextVar(
-    "muve_scatter_depth", default=0)
-
-
-class _Cancelled(Exception):
-    """Internal marker: a task drained without running."""
-
-
-class _Task:
-    """One unit of scattered work.
-
-    Claiming is guarded by the pool lock: a task runs exactly once, on
-    whichever thread (worker or submitter) claims it first.  Each task
-    runs inside its own copy of the submitting thread's context, so
-    spans nest under the caller's span and the request deadline and
-    degradation collector propagate.
-    """
-
-    __slots__ = ("fn", "context", "cancel", "site", "claimed", "done",
-                 "result", "error", "inline")
-
-    def __init__(self, fn: Callable[[], object],
-                 cancel: threading.Event, site: str, depth: int) -> None:
-        self.fn = fn
-        self.context = contextvars.copy_context()
-        self.context.run(_DEPTH.set, depth)
-        self.cancel = cancel
-        self.site = site
-        self.claimed = False
-        self.done = threading.Event()
-        self.result: object = None
-        self.error: BaseException | None = None
-        self.inline = False
-
-    def run(self, inline: bool) -> None:
-        self.inline = inline
-        try:
-            if self.cancel.is_set():
-                # A failed sibling drained the scatter: complete
-                # immediately without running (the morsel-cancellation
-                # path — queued work is discarded, not executed).
-                self.error = _Cancelled()
-            else:
-                self.result = self.context.run(self._invoke)
-        except BaseException as exc:
-            self.error = exc
-            self.cancel.set()
-        finally:
-            self.done.set()
-
-    def _invoke(self) -> object:
-        deadline = current_deadline()
-        if deadline is not None:
-            deadline.check(self.site)
-        return self.fn()
-
-
-class WorkerPool:
-    """A bounded-queue thread pool with caller participation.
-
-    Workers start lazily on the first scatter and are daemon threads (a
-    pool never blocks interpreter shutdown).  ``queue_capacity`` bounds
-    the number of queued-but-unclaimed tasks; scatters beyond it fall
-    back to inline execution on the submitting thread.
-    """
-
-    def __init__(self, workers: int, queue_capacity: int | None = None,
-                 name: str = "muve-exec") -> None:
-        self.workers = max(1, int(workers))
-        self._capacity = (queue_capacity if queue_capacity is not None
-                          else self.workers * 8)
-        self._lock = threading.Lock()
-        self._available = threading.Condition(self._lock)
-        self._space = threading.Condition(self._lock)
-        self._queue: deque[_Task] = deque()
-        self._threads: list[threading.Thread] = []
-        self._name = name
-        self._shutdown = False
-
-    # -- introspection ---------------------------------------------------
-
-    @property
-    def started(self) -> bool:
-        return bool(self._threads)
-
-    @property
-    def queue_depth(self) -> int:
-        return len(self._queue)
-
-    # -- lifecycle -------------------------------------------------------
-
-    def _ensure_started(self) -> None:
-        if self._threads:
-            return
-        with self._lock:
-            if self._threads or self._shutdown:
-                return
-            for index in range(self.workers):
-                thread = threading.Thread(
-                    target=self._worker_loop,
-                    name=f"{self._name}-{index}", daemon=True)
-                thread.start()
-                self._threads.append(thread)
-
-    def shutdown(self) -> None:
-        """Stop the workers once the queue drains (tests, pool resize)."""
-        with self._available:
-            self._shutdown = True
-            self._available.notify_all()
-            self._space.notify_all()
-        for thread in self._threads:
-            thread.join(timeout=2.0)
-        self._threads = []
-
-    def _worker_loop(self) -> None:
-        while True:
-            with self._available:
-                while not self._queue and not self._shutdown:
-                    self._available.wait()
-                if not self._queue:
-                    return  # shutdown with an empty queue
-                task = self._queue.popleft()
-                self._space.notify()
-                if task.claimed:
-                    continue  # the submitter already ran it inline
-                task.claimed = True
-            task.run(inline=False)
-
-    # -- scattering ------------------------------------------------------
-
-    def run_tasks(self, thunks: Sequence[Callable[[], object]],
-                  site: str = "parallel",
-                  participate: bool = True) -> list:
-        """Run *thunks*, returning their results in submission order.
-
-        The deterministic workhorse: result order is the thunk order
-        regardless of which thread ran what.  The submitting thread
-        participates by default (claims tasks no worker picked up),
-        which makes nested scatters deadlock-free and turns a saturated
-        pool into plain serial execution.  ``participate=False`` blocks
-        for queue space instead (the CLI load test uses this to keep
-        ``--workers`` meaning exactly N concurrent requests); it must
-        not be used from code that can run *on* this pool.
-
-        If any task raises, the scatter is cancelled — queued siblings
-        drain without running — and the error of the lowest-index
-        failed task is re-raised once every task has completed.
-        """
-        thunks = list(thunks)
-        if not thunks:
-            return []
-        if len(thunks) == 1:
-            return [thunks[0]()]
-        depth = _DEPTH.get()
-        if depth >= _MAX_SCATTER_DEPTH:
-            _STATS.record_depth_clip(len(thunks))
-            return [fn() for fn in thunks]
-        self._ensure_started()
-        cancel = threading.Event()
-        tasks = [_Task(fn, cancel, site, depth + 1) for fn in thunks]
-        with trace_span("parallel.map", site=site) as span:
-            enqueued = 0
-            for task in tasks:
-                with self._available:
-                    if participate:
-                        if len(self._queue) >= self._capacity \
-                                or self._shutdown:
-                            break  # the submitter will run the rest
-                    else:
-                        while len(self._queue) >= self._capacity \
-                                and not self._shutdown:
-                            self._space.wait()
-                        if self._shutdown:
-                            break
-                    self._queue.append(task)
-                    enqueued += 1
-                    self._available.notify()
-            inline_runs = 0
-            if participate:
-                for task in tasks:
-                    with self._lock:
-                        if task.claimed:
-                            continue
-                        task.claimed = True
-                    task.run(inline=True)
-                    inline_runs += 1
-            for task in tasks:
-                task.done.wait()
-            cancelled = sum(1 for t in tasks
-                            if isinstance(t.error, _Cancelled))
-            worker_runs = len(tasks) - inline_runs - cancelled
-            saturated = participate and enqueued == 0
-            span.set_attribute("tasks", len(tasks))
-            span.set_attribute("inline_runs", inline_runs)
-            span.set_attribute("worker_runs", worker_runs)
-            if cancelled:
-                span.set_attribute("cancelled", cancelled)
-            _STATS.record_scatter(
-                tasks=len(tasks), inline=inline_runs, worker=worker_runs,
-                rejected=len(tasks) - enqueued, saturated=saturated,
-                cancelled=cancelled)
-            if saturated:
-                record_degradation(
-                    "executor", "parallel_to_serial", "pool_saturated",
-                    detail=f"{len(tasks)} tasks ran inline at {site}")
-                get_registry().counter("pool_saturation_total").inc()
-            failed = next((t for t in tasks if t.error is not None
-                           and not isinstance(t.error, _Cancelled)), None)
-            if failed is not None:
-                span.set_attribute("error_site", failed.site)
-                raise failed.error
-        return [task.result for task in tasks]
-
-
-# ---------------------------------------------------------------------------
-# The process-wide pool
-# ---------------------------------------------------------------------------
-
-_POOL: WorkerPool | None = None
-_POOL_LOCK = threading.Lock()
-
-
-def get_pool() -> WorkerPool:
-    """The process-wide execution pool (created lazily, started on first
-    scatter)."""
-    global _POOL
-    pool = _POOL
-    if pool is None:
-        with _POOL_LOCK:
-            if _POOL is None:
-                _POOL = WorkerPool(default_workers())
-            pool = _POOL
-    return pool
-
-
-def configure_pool(workers: int) -> WorkerPool:
-    """(Re)create the shared pool with *workers* (``--workers-exec``).
-
-    Call before serving; an existing pool is shut down after the new
-    one is swapped in, so concurrent scatters never observe a dead
-    pool.
-    """
-    global _POOL
-    if workers <= 0:
-        raise ReproError(f"worker count must be positive, got {workers}")
-    with _POOL_LOCK:
-        old, _POOL = _POOL, WorkerPool(workers)
-        pool = _POOL
-    if old is not None:
-        old.shutdown()
-    return pool
-
-
-def reset_pool() -> None:
-    """Shut down and forget the shared pool (test isolation)."""
-    global _POOL
-    with _POOL_LOCK:
-        old, _POOL = _POOL, None
-    if old is not None:
-        old.shutdown()
-
-
-# ---------------------------------------------------------------------------
-# Morsel helpers (fixed partitioning, deterministic combination)
-# ---------------------------------------------------------------------------
-
-
-def morsel_bounds(n_rows: int) -> list[tuple[int, int]]:
-    """Fixed ``[lo, hi)`` morsel boundaries over *n_rows* rows.
-
-    Boundaries depend only on the row count and
-    :data:`~repro.sqldb.executor.MORSEL_ROWS` (read dynamically so tests
-    can shrink it), never on the worker count — the precondition for
-    the deterministic ordered reductions.
-    """
-    step = _kernels.MORSEL_ROWS
-    return [(lo, min(lo + step, n_rows))
-            for lo in range(0, n_rows, step)]
-
-
-def parallel_gather(array: np.ndarray, selection: np.ndarray,
-                    runner: Callable[[Sequence[Callable]], list] | None,
-                    ) -> np.ndarray:
-    """``array[selection]`` with the copy scattered across morsels.
-
-    *selection* is a boolean mask (chunked over rows) or an int64
-    ascending positions array (chunked over positions).  Concatenating
-    per-morsel gathers in index order reproduces the single fancy-index
-    bit for bit — gathering is a pure copy — so the threshold below is
-    a performance choice, not a semantic one.
-    """
-    if selection.dtype == np.bool_:
-        n = len(array)
-        if runner is None or n < 2 * _kernels.MORSEL_ROWS:
-            return array[selection]
-        bounds = morsel_bounds(n)
-        parts = runner([
-            lambda lo=lo, hi=hi: array[lo:hi][selection[lo:hi]]
-            for lo, hi in bounds])
-        return np.concatenate(parts)
-    n = len(selection)
-    if runner is None or n < 2 * _kernels.MORSEL_ROWS:
-        return array[selection]
-    bounds = morsel_bounds(n)
-    parts = runner([lambda lo=lo, hi=hi: array[selection[lo:hi]]
-                    for lo, hi in bounds])
-    return np.concatenate(parts)
-
-
-# ---------------------------------------------------------------------------
-# Pool-assisted cache warming (statistics + secondary indexes)
-# ---------------------------------------------------------------------------
+    """Threads one request's execution uses: always 1."""
+    return 1
 
 
 def warm_database(database: "Database",
                   table_names: Sequence[str] | None = None) -> int:
-    """Build table statistics and secondary indexes through the pool.
+    """Build table statistics and secondary indexes up front.
 
-    One task per structure — the statistics full scan, one inverted
+    One build per structure — the statistics full scan, one inverted
     index per column, one sorted projection per numeric column — so a
-    cold table warms in parallel instead of paying each lazy build on
-    the first unlucky request.  Builds keep their ``index.build`` spans
-    (tasks run in copied contexts).  Returns the number of build tasks.
+    cold table pays its lazy builds before serving instead of on the
+    first unlucky request.  Returns the number of structures built.
     """
     from repro.sqldb.types import DataType
     if table_names is None:
@@ -556,11 +45,6 @@ def warm_database(database: "Database",
             if column.dtype in (DataType.INT, DataType.FLOAT):
                 thunks.append(lambda t=table, c=column.name:
                               t.indexes().sorted_projection(c))
-    if not thunks:
-        return 0
-    if parallel_enabled():
-        get_pool().run_tasks(thunks, site="index.build")
-    else:
-        for thunk in thunks:
-            thunk()
+    for thunk in thunks:
+        thunk()
     return len(thunks)

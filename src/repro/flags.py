@@ -75,13 +75,6 @@ def _flag(name: str, kind: str, default: str, description: str,
 # Serving & execution
 # ---------------------------------------------------------------------------
 
-_flag("MUVE_PARALLEL", "switch", "on",
-      "Morsel/group scattering onto the shared worker pool "
-      "(`--no-parallel`); off keeps the bit-identical serial path.",
-      "Execution")
-_flag("MUVE_WORKERS", "int", "min(8, cpu_count)",
-      "Worker threads of the shared execution pool (`--workers-exec`).",
-      "Execution")
 _flag("MUVE_INDEXES", "switch", "on",
       "Secondary-index access paths (`--no-indexes`); off answers every "
       "predicate with full scans (identical results).",
@@ -132,7 +125,7 @@ _flag("MUVE_SLO_COVERAGE", "float", "0.9",
 _flag("MUVE_LOCKDEP", "switch", "off",
       "Runtime lock-order checking (`repro.testing.lockdep`): records "
       "per-thread lock acquisition edges, fails tests on lock-order "
-      "cycles or locks held across a pool wait.",
+      "cycles.",
       "Tooling")
 
 # ---------------------------------------------------------------------------
@@ -191,35 +184,6 @@ _flag("MUVE_INDEX_REQUESTS", "int", "8",
       "Gates")
 _flag("MUVE_INDEX_CANDIDATES", "int", "50",
       "Candidate count of the index-speedup gate workload.",
-      "Gates")
-_flag("MUVE_PARALLEL_SPEEDUP_FACTOR", "float", "2",
-      "Required parallel-vs-serial p50 speedup "
-      "(`scripts/check_parallel_speedup.py`).",
-      "Gates")
-_flag("MUVE_PARALLEL_MIN_CPUS", "int", "4",
-      "Minimum host cores before the parallel speedup gate is "
-      "enforced (below it only bit-identity is checked).",
-      "Gates")
-_flag("MUVE_PARALLEL_GATE_WORKERS", "int", "4",
-      "Worker count of the parallel-speedup gate's parallel arm.",
-      "Gates")
-_flag("MUVE_PARALLEL_ROWS", "int", "1000000",
-      "Table rows of the parallel-speedup gate workload.",
-      "Gates")
-_flag("MUVE_PARALLEL_REQUESTS", "int", "6",
-      "Requests per arm of the parallel benchmarks and gate.",
-      "Gates")
-_flag("MUVE_PARALLEL_CANDIDATES", "int", "50",
-      "Candidate count of the parallel benchmarks and gate.",
-      "Gates")
-_flag("MUVE_PARALLEL_ROUNDS", "int", "3",
-      "Rounds (best-of) of `scripts/bench_parallel.py`.",
-      "Gates")
-_flag("MUVE_PARALLEL_ROW_SWEEP", "str", "200000,1000000",
-      "Row counts swept by `scripts/bench_parallel.py`.",
-      "Gates")
-_flag("MUVE_PARALLEL_WORKER_SWEEP", "str", "1,2,4,8",
-      "Worker counts swept by `scripts/bench_parallel.py`.",
       "Gates")
 _flag("MUVE_SHED_CLIENTS", "int", "16",
       "Concurrent clients of the overload-shedding gate "

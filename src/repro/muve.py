@@ -237,12 +237,10 @@ class Muve:
                                    self.planner.plan_cache)
         from repro.caching.phonetic import phonetic_probe_cache
         from repro.execution.batch import register_batch_metrics
-        from repro.execution.parallel import register_parallel_metrics
         from repro.nlq.candidates import index_bundle_cache
         from repro.phonetics.index import register_phonetic_metrics
         from repro.sqldb.index import register_index_metrics
         register_batch_metrics(self.metrics)
-        register_parallel_metrics(self.metrics)
         register_index_metrics(self.metrics)
         register_cache_metrics(self.metrics, "phonetic_probes",
                                phonetic_probe_cache())

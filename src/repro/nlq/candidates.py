@@ -191,12 +191,11 @@ class CandidateGenerator:
         weighted: dict[AggregateQuery, float] = {seed: 1.0}
         for count in range(1, self._max_simultaneous + 1):
             for combo in self._element_combinations(alternatives, count):
-                query = seed
+                query = seed.replace_elements(
+                    (elements[alternative.element_index],
+                     alternative.replacement) for alternative in combo)
                 weight = 1.0
                 for alternative in combo:
-                    element = elements[alternative.element_index]
-                    query = query.replace_element(element,
-                                                  alternative.replacement)
                     weight *= alternative.weight
                 if query == seed:
                     continue

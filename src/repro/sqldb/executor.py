@@ -14,7 +14,7 @@ engine-level optimisations:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Protocol, Sequence
+from typing import Any, Protocol
 
 import numpy as np
 
@@ -36,22 +36,12 @@ from repro.sqldb.index import (
 from repro.sqldb.parser import SelectStatement
 from repro.sqldb.table import Table
 
-#: Rows per morsel: the fixed chunk granularity of both the
-#: order-sensitive aggregate kernels below and the parallel scatter in
-#: :mod:`repro.execution.parallel` — 8 zone-map blocks, so morsel
-#: boundaries align with zone-map pruning granularity.  Chunk boundaries
-#: depend only on the row count (never on worker count or thread
-#: scheduling), which is what makes parallel execution bit-identical to
-#: serial: both perform the same per-chunk operations and combine the
-#: partials in the same chunk order.  Tests may monkeypatch this to a
-#: small value to exercise chunk-boundary behaviour on small tables.
+#: Rows per chunk of the order-sensitive SUM/AVG kernel below — 8
+#: zone-map blocks.  Float addition is not associative, so the fixed
+#: chunking defines the SUM/AVG values: chunk boundaries depend only on
+#: the row count.  Tests may monkeypatch this to a small value to
+#: exercise chunk-boundary behaviour on small tables.
 MORSEL_ROWS = 8 * ZONE_BLOCK_ROWS
-
-#: A runner maps a list of zero-argument thunks to their results in
-#: submission order (``repro.execution.parallel.WorkerPool.run_tasks``
-#: curried with a site).  ``None`` runs the thunks serially — the
-#: results are identical by the fixed-chunk contract.
-MorselRunner = Callable[[Sequence[Callable[[], Any]]], list]
 
 
 @dataclass(frozen=True)
@@ -102,14 +92,11 @@ class SharedWork(Protocol):
 
     Implemented by the request context of :mod:`repro.execution.batch`
     (:func:`~repro.execution.batch.request_context`), which memoises
-    leaf masks and index selections (single-flight, backed by the
-    database's cross-request selection cache), factorises numeric GROUP
-    BY columns once over the full table, and scatters kernels across
-    morsels with :attr:`runner`.  Every method returns exactly what the
-    plain evaluation would, so results stay bit-identical.
+    leaf masks and index selections (backed by the database's
+    cross-request selection cache) and factorises numeric GROUP BY
+    columns once over the full table.  Every method returns exactly what
+    the plain evaluation would, so results stay bit-identical.
     """
-
-    runner: MorselRunner | None
 
     def mask(self, expr: BooleanExpr, table: Table) -> np.ndarray: ...
 
@@ -118,9 +105,6 @@ class SharedWork(Protocol):
 
     def numeric_factor(self, table: Table,
                        column: str) -> tuple[np.ndarray, np.ndarray]: ...
-
-    def gather(self, array: np.ndarray,
-               selection: np.ndarray) -> np.ndarray: ...
 
     def record_statement(self, where: BooleanExpr | None, sampled: bool,
                          indexed: bool) -> None: ...
@@ -135,8 +119,8 @@ def execute_bound(bound: BoundStatement, table: Table,
     *shared* supplies the work shared across a request's statements
     (see :class:`SharedWork`).  ``None`` evaluates everything for this
     statement alone: ``expr.evaluate`` for masks, ``resolve_selection``
-    for index paths, plain fancy indexing, and numeric GROUP BY columns
-    factorised on the filtered rows.
+    for index paths, and numeric GROUP BY columns factorised on the
+    filtered rows.
     """
     statement = bound.statement
     bound_where = bound.where
@@ -146,9 +130,6 @@ def execute_bound(bound: BoundStatement, table: Table,
     def mask(expr: BooleanExpr) -> np.ndarray:
         return (expr.evaluate(table) if shared is None
                 else shared.mask(expr, table))
-
-    def gather(array: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        return array[rows] if shared is None else shared.gather(array, rows)
 
     # ``selection`` is either a boolean mask or an int64 array of row
     # positions in ascending order — numpy fancy indexing treats both
@@ -187,7 +168,7 @@ def execute_bound(bound: BoundStatement, table: Table,
         arrays = {name: table.column(name) for name in needed}
         row_count = table.num_rows
     else:
-        arrays = {name: gather(table.column(name), selection)
+        arrays = {name: table.column(name)[selection]
                   for name in needed}
         row_count = selection_size(selection)
     # Annotate whatever stage is being traced (typically the enclosing
@@ -218,11 +199,10 @@ def execute_bound(bound: BoundStatement, table: Table,
                 continue
             group_factors.append(
                 (uniques,
-                 codes if selection is None else gather(codes, selection)))
+                 codes if selection is None else codes[selection]))
         names, rows = _grouped_aggregate(
             arrays, row_count, group_columns, group_factors, bound_aggs,
-            having=statement.having,
-            runner=None if shared is None else shared.runner)
+            having=statement.having)
     else:
         names, rows = _scalar_aggregate(arrays, row_count, bound_aggs)
         if statement.having:
@@ -425,95 +405,42 @@ def _factorize(array: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return uniques, codes
 
 
-def _chunk_bounds(n_rows: int) -> list[tuple[int, int]]:
-    """Fixed ``[lo, hi)`` morsel boundaries over *n_rows* rows."""
-    step = MORSEL_ROWS
-    return [(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
-
-
-def _run_chunks(thunks: list, runner: MorselRunner | None) -> list:
-    """Run per-chunk thunks (serially or on the pool), results in chunk
-    order."""
-    if runner is None or len(thunks) <= 1:
-        return [thunk() for thunk in thunks]
-    return runner(thunks)
-
-
 def _chunked_weighted_bincount(row_groups: np.ndarray, array: np.ndarray,
-                               n_groups: int,
-                               runner: MorselRunner | None) -> np.ndarray:
+                               n_groups: int) -> np.ndarray:
     """``np.bincount(row_groups, weights=array.astype(float))`` computed
     in fixed :data:`MORSEL_ROWS` chunks, partials summed in chunk order.
 
     Float addition is not associative, so the chunking *is* the
-    semantics: serial and parallel runs both add per-chunk partial sums
-    in the same fixed order and therefore agree bit for bit.  Inputs of
-    at most one chunk degenerate to the single-pass kernel.
+    semantics: the per-chunk partial sums are always added in the same
+    fixed order.  Inputs of at most one chunk degenerate to the
+    single-pass kernel.
     """
     n_rows = len(row_groups)
-    if n_rows <= MORSEL_ROWS:
-        return np.bincount(row_groups, weights=array.astype(float),
-                           minlength=n_groups)
-    parts = _run_chunks(
-        [lambda lo=lo, hi=hi: np.bincount(
+    totals = np.bincount(row_groups[:MORSEL_ROWS],
+                         weights=array[:MORSEL_ROWS].astype(float),
+                         minlength=n_groups)
+    for lo in range(MORSEL_ROWS, n_rows, MORSEL_ROWS):
+        hi = lo + MORSEL_ROWS
+        totals = totals + np.bincount(
             row_groups[lo:hi], weights=array[lo:hi].astype(float),
             minlength=n_groups)
-         for lo, hi in _chunk_bounds(n_rows)], runner)
-    totals = parts[0]
-    for part in parts[1:]:
-        totals = totals + part
     return totals
 
 
-def _chunked_group_counts(row_groups: np.ndarray, n_groups: int,
-                          runner: MorselRunner | None) -> np.ndarray:
-    """Per-group row counts; integer partials sum exactly, so the
-    parallel reduction equals the single-pass bincount for any chunking."""
-    n_rows = len(row_groups)
-    if runner is None or n_rows <= MORSEL_ROWS:
-        return np.bincount(row_groups, minlength=n_groups)
-    parts = _run_chunks(
-        [lambda lo=lo, hi=hi: np.bincount(row_groups[lo:hi],
-                                          minlength=n_groups)
-         for lo, hi in _chunk_bounds(n_rows)], runner)
-    totals = parts[0]
-    for part in parts[1:]:
-        totals = totals + part
-    return totals
-
-
-def _chunked_group_extreme(row_groups: np.ndarray, array: np.ndarray,
-                           n_groups: int, maximize: bool,
-                           runner: MorselRunner | None) -> np.ndarray:
-    """Per-group MIN/MAX; min/max is associative and rounding-free, so
-    per-chunk partials combined in chunk order equal the single pass.
+def _group_extreme(row_groups: np.ndarray, array: np.ndarray,
+                   n_groups: int, maximize: bool) -> np.ndarray:
+    """Per-group MIN/MAX.
 
     NaN measures propagate, as in the scalar path's ``array.min()``: a
     group holding any NaN (an all-NaN group included) yields NaN.  The
     comparisons run under ``np.errstate(invalid="ignore")`` because
     that propagation is the intended result, not a warning.
     """
-    fill = -np.inf if maximize else np.inf
+    out = np.full(n_groups, -np.inf if maximize else np.inf)
     reduce_at = np.maximum.at if maximize else np.minimum.at
-    n_rows = len(row_groups)
-
-    def partial(lo: int, hi: int) -> np.ndarray:
-        out = np.full(n_groups, fill)
-        with np.errstate(invalid="ignore"):
-            reduce_at(out, row_groups[lo:hi], array[lo:hi].astype(float))
-        return out
-
-    if runner is None or n_rows <= MORSEL_ROWS:
-        return partial(0, n_rows)
-    parts = _run_chunks(
-        [lambda lo=lo, hi=hi: partial(lo, hi)
-         for lo, hi in _chunk_bounds(n_rows)], runner)
-    combine = np.maximum if maximize else np.minimum
-    totals = parts[0]
     with np.errstate(invalid="ignore"):
-        for part in parts[1:]:
-            totals = combine(totals, part)
-    return totals
+        reduce_at(out, row_groups, array.astype(float))
+    return out
 
 
 def _grouped_aggregate(arrays: dict[str, np.ndarray], row_count: int,
@@ -521,7 +448,6 @@ def _grouped_aggregate(arrays: dict[str, np.ndarray], row_count: int,
                        group_factors: list[tuple[np.ndarray, np.ndarray]],
                        aggs: tuple[AggregateCall, ...],
                        having=(),
-                       runner: MorselRunner | None = None,
                        ) -> tuple[tuple[str, ...], list[tuple[Any, ...]]]:
     names = tuple(name for name in group_by)
     names += tuple(agg.to_sql().lower() for agg in aggs)
@@ -552,7 +478,7 @@ def _grouped_aggregate(arrays: dict[str, np.ndarray], row_count: int,
 
     agg_columns = [
         _aggregate_per_group(agg, arrays.get(agg.column or ""),
-                             row_groups, n_groups, runner=runner)
+                             row_groups, n_groups)
         for agg in aggs
     ]
 
@@ -584,15 +510,13 @@ def _grouped_aggregate(arrays: dict[str, np.ndarray], row_count: int,
 
 
 def _aggregate_per_group(agg: AggregateCall, array: np.ndarray | None,
-                         row_groups: np.ndarray, n_groups: int,
-                         runner: MorselRunner | None = None):
+                         row_groups: np.ndarray, n_groups: int):
     """Compute one aggregate for every group, vectorized where possible.
 
-    The ``bincount``-family kernels (COUNT, SUM, AVG, numeric MIN/MAX)
-    evaluate in fixed :data:`MORSEL_ROWS` chunks combined in chunk
-    order — on the pool when *runner* is given, serially otherwise, with
-    bit-identical results either way.  DISTINCT and object-dtype
-    aggregates are Python loops (they hold the GIL) and stay serial.
+    COUNT and numeric MIN/MAX are single-pass kernels; SUM and AVG sum
+    in fixed :data:`MORSEL_ROWS` chunks (see
+    :func:`_chunked_weighted_bincount`).  DISTINCT and object-dtype
+    aggregates are Python loops.
     """
     if agg.distinct and agg.column is not None:
         assert array is not None
@@ -616,8 +540,7 @@ def _aggregate_per_group(agg: AggregateCall, array: np.ndarray | None,
         return results
 
     if agg.column is None or agg.func == AggregateFunction.COUNT:
-        counts = _chunked_group_counts(row_groups, n_groups, runner)
-        return counts.astype(float)
+        return np.bincount(row_groups, minlength=n_groups).astype(float)
 
     assert array is not None
     if array.dtype == object:
@@ -634,17 +557,12 @@ def _aggregate_per_group(agg: AggregateCall, array: np.ndarray | None,
             f"{agg.func.value.upper()} not supported on text columns")
 
     if agg.func == AggregateFunction.SUM:
-        return _chunked_weighted_bincount(row_groups, array, n_groups,
-                                          runner)
+        return _chunked_weighted_bincount(row_groups, array, n_groups)
     if agg.func == AggregateFunction.AVG:
-        sums = _chunked_weighted_bincount(row_groups, array, n_groups,
-                                          runner)
-        counts = _chunked_group_counts(row_groups, n_groups, runner)
+        sums = _chunked_weighted_bincount(row_groups, array, n_groups)
+        counts = np.bincount(row_groups, minlength=n_groups)
         return sums / np.maximum(counts, 1)
-    if agg.func == AggregateFunction.MIN:
-        return _chunked_group_extreme(row_groups, array, n_groups,
-                                      maximize=False, runner=runner)
-    if agg.func == AggregateFunction.MAX:
-        return _chunked_group_extreme(row_groups, array, n_groups,
-                                      maximize=True, runner=runner)
+    if agg.func in (AggregateFunction.MIN, AggregateFunction.MAX):
+        return _group_extreme(row_groups, array, n_groups,
+                              maximize=agg.func == AggregateFunction.MAX)
     raise ExecutionError(f"unsupported aggregate {agg.func}")

@@ -62,9 +62,11 @@ class QueryElement:
 class AggregateQuery:
     """One aggregate over one table, filtered by equality predicates.
 
-    Instances are immutable, hashable and canonically ordered (predicates
-    are stored sorted), so structurally identical queries compare equal —
-    candidate deduplication relies on this.
+    Instances are immutable, hashable and canonical (predicates are
+    stored sorted, exact duplicates dropped), so structurally identical
+    queries compare equal — candidate deduplication relies on this.  A
+    substitution that repeats a predicate (``status = 'Open' AND status
+    = 'Open'``) therefore yields the query without the repeat.
     """
 
     __slots__ = ("table", "aggregate", "predicates", "_hash")
@@ -73,7 +75,8 @@ class AggregateQuery:
                  predicates: tuple[Predicate, ...] = ()) -> None:
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "aggregate", aggregate)
-        ordered = tuple(sorted(predicates, key=Predicate.sort_key))
+        ordered = tuple(sorted(dict.fromkeys(predicates),
+                               key=Predicate.sort_key))
         object.__setattr__(self, "predicates", ordered)
         object.__setattr__(
             self, "_hash", hash((table.lower(), aggregate, ordered)))
@@ -142,25 +145,35 @@ class AggregateQuery:
     def replace_element(self, element: QueryElement,
                         replacement: str | Any) -> "AggregateQuery":
         """A new query with one element substituted."""
-        if element.kind == "agg_func":
-            call = AggregateCall(AggregateFunction(str(replacement).lower()),
-                                 self.aggregate.column)
-            return AggregateQuery(self.table, call, self.predicates)
-        if element.kind == "agg_column":
-            call = AggregateCall(self.aggregate.func, str(replacement))
-            return AggregateQuery(self.table, call, self.predicates)
-        if element.kind in ("pred_column", "pred_value"):
-            predicates = list(self.predicates)
-            old = predicates[element.position]
-            if element.kind == "pred_column":
+        return self.replace_elements(((element, replacement),))
+
+    def replace_elements(self, substitutions) -> "AggregateQuery":
+        """A new query with several ``(element, replacement)`` pairs
+        substituted at once.
+
+        Every position refers to *this* query's predicates; the result is
+        canonicalised only after all substitutions, so one substitution
+        re-sorting or collapsing the predicates cannot redirect the next.
+        """
+        func, column = self.aggregate.func, self.aggregate.column
+        predicates = list(self.predicates)
+        for element, replacement in substitutions:
+            if element.kind == "agg_func":
+                func = AggregateFunction(str(replacement).lower())
+            elif element.kind == "agg_column":
+                column = str(replacement)
+            elif element.kind == "pred_column":
                 predicates[element.position] = replace(
-                    old, column=str(replacement))
+                    predicates[element.position], column=str(replacement))
+            elif element.kind == "pred_value":
+                predicates[element.position] = replace(
+                    predicates[element.position], value=replacement)
             else:
-                predicates[element.position] = replace(
-                    old, value=replacement)
-            return AggregateQuery(self.table, self.aggregate,
-                                  tuple(predicates))
-        raise ValueError(f"unknown element kind {element.kind!r}")
+                raise ValueError(f"unknown element kind {element.kind!r}")
+        aggregate = self.aggregate
+        if (func, column) != (aggregate.func, aggregate.column):
+            aggregate = AggregateCall(func, column)
+        return AggregateQuery(self.table, aggregate, tuple(predicates))
 
     def predicate_on(self, column: str) -> Predicate | None:
         """The predicate on *column*, or None."""

@@ -17,19 +17,13 @@ site (the first frame outside this module and ``threading``), and each
 thread keeps a stack of wrappers it currently holds.  On acquisition
 with locks already held, one edge per held lock is added:
 ``held-site -> acquired-site``.  Edges are keyed by creation site, not
-object identity, so every ``WorkerPool`` instance contributes to the
-same node — order violations between *instances* of the same lock
+object identity, so every instance of one lock class contributes to
+the same node — order violations between *instances* of the same lock
 class surface too (reported unless the edge is a self-loop, which
 re-entrant same-class locking makes routine and benign for RLocks).
 
-Two violation kinds are recorded:
-
-* ``cycle`` — a new edge closes a cycle in the order graph.
-* ``held-across-pool-wait`` — :meth:`WorkerPool.run_tasks` entered
-  while the calling thread holds any tracked lock.  Waiting on pool
-  results while holding a lock is a deadlock with a saturated pool
-  (workers may need that lock to finish), so it is flagged even
-  though it is not a two-lock inversion.
+The recorded violation is a ``cycle``: a new edge closes a cycle in
+the order graph.
 
 Violations are *recorded*, not raised at the fault site (raising
 inside ``acquire`` would poison unrelated code paths); the pytest
@@ -47,7 +41,7 @@ from __future__ import annotations
 import sys
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 from repro.flags import env_switch
 
@@ -70,7 +64,7 @@ class LockdepError(AssertionError):
 
 @dataclass(frozen=True)
 class Violation:
-    kind: str  # "cycle" | "held-across-pool-wait"
+    kind: str  # "cycle"
     detail: str
 
     def __str__(self) -> str:
@@ -102,7 +96,6 @@ _LOCAL = threading.local()
 _real_lock = threading.Lock
 _real_rlock = threading.RLock
 _installed = False
-_pool_patch: Callable[..., Any] | None = None
 
 
 def get_state() -> LockdepState:
@@ -313,55 +306,28 @@ def held_locks() -> list:
 # ---------------------------------------------------------------------------
 
 
-def _checked_run_tasks(original: Callable[..., Any],
-                       ) -> Callable[..., Any]:
-    def run_tasks(self: Any, thunks: Any, *args: Any,
-                  **kwargs: Any) -> Any:
-        stack = _held_stack()
-        if stack:
-            sites = ", ".join(w.site for w in stack)
-            _record_violation(Violation(
-                kind="held-across-pool-wait",
-                detail=(f"WorkerPool.run_tasks entered while holding "
-                        f"lock(s) {sites} — waiting on pool results "
-                        f"under a lock deadlocks a saturated pool")))
-        return original(self, thunks, *args, **kwargs)
-
-    run_tasks._lockdep_original = original
-    return run_tasks
-
-
 def install(strict: bool = False) -> None:
-    """Patch ``threading`` lock factories and the WorkerPool wait.
+    """Patch the ``threading`` lock factories.
 
     Idempotent.  Only affects locks created after the call, so stdlib
     and interpreter-internal locks keep the real primitives.
     """
-    global _installed, _pool_patch
-    if _installed:
-        _STATE.strict = strict
-        return
+    global _installed
     _STATE.strict = strict
+    if _installed:
+        return
     threading.Lock = _TrackedLock
     threading.RLock = _TrackedRLock
-    from repro.execution.parallel import WorkerPool
-    _pool_patch = WorkerPool.run_tasks
-    WorkerPool.run_tasks = _checked_run_tasks(
-        WorkerPool.run_tasks)
     _installed = True
 
 
 def uninstall() -> None:
     """Restore the real primitives (paired with :func:`install`)."""
-    global _installed, _pool_patch
+    global _installed
     if not _installed:
         return
     threading.Lock = _real_lock
     threading.RLock = _real_rlock
-    if _pool_patch is not None:
-        from repro.execution.parallel import WorkerPool
-        WorkerPool.run_tasks = _pool_patch
-        _pool_patch = None
     _installed = False
 
 

@@ -48,6 +48,6 @@ def per_group_plans(monkeypatch):
         patch.setattr(
             ExecutionPlan, "run",
             lambda self, database, sample_fraction=None, cache=None,
-            request_ctx=None, parallel=None: run_per_group(
+            request_ctx=None: run_per_group(
                 self, database, sample_fraction, cache))
         yield

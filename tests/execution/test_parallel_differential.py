@@ -1,14 +1,13 @@
-"""Differential tests: parallel execution is bit-identical to serial.
+"""Differential tests: shared execution is bit-identical to per-group.
 
-The determinism contract of :mod:`repro.execution.parallel`: morsel
-boundaries are fixed (independent of worker count) and every reduction
-combines partials in morsel order, so scattering leaf masks, gathers and
-grouped-aggregate kernels across the pool must reproduce the serial
-engine *exactly* — plain ``==`` on floats, no ``approx``.  The serial
-path stays behind ``MUVE_PARALLEL=0`` / ``parallel=False`` as the
-oracle; these tests pin the equivalence with Hypothesis-generated
-candidate workloads, with ``MORSEL_ROWS`` shrunk so the module-sized
-tables span many morsels and chunk boundaries are actually exercised.
+The shared path (one request context memoising leaf masks, index
+selections and numeric GROUP BY factorisations across groups) must
+reproduce the per-group oracle in :mod:`tests.execution.oracle` —
+every group alone through ``Database.execute`` — *exactly*: plain
+``==`` on floats, no ``approx``.  Hypothesis generates the candidate
+workloads, and ``MORSEL_ROWS`` is shrunk so the module-sized tables
+span many chunks of the fixed-chunk SUM/AVG kernel and its chunk
+boundaries are actually exercised.
 """
 
 from __future__ import annotations
@@ -26,11 +25,12 @@ from repro.sqldb.database import Database
 from repro.sqldb.index import indexes_enabled, set_indexes_enabled
 from repro.sqldb.query import AggregateQuery
 from repro.sqldb.types import DataType
+from tests.execution.oracle import run_per_group
 
-#: Shrunk morsel size (real default 65536): the 1500-row table below
-#: spans six morsels, so scatters, concatenations and ordered
-#: reductions all engage, including ragged final chunks.
-_SMALL_MORSEL = 256
+#: Shrunk chunk size (real default 65536): the 1500-row table below
+#: spans six chunks, so the ordered SUM/AVG reduction engages,
+#: including ragged final chunks.
+_SMALL_CHUNK = 256
 
 _DB = Database(seed=0)
 _DB.register_table(make_nyc311_table(num_rows=1500, seed=9))
@@ -43,9 +43,9 @@ _MEASURES = ["resolution_hours", "num_calls"]
 
 
 @pytest.fixture(scope="module", autouse=True)
-def _small_morsels():
+def _small_chunks():
     original = _kernels.MORSEL_ROWS
-    _kernels.MORSEL_ROWS = _SMALL_MORSEL
+    _kernels.MORSEL_ROWS = _SMALL_CHUNK
     yield
     _kernels.MORSEL_ROWS = original
 
@@ -68,70 +68,66 @@ def query_sets(draw):
     return queries
 
 
-def _run(plan, database, parallel, sample_fraction=None):
-    ctx = request_context(database, parallel=parallel)
+def _run(plan, database, sample_fraction=None):
+    """The shared path: one fresh request context for the plan."""
     return plan.run(database, sample_fraction=sample_fraction,
-                    request_ctx=ctx)
+                    request_ctx=request_context(database))
 
 
-def _assert_identical(parallel, serial):
-    assert set(parallel) == set(serial)
-    for query, expected in serial.items():
-        got = parallel[query]
+def _assert_identical(shared, oracle):
+    assert set(shared) == set(oracle)
+    for query, expected in oracle.items():
+        got = shared[query]
         if expected is None:
             assert got is None, query.to_sql()
         else:
-            # Bit-for-bit: fixed morsel boundaries + ordered reductions
-            # mean both paths perform the same float operations in the
-            # same order.
+            # Bit-for-bit: both paths run the same kernels, with the
+            # same fixed chunk order for SUM/AVG.
             assert got == expected, query.to_sql()
 
 
 @given(query_sets(), st.booleans())
 @settings(max_examples=30, deadline=None)
-def test_parallel_equals_serial_exactly(queries, merge):
+def test_shared_equals_per_group_exactly(queries, merge):
     plan = plan_execution(_DB, queries, merge=merge)
-    _assert_identical(_run(plan, _DB, parallel=True),
-                      _run(plan, _DB, parallel=False))
+    _assert_identical(_run(plan, _DB), run_per_group(plan, _DB))
 
 
 @given(query_sets(), st.sampled_from([0.05, 0.25, 0.5, 0.9]))
 @settings(max_examples=15, deadline=None)
-def test_parallel_equals_serial_under_sampling(queries, fraction):
+def test_shared_equals_per_group_under_sampling(queries, fraction):
     """TABLESAMPLE: the Bernoulli draw is keyed on the statement text,
-    so parallel and serial runs must select the same rows and gather
-    them in the same order."""
+    so both paths must select the same rows in the same order."""
     plan = plan_execution(_DB, queries, merge=True)
-    _assert_identical(
-        _run(plan, _DB, parallel=True, sample_fraction=fraction),
-        _run(plan, _DB, parallel=False, sample_fraction=fraction))
+    _assert_identical(_run(plan, _DB, sample_fraction=fraction),
+                      run_per_group(plan, _DB, sample_fraction=fraction))
 
 
 @given(query_sets())
 @settings(max_examples=15, deadline=None)
-def test_parallel_equals_serial_on_the_scan_path(queries):
+def test_shared_equals_per_group_on_the_scan_path(queries):
     """With secondary indexes off, every leaf predicate takes the
-    morsel-scattered full-scan mask path."""
+    full-scan mask path (memoised per request on the shared path)."""
     plan = plan_execution(_DB, queries, merge=True)
     assert indexes_enabled()
     set_indexes_enabled(False)
     try:
-        scattered = _run(plan, _DB, parallel=True)
+        _assert_identical(_run(plan, _DB), run_per_group(plan, _DB))
     finally:
         set_indexes_enabled(True)
-    _assert_identical(scattered, _run(plan, _DB, parallel=False))
 
 
 @pytest.mark.parametrize("rows", [
-    _SMALL_MORSEL - 1,          # single partial morsel
-    _SMALL_MORSEL,              # exactly one morsel
-    _SMALL_MORSEL + 1,          # one morsel + a 1-row tail
-    4 * _SMALL_MORSEL,          # exact multiple
-    4 * _SMALL_MORSEL + 37,     # many morsels + ragged tail
+    _SMALL_CHUNK - 1,          # single partial chunk
+    _SMALL_CHUNK,              # exactly one chunk
+    _SMALL_CHUNK + 1,          # one chunk + a 1-row tail
+    4 * _SMALL_CHUNK,          # exact multiple
+    4 * _SMALL_CHUNK + 37,     # many chunks + ragged tail
 ])
 def test_chunk_boundaries_are_exact(rows):
-    """Row counts straddling morsel boundaries — the off-by-one surface
-    of the fixed partitioning — agree with serial for every aggregate."""
+    """Row counts straddling chunk boundaries — the off-by-one surface
+    of the fixed partitioning — agree with per-group execution for
+    every aggregate."""
     db = Database(seed=2)
     db.register_table(make_nyc311_table(num_rows=rows, seed=rows))
     queries = [AggregateQuery.build("nyc311", func,
@@ -140,16 +136,15 @@ def test_chunk_boundaries_are_exact(rows):
                for func in _FUNCS
                for measure in _MEASURES]
     plan = plan_execution(db, queries, merge=True)
-    _assert_identical(_run(plan, db, parallel=True),
-                      _run(plan, db, parallel=False))
+    _assert_identical(_run(plan, db), run_per_group(plan, db))
 
 
 def test_float_summation_order_is_pinned():
     """SUM over values of wildly different magnitudes: any re-association
     of the additions would visibly change the result, so equality here
-    proves serial and parallel perform the same additions in the same
-    order (the fixed-chunk kernel both paths share)."""
-    rows = 4 * _SMALL_MORSEL + 7
+    proves both paths perform the same additions in the same order (the
+    fixed-chunk kernel they share)."""
+    rows = 4 * _SMALL_CHUNK + 7
     rng = np.random.default_rng(5)
     magnitudes = rng.choice([1e-8, 1.0, 1e8, 1e16], size=rows)
     values = magnitudes * rng.normal(size=rows)
@@ -162,13 +157,12 @@ def test_float_summation_order_is_pinned():
                for func in ("sum", "avg")
                for city in ("a", "b", "c")]
     plan = plan_execution(db, queries, merge=True)
-    parallel = _run(plan, db, parallel=True)
-    serial = _run(plan, db, parallel=False)
-    _assert_identical(parallel, serial)
-    # Sanity: this workload is genuinely order-sensitive — a single
-    # np.sum over the same values disagrees with the chunked kernel.
+    oracle = run_per_group(plan, db)
+    _assert_identical(_run(plan, db), oracle)
+    # Sanity: the chunked kernel stays close to a single np.sum over
+    # the same values.
     for city in ("a", "b", "c"):
-        chunked = serial[AggregateQuery.build("t", "sum", "v",
+        chunked = oracle[AggregateQuery.build("t", "sum", "v",
                                               {"city": city})]
         assert chunked == pytest.approx(float(values[cities == city].sum()),
                                         rel=1e-6)
@@ -181,27 +175,8 @@ def test_shared_context_across_plans_stays_identical():
                                     {"borough": b, "agency": "NYPD"})
                for b in ("Brooklyn", "Bronx", "Queens")]
     plan = plan_execution(_DB, queries, merge=False)
-    ctx = request_context(_DB, parallel=True)
+    ctx = request_context(_DB)
     first = plan.run(_DB, request_ctx=ctx)
     second = plan.run(_DB, request_ctx=ctx)
-    _assert_identical(first, _run(plan, _DB, parallel=False))
+    _assert_identical(first, run_per_group(plan, _DB))
     _assert_identical(second, first)
-
-
-@given(st.integers(min_value=0, max_value=2**32 - 1),
-       st.floats(min_value=0.01, max_value=0.99))
-@settings(max_examples=25, deadline=None)
-def test_parallel_gather_differential(seed, density):
-    """Morsel-chunked gathers equal a single fancy index for arbitrary
-    masks and position arrays (gathering is a pure copy)."""
-    from repro.execution.parallel import get_pool, parallel_gather
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, 6 * _SMALL_MORSEL))
-    array = rng.normal(size=n)
-    mask = rng.random(n) < density
-    runner = lambda thunks: get_pool().run_tasks(thunks)
-    assert np.array_equal(parallel_gather(array, mask, runner),
-                          array[mask])
-    positions = np.flatnonzero(mask)
-    assert np.array_equal(parallel_gather(array, positions, runner),
-                          array[positions])

@@ -1,11 +1,12 @@
-"""Progressive strategies emit identical updates with parallelism on/off.
+"""Progressive strategies emit the same updates as the per-group oracle.
 
-IncrementalPlotting and ApproximateProcessing now route their per-plot
-(or per-pass) plans through one shared request context — one mask cache,
-one worker pool — instead of independent ``run`` calls.  The user-visible
-contract: the *sequence* of emitted updates (structure, flags,
-descriptions and every bar value, bit for bit) is unchanged from the
-serial engine; only wall-clock timing may differ.
+IncrementalPlotting and ApproximateProcessing route their per-plot (or
+per-pass) plans through one shared request context — one mask cache —
+instead of independent ``run`` calls.  The user-visible contract: the
+*sequence* of emitted updates (structure, flags, descriptions and every
+bar value, bit for bit) is the one the per-group oracle in
+:mod:`tests.execution.oracle` produces; only wall-clock timing may
+differ.
 """
 
 from __future__ import annotations
@@ -16,11 +17,6 @@ from repro.core.greedy import GreedySolver
 from repro.core.model import ScreenGeometry
 from repro.core.problem import MultiplotSelectionProblem
 from repro.execution.engine import MuveExecutor
-from repro.execution.parallel import (
-    configure_pool,
-    reset_pool,
-    set_parallel_enabled,
-)
 from repro.execution.progressive import (
     ApproximateProcessing,
     DefaultProcessing,
@@ -31,16 +27,13 @@ from tests.execution.oracle import per_group_plans
 
 
 @pytest.fixture(scope="module", autouse=True)
-def _small_morsels():
-    # Shrink morsels so the 4000-row fixture table actually scatters,
-    # and size the pool past one worker so auto mode (the serving
-    # default the strategies follow) really uses it on any host.
+def _small_chunks():
+    # Shrink the SUM/AVG chunks so the 4000-row fixture table spans
+    # several of them.
     original = _kernels.MORSEL_ROWS
     _kernels.MORSEL_ROWS = 512
-    configure_pool(4)
     yield
     _kernels.MORSEL_ROWS = original
-    reset_pool()
 
 
 @pytest.fixture()
@@ -63,58 +56,28 @@ def _fingerprint(updates):
     ]
 
 
-def _run(nyc_db, multiplot, strategy, parallel):
-    set_parallel_enabled(parallel)
-    try:
-        return MuveExecutor(nyc_db).run(multiplot, strategy)
-    finally:
-        set_parallel_enabled(True)
-
-
 @pytest.mark.parametrize("make_strategy", [
     DefaultProcessing,
     IncrementalPlotting,
     lambda: IncrementalPlotting(order="probability"),
     lambda: ApproximateProcessing(fraction=0.25),
 ], ids=["default", "incremental", "incremental-prob", "approximate"])
-def test_updates_identical_with_and_without_parallelism(
-        nyc_db, planned, make_strategy):
-    parallel = _run(nyc_db, planned, make_strategy(), parallel=True)
-    serial = _run(nyc_db, planned, make_strategy(), parallel=False)
-    assert _fingerprint(parallel) == _fingerprint(serial)
-
-
-@pytest.mark.parametrize("batch", [True, False],
-                         ids=["batch", "per-group"])
-def test_parallel_matches_both_batch_modes(nyc_db, planned, batch,
-                                           monkeypatch):
-    """The pooled shared path must agree update for update with the
-    serial shared path and with the test-side per-group oracle."""
-    strategy = IncrementalPlotting()
-    set_parallel_enabled(True)
-    try:
-        pooled = MuveExecutor(nyc_db).run(planned, strategy)
-    finally:
-        set_parallel_enabled(False)
-    try:
-        if batch:
-            oracle = MuveExecutor(nyc_db).run(planned, strategy)
-        else:
-            with per_group_plans(monkeypatch):
-                oracle = MuveExecutor(nyc_db).run(planned, strategy)
-    finally:
-        set_parallel_enabled(True)
-    assert _fingerprint(pooled) == _fingerprint(oracle)
+def test_updates_identical_to_per_group_oracle(nyc_db, planned,
+                                               make_strategy, monkeypatch):
+    shared = MuveExecutor(nyc_db).run(planned, make_strategy())
+    with per_group_plans(monkeypatch):
+        oracle = MuveExecutor(nyc_db).run(planned, make_strategy())
+    assert _fingerprint(shared) == _fingerprint(oracle)
 
 
 def test_approximate_passes_share_one_context(nyc_db, planned):
     """Sampled and precise passes reuse the shared WHERE masks; the
     approximate update must still differ from the final one only in the
     documented ways (flags and sampled values)."""
-    updates = _run(nyc_db, planned,
-                   ApproximateProcessing(fraction=0.25), parallel=True)
+    updates = MuveExecutor(nyc_db).run(
+        planned, ApproximateProcessing(fraction=0.25))
     assert len(updates) == 2
     assert updates[0].approximate and not updates[0].final
     assert updates[1].final and not updates[1].approximate
-    exact = _run(nyc_db, planned, DefaultProcessing(), parallel=False)
+    exact = MuveExecutor(nyc_db).run(planned, DefaultProcessing())
     assert _fingerprint(updates[-1:])[0][4] == _fingerprint(exact)[0][4]

@@ -2,9 +2,13 @@
 
 import pytest
 
+from repro.core.greedy import GreedySolver
+from repro.core.model import ScreenGeometry
+from repro.core.problem import MultiplotSelectionProblem
 from repro.errors import CandidateGenerationError
 from repro.nlq.candidates import CandidateGenerator, CandidateQuery
-from repro.sqldb.query import AggregateQuery
+from repro.sqldb.expressions import AggregateCall, AggregateFunction
+from repro.sqldb.query import AggregateQuery, Predicate
 
 
 @pytest.fixture()
@@ -136,3 +140,25 @@ class TestCandidateGeneration:
             changed_agg = (candidate.query.aggregate
                            != seed_query.aggregate)
             assert changed_predicates + int(changed_agg) <= 1
+
+    def test_substitution_repeating_a_predicate_still_plans(self,
+                                                            generator):
+        """A seed filtering one column twice (speech can produce
+        ``agency = 'DOB' AND agency = 'DOT'``): substituting one value
+        by the other repeats a predicate.  The candidate must collapse
+        to the query without the repeat, so every candidate instantiates
+        the templates planning builds from it."""
+        seed = AggregateQuery(
+            "nyc311", AggregateCall(AggregateFunction.COUNT, None),
+            (Predicate("agency", "DOB"), Predicate("agency", "DOT")))
+        candidates = generator.candidates(seed, 20)
+        queries = [c.query for c in candidates]
+        assert AggregateQuery.build("nyc311", "count", None,
+                                    {"agency": "DOT"}) in queries
+        for query in queries:
+            assert len(set(query.predicates)) == len(query.predicates)
+        assert len(set(queries)) == len(queries)
+        problem = MultiplotSelectionProblem(
+            candidates,
+            geometry=ScreenGeometry(width_pixels=1500, num_rows=2))
+        assert GreedySolver().solve(problem).multiplot.num_plots >= 1

@@ -146,24 +146,21 @@ class TestNanExtremes:
         assert grouped["clean"] == (3.0 if func == "MIN" else 5.0)
 
     @pytest.mark.parametrize("maximize", [False, True])
-    def test_chunked_kernel_equals_single_pass(self, monkeypatch,
-                                               maximize):
-        """Per-morsel partials combined in morsel order keep the NaN
-        propagation of the single-pass kernel."""
+    def test_group_extreme_matches_per_group_reduction(self, maximize):
+        """The grouped kernel keeps the NaN propagation of a per-group
+        ``max``/``min`` over each group's values."""
         from repro.sqldb import executor as kernels
         rng = np.random.default_rng(0)
         values = rng.normal(size=40)
         values[rng.random(40) < 0.3] = np.nan
         row_groups = rng.integers(0, 5, size=40)
         values[row_groups == 4] = np.nan  # one all-NaN group
-        single = kernels._chunked_group_extreme(row_groups, values, 5,
-                                                maximize, runner=None)
-        monkeypatch.setattr(kernels, "MORSEL_ROWS", 7)
-        chunked = kernels._chunked_group_extreme(
-            row_groups, values, 5, maximize,
-            runner=lambda thunks: [thunk() for thunk in thunks])
-        assert single.tobytes() == chunked.tobytes()
-        assert np.isnan(single[4])
+        grouped = kernels._group_extreme(row_groups, values, 5, maximize)
+        reduce = np.max if maximize else np.min
+        expected = np.array([reduce(values[row_groups == g])
+                             for g in range(5)])
+        assert grouped.tobytes() == expected.tobytes()
+        assert np.isnan(grouped[4])
 
 
 class TestSampling:

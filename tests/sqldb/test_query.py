@@ -21,6 +21,16 @@ class TestConstruction:
         assert q1.predicates == q2.predicates
         assert q1 == q2
 
+    def test_exact_duplicate_predicates_dropped(self):
+        call = AggregateCall(AggregateFunction.COUNT, None)
+        repeated = AggregateQuery("t", call, (
+            Predicate("s", "Open"), Predicate("a", "x"),
+            Predicate("s", "Open")))
+        assert repeated.predicates == (Predicate("a", "x"),
+                                       Predicate("s", "Open"))
+        assert repeated == AggregateQuery.build(
+            "t", "count", None, {"a": "x", "s": "Open"})
+
     def test_immutable(self):
         query = AggregateQuery.build("t", "count", None)
         with pytest.raises(AttributeError):
@@ -111,6 +121,21 @@ class TestElements:
         replaced = query.replace_element(element, "b")
         assert replaced.predicate_on("b") is not None
         assert replaced.predicate_on("a") is None
+
+    def test_replace_elements_positions_refer_to_the_original(self):
+        """Renaming the first predicate's column re-sorts the result; the
+        second substitution must still hit the predicate it named."""
+        query = AggregateQuery.build("t", "count", None,
+                                     {"agency": "x", "borough": "y"})
+        elements = list(query.elements())
+        rename = next(e for e in elements
+                      if e.kind == "pred_column" and e.text == "agency")
+        revalue = next(e for e in elements
+                       if e.kind == "pred_value" and e.text == "y")
+        replaced = query.replace_elements([(rename, "status"),
+                                           (revalue, "z")])
+        assert replaced == AggregateQuery.build(
+            "t", "count", None, {"status": "x", "borough": "z"})
 
     def test_replace_does_not_mutate_original(self):
         query = AggregateQuery.build("t", "count", None, {"a": "v"})

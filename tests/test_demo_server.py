@@ -170,12 +170,11 @@ class TestParallelAsk:
         assert stats["responses"]["hits"] >= 1
         assert set(stats) >= {"responses", "query_results", "plans",
                               "statements", "plan_costs",
-                              "batch_executor", "parallel",
+                              "batch_executor",
                               "phonetic_probes", "phonetic_indexes",
                               "phonetics", "indexes"}
         for name, counters in stats.items():
-            if name in ("batch_executor", "parallel", "phonetics",
-                        "indexes"):
+            if name in ("batch_executor", "phonetics", "indexes"):
                 continue  # subsystem counters, not a cache
             assert counters["hits"] + counters["misses"] >= 0
             assert 0.0 <= counters["hit_rate"] <= 1.0

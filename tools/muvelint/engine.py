@@ -54,7 +54,7 @@ class ParsedModule:
     source: str
     tree: ast.Module
     #: Dotted module name for files under ``src`` (e.g.
-    #: ``repro.execution.parallel``); None for scripts/tools.
+    #: ``repro.execution.batch``); None for scripts/tools.
     module_name: str | None = None
     #: Module-level names bound to ``contextvars.ContextVar(...)``.
     contextvars: set[str] = field(default_factory=set)

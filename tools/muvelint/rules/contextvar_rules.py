@@ -10,8 +10,8 @@ call ``<var>.set(...)`` on a module-level ContextVar must
   ``finally`` block of a ``try`` in the same function.
 
 Passing the bound method itself (``context.run(var.set, value)``) is
-not a call here and is fine — that is the pool's task-context seeding
-pattern, where isolation comes from the throwaway ``Context``.
+not a call here and is fine — isolation comes from the throwaway
+``Context``.
 """
 
 from __future__ import annotations

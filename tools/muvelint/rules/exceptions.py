@@ -5,8 +5,7 @@ ways in this codebase:
 
 * it re-raises (possibly after cleanup),
 * it consumes the bound exception — stores it, wraps it, renders it
-  into a response (the pool's ``_Task.run`` and the demo server's
-  last-resort 500 handler), or
+  into a response (the demo server's last-resort 500 handler), or
 * it feeds an observability sink: a counter increment, a metric
   record, a log call.
 

@@ -5,20 +5,19 @@ identifier contains ``lock``, case-insensitive) must not contain a
 blocking call in its body: no sleeping, no pool submission, no solver
 invocation, no socket/file I/O, no ``.wait()``/``.join()``.  Any of
 those while holding a lock turns the lock's critical section into a
-latency cliff for every contending thread — the WorkerPool protocol
-(claim under lock, run outside it) is the shape this rule pins.
+latency cliff for every contending thread — decide under the lock, do
+the slow work outside it, is the shape this rule pins.
 
 Nested function definitions inside the ``with`` body are skipped: their
 bodies run later, not under the lock.  ``threading.Condition`` variables
-are deliberately not matched (``_available``, ``_space``): waiting on a
+are deliberately not matched (e.g. ``_available``): waiting on a
 condition releases the underlying lock, which is the one legitimate
 "block while holding" pattern.
 
 ML002: double-checked lazy initialisation must re-check under the lock.
 An ``if <expr> is None:`` whose body enters ``with <lock>:`` needs an
 ``is None`` test *inside* the lock body before publishing, otherwise two
-racing initialisers both construct (and one silently leaks — for a
-WorkerPool, that is a thread leak).
+racing initialisers both construct (and one silently leaks).
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ __all__ = ["check_blocking_under_lock", "check_double_checked_locking"]
 
 #: Attribute calls considered blocking while a lock is held.
 BLOCKING_ATTRS = frozenset({
-    "sleep", "wait", "join", "run_tasks", "submit", "solve",
+    "sleep", "wait", "join", "submit", "solve",
     "urlopen", "connect", "accept", "recv", "sendall", "getresponse",
 })
 
