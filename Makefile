@@ -1,7 +1,8 @@
 PYTEST := PYTHONPATH=src python -m pytest
 
 .PHONY: check fast concurrency bench bench-serve bench-index \
-	bench-phonetics bench-quality sentinel profile chaos lint lockdep
+	bench-phonetics bench-quality sentinel profile chaos lint lockdep \
+	paper-shapes
 
 # The gating suite: the full test tree (tier 1), then the concurrency
 # and caching suites plus the index differential suite (indexed ==
@@ -56,6 +57,17 @@ concurrency:
 
 bench:
 	$(PYTEST) benchmarks/ --benchmark-only
+
+# The ILP paper-shape checks: Figure 6 (greedy faster, ILP timeouts
+# rising with rows, ILP no worse where it proves optimality), Figure 8
+# (a tighter processing bound trades disambiguation for execution
+# cost) and the HiGHS-vs-branch-and-bound ablation.  They rewrite their
+# tables under benchmarks/results/.
+paper-shapes:
+	$(PYTEST) -q -p no:randomly benchmarks/test_fig6_solver_comparison.py \
+		benchmarks/test_fig6_other_datasets.py \
+		benchmarks/test_fig8_processing_bound.py \
+		benchmarks/test_ablation_bnb_vs_highs.py
 
 # Serving benchmark: shared vs per-group-rung execution over the
 # Figure 7 merged-candidate workload; writes BENCH_serving.json.

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from repro.core.ilp.modeling import CompiledModel, SolveResult
-from repro.errors import SolverError
+from repro.errors import ModelInfeasible, SolverError
 
 _INTEGRALITY_TOLERANCE = 1e-6
 
@@ -46,31 +46,39 @@ def solve_with_bnb(model: CompiledModel,
 
     Returns the incumbent with ``timed_out=True`` if the deadline or node
     budget is exhausted before optimality is proven.  Raises
-    :class:`SolverError` for infeasible models or when the deadline passes
-    before any integral incumbent is found.
+    :class:`ModelInfeasible` when the search proves no integral solution
+    exists, and :class:`SolverError` when the deadline passes before any
+    integral incumbent is found.
     """
     start = time.perf_counter()
     deadline = (start + timeout_seconds
                 if timeout_seconds is not None else None)
     integer_indices = np.flatnonzero(model.integrality > 0)
+    # An LP that failed for any reason but proven infeasibility leaves a
+    # subtree unexplored, so an empty search no longer proves anything.
+    unexplored = False
 
     def solve_lp(lower: np.ndarray, upper: np.ndarray):
+        nonlocal unexplored
         result = linprog(
             c=model.c,
-            A_ub=model.a_ub if model.a_ub.size else None,
-            b_ub=model.b_ub if model.b_ub.size else None,
-            A_eq=model.a_eq if model.a_eq.size else None,
-            b_eq=model.b_eq if model.b_eq.size else None,
+            A_ub=model.a_ub if model.a_ub.shape[0] else None,
+            b_ub=model.b_ub if model.a_ub.shape[0] else None,
+            A_eq=model.a_eq if model.a_eq.shape[0] else None,
+            b_eq=model.b_eq if model.a_eq.shape[0] else None,
             bounds=np.column_stack([lower, upper]),
             method="highs",
         )
         if not result.success:
+            unexplored = unexplored or result.status != 2
             return None
         return result
 
     root = solve_lp(model.lower.copy(), model.upper.copy())
     if root is None:
-        raise SolverError("branch and bound: root LP is infeasible")
+        if unexplored:
+            raise SolverError("branch and bound: root LP failed")
+        raise ModelInfeasible("branch and bound: root LP is infeasible")
 
     counter = itertools.count()
     best_values: np.ndarray | None = None
@@ -119,11 +127,14 @@ def solve_with_bnb(model: CompiledModel,
             raise SolverError(
                 "branch and bound hit its limit before finding any "
                 "integral incumbent")
-        raise SolverError("branch and bound found no integral solution")
+        if unexplored:
+            raise SolverError("branch and bound: a node LP failed")
+        raise ModelInfeasible(
+            "branch and bound found no integral solution")
     return SolveResult(
         values=best_values,
         objective=best_objective + model.objective_constant,
-        optimal=not timed_out and not heap,
+        optimal=not timed_out and not heap and not unexplored,
         timed_out=timed_out,
         elapsed_seconds=elapsed,
     )

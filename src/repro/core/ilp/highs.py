@@ -8,7 +8,7 @@ import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.core.ilp.modeling import CompiledModel, SolveResult
-from repro.errors import SolverError
+from repro.errors import ModelInfeasible, SolverError
 
 
 def solve_with_highs(model: CompiledModel,
@@ -19,13 +19,14 @@ def solve_with_highs(model: CompiledModel,
     On timeout, HiGHS returns its incumbent when one exists; we surface it
     with ``timed_out=True`` (the paper's ILP "still produces a solution
     which is however not guaranteed to be optimal anymore").  Raises
-    :class:`SolverError` when no assignment at all is available.
+    :class:`ModelInfeasible` when HiGHS proves no assignment exists and
+    :class:`SolverError` when none is available for another reason.
     """
     constraints = []
-    if model.a_ub.size:
+    if model.a_ub.shape[0]:
         constraints.append(LinearConstraint(
             model.a_ub, -np.inf, model.b_ub))
-    if model.a_eq.size:
+    if model.a_eq.shape[0]:
         constraints.append(LinearConstraint(
             model.a_eq, model.b_eq, model.b_eq))
     options: dict[str, float] = {"mip_rel_gap": mip_rel_gap}
@@ -44,6 +45,8 @@ def solve_with_highs(model: CompiledModel,
 
     timed_out = result.status == 1  # iteration/time limit reached
     if result.x is None:
+        if result.status == 2:
+            raise ModelInfeasible("HiGHS proved the model infeasible")
         if timed_out:
             raise SolverError(
                 "HiGHS hit the time limit before finding any incumbent")

@@ -42,15 +42,17 @@ def incremental_solve(problem: MultiplotSelectionProblem,
     cumulative budget is exhausted.  A residual budget too short for the
     step after the current one is folded into the current step, so
     timeouts never shrink: with a 1 s budget the schedule is 0.0625,
-    0.125, 0.25, then 0.5625.  Steps where
-    the solver found no incumbent at all are skipped silently (nothing
-    to show yet).
+    0.125, 0.25, then 0.5625.  Each step after the first is cut off at
+    the best multiplot so far (passed as the solver's incumbent), so it
+    never re-runs the greedy seed and never shows a worse plan.  Steps
+    where the solver found no incumbent at all are skipped silently
+    (nothing to show yet).
     """
     if initial_timeout <= 0 or growth_factor <= 1.0:
         raise SolverError(
             "initial_timeout must be positive and growth_factor > 1")
     solver = solver or IlpSolver()
-    best_cost = float("inf")
+    best: IlpSolution | None = None
     cumulative = 0.0
     remaining = total_budget
     step = 0
@@ -60,16 +62,18 @@ def incremental_solve(problem: MultiplotSelectionProblem,
             timeout = remaining
         remaining -= timeout
         try:
-            solution = solver.solve(problem,
-                                    processing_groups=processing_groups,
-                                    timeout_seconds=timeout)
+            solution = solver.solve(
+                problem, processing_groups=processing_groups,
+                timeout_seconds=timeout,
+                incumbent=best.multiplot if best is not None else None)
         except SolverError:
             solution = None
         cumulative += timeout
         if solution is not None:
-            improved = solution.expected_cost < best_cost - 1e-9
+            improved = (best is None
+                        or solution.expected_cost < best.expected_cost - 1e-9)
             if improved:
-                best_cost = solution.expected_cost
+                best = solution
             yield IncrementalStep(
                 step=step,
                 timeout_seconds=timeout,

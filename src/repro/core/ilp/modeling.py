@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from repro.errors import SolverError
 
@@ -79,12 +80,12 @@ class Constraint:
 @dataclass
 class CompiledModel:
     """Matrix form: minimise ``c @ x`` s.t. ``A_ub x <= b_ub``,
-    ``A_eq x == b_eq``, bounds, integrality flags."""
+    ``A_eq x == b_eq`` (sparse CSR matrices), bounds, integrality flags."""
 
     c: np.ndarray
-    a_ub: np.ndarray
+    a_ub: sparse.csr_array
     b_ub: np.ndarray
-    a_eq: np.ndarray
+    a_eq: sparse.csr_array
     b_eq: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
@@ -180,31 +181,18 @@ class Model:
         for index, coefficient in self._objective.coefficients.items():
             c[index] = coefficient
 
-        ub_rows: list[tuple[dict[int, float], float]] = []
-        eq_rows: list[tuple[dict[int, float], float]] = []
+        ub_rows: list[tuple[dict[int, float], float, float]] = []
+        eq_rows: list[tuple[dict[int, float], float, float]] = []
         for constraint in self._constraints:
-            coefficients = constraint.expr.coefficients
             bound = -constraint.expr.constant
             if constraint.sense == "<=":
-                ub_rows.append((coefficients, bound))
+                ub_rows.append((constraint.expr.coefficients, 1.0, bound))
             elif constraint.sense == ">=":
-                negated = {i: -v for i, v in coefficients.items()}
-                ub_rows.append((negated, -bound))
+                ub_rows.append((constraint.expr.coefficients, -1.0, -bound))
             else:
-                eq_rows.append((coefficients, bound))
-
-        a_ub = np.zeros((len(ub_rows), n))
-        b_ub = np.zeros(len(ub_rows))
-        for row, (coefficients, bound) in enumerate(ub_rows):
-            for index, value in coefficients.items():
-                a_ub[row, index] = value
-            b_ub[row] = bound
-        a_eq = np.zeros((len(eq_rows), n))
-        b_eq = np.zeros(len(eq_rows))
-        for row, (coefficients, bound) in enumerate(eq_rows):
-            for index, value in coefficients.items():
-                a_eq[row, index] = value
-            b_eq[row] = bound
+                eq_rows.append((constraint.expr.coefficients, 1.0, bound))
+        a_ub, b_ub = _sparse_rows(ub_rows, n)
+        a_eq, b_eq = _sparse_rows(eq_rows, n)
 
         return CompiledModel(
             c=c,
@@ -219,6 +207,27 @@ class Model:
             objective_constant=self._objective.constant,
             variable_names=[v.name for v in self._variables],
         )
+
+
+def _sparse_rows(rows: list[tuple[dict[int, float], float, float]],
+                 num_columns: int) -> tuple[sparse.csr_array, np.ndarray]:
+    """CSR matrix and right-hand side of ``(coefficients, sign, bound)``
+    rows; the models are sparse, and a dense matrix dominates their build
+    time once they reach a few thousand columns."""
+    indptr = [0]
+    indices: list[int] = []
+    data: list[float] = []
+    bounds = np.zeros(len(rows))
+    for row, (coefficients, sign, bound) in enumerate(rows):
+        indices.extend(coefficients)
+        data.extend(sign * value for value in coefficients.values())
+        indptr.append(len(indices))
+        bounds[row] = bound
+    matrix = sparse.csr_array(
+        (np.array(data, dtype=float), np.array(indices, dtype=np.int64),
+         np.array(indptr, dtype=np.int64)),
+        shape=(len(rows), num_columns))
+    return matrix, bounds
 
 
 @dataclass(frozen=True)

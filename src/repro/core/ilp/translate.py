@@ -22,11 +22,17 @@ our actual implementation"):
    a superset of template A's queries at no greater base width, any plot of
    A can be replaced by a plot of B.  Pruning dominated templates shrinks
    the model without changing the optimum.
-2. **Aggregate products.**  Instead of ``O(n_q^2)`` pairwise binary
-   products we introduce the continuous aggregates ``B_R = sum h_k``,
-   ``B_D = sum d_k``, ``P_R = sum s``, ``P_D = sum (p - s)`` and linearise
-   the ``O(n_q)`` products ``x_k * aggregate`` with big-M bounds (M =
-   screen capacity).  Objective values are identical at integral points.
+2. **Count-tuple linearisation.**  The reading costs ``D_R``/``D_V``
+   depend only on the counts (plots, red plots, bars, red bars).  Instead
+   of ``O(n_q^2)`` pairwise binary products we enumerate every count
+   tuple ``t`` a multiplot can have, pick one with a binary ``y_t`` linked
+   to the counts by equalities, and split the shown probability mass over
+   per-tuple variables ``m^R_t``/``m^V_t``, bounded by ``y_t`` times the
+   most mass ``t``'s red bars (all bars) can carry.  The objective
+   ``D_M - D_M sum r_k q_k + sum_t (D_R(t) m^R_t + D_V(t) m^V_t)`` is
+   exact at integral points, and its LP relaxation is at least the
+   smallest tuple bound (that mass shown at ``t``'s reading costs), so a
+   known multiplot's cost cuts off every tuple that cannot beat it.
 
 The processing-cost extension of Section 8.1 adds group variables ``g``
 with coverage constraints ``q_k <= sum_(g in G(k)) g`` and either a budget
@@ -35,15 +41,17 @@ constraint or a weighted objective term over group costs.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 
+from repro.core.greedy import GreedySolver
 from repro.core.ilp.bnb import solve_with_bnb
 from repro.core.ilp.highs import solve_with_highs
 from repro.core.ilp.modeling import LinExpr, Model, SolveResult, Variable
 from repro.core.model import Bar, Multiplot, Plot
 from repro.core.problem import MultiplotSelectionProblem
-from repro.errors import SolverError
+from repro.errors import ModelInfeasible, SolverError
 from repro.nlq.templates import QueryTemplate
 
 _BACKENDS = {
@@ -68,7 +76,12 @@ class ProcessingGroup:
 
 @dataclass(frozen=True)
 class IlpSolution:
-    """Solver output with optimality/timeout metadata."""
+    """Solver output with optimality/timeout metadata.
+
+    ``from_incumbent`` marks the caller's (or the greedy seed's)
+    multiplot coming back: proven optimal when ``optimal``, otherwise
+    better than anything the solver found before its timeout.
+    """
 
     multiplot: Multiplot
     expected_cost: float
@@ -80,6 +93,11 @@ class IlpSolution:
     num_constraints: int
     selected_groups: tuple[int, ...] = field(default=())
     processing_cost: float = 0.0
+    from_incumbent: bool = False
+
+
+#: Relative tolerance of every optimality claim (HiGHS's ``mip_rel_gap``).
+_REL_GAP = 1e-6
 
 
 class IlpSolver:
@@ -116,35 +134,154 @@ class IlpSolver:
 
     def solve(self, problem: MultiplotSelectionProblem,
               processing_groups: list[ProcessingGroup] | None = None,
-              timeout_seconds: float | None = None) -> IlpSolution:
-        """Solve *problem*, optionally with processing-cost machinery."""
-        build_start = time.perf_counter()
-        formulation = _Formulation(problem, processing_groups,
-                                   self.processing_weight,
-                                   self.prune_templates)
-        compiled = formulation.model.compile()
+              timeout_seconds: float | None = None,
+              incumbent: Multiplot | None = None) -> IlpSolution:
+        """Solve *problem*, optionally with processing-cost machinery.
+
+        *incumbent* is a feasible multiplot; every count tuple whose bound
+        cannot beat its cost is dropped from the model.  When none is
+        given the greedy plan seeds the cutoff, its time counted against
+        the budget.  With *processing_groups* neither applies: the
+        objective then includes group costs that neither a multiplot nor
+        the greedy (which ignores processing budgets) accounts for.
+        """
+        start = time.perf_counter()
         timeout = (timeout_seconds if timeout_seconds is not None
                    else self.timeout_seconds)
+        if processing_groups:
+            incumbent = None
+        elif incumbent is None:
+            incumbent = GreedySolver().solve(problem).multiplot
+        cutoff = (problem.evaluate(incumbent) if incumbent is not None
+                  else None)
+        formulation = _Formulation(problem, processing_groups,
+                                   self.processing_weight,
+                                   self.prune_templates, cutoff)
+
+        def keep_incumbent(optimal: bool) -> IlpSolution:
+            return IlpSolution(
+                multiplot=incumbent, expected_cost=cutoff,
+                objective=cutoff, optimal=optimal, timed_out=not optimal,
+                elapsed_seconds=time.perf_counter() - start,
+                num_variables=formulation.model.num_variables,
+                num_constraints=formulation.model.num_constraints,
+                from_incumbent=True)
+
+        if not formulation.tuples:
+            return keep_incumbent(optimal=True)
+        compiled = formulation.model.compile()
         if timeout is not None:
-            # Model construction counts against the interactive budget.
-            timeout = max(1e-3, timeout - (time.perf_counter() - build_start))
-        result = _BACKENDS[self.backend](compiled, timeout)
+            # Seeding and model construction count against the budget.
+            timeout = max(1e-3, timeout - (time.perf_counter() - start))
+        try:
+            result = _BACKENDS[self.backend](compiled, timeout)
+        except ModelInfeasible:
+            # No tuple left can beat the cutoff.
+            if incumbent is None:
+                raise
+            return keep_incumbent(optimal=True)
+        except SolverError:
+            if incumbent is None:
+                raise
+            return keep_incumbent(optimal=False)
         multiplot = formulation.extract_multiplot(result)
+        expected_cost = problem.evaluate(multiplot)
+        if cutoff is not None and expected_cost >= cutoff * (1 - _REL_GAP):
+            return keep_incumbent(optimal=result.optimal)
         selected_groups = formulation.extract_groups(result)
-        processing_cost = sum(
-            formulation.groups[g].cost for g in selected_groups)
         return IlpSolution(
             multiplot=multiplot,
-            expected_cost=problem.evaluate(multiplot),
+            expected_cost=expected_cost,
             objective=result.objective,
             optimal=result.optimal,
             timed_out=result.timed_out,
-            elapsed_seconds=time.perf_counter() - build_start,
+            elapsed_seconds=time.perf_counter() - start,
             num_variables=formulation.model.num_variables,
             num_constraints=formulation.model.num_constraints,
             selected_groups=selected_groups,
-            processing_cost=processing_cost,
+            processing_cost=sum(
+                formulation.groups[g].cost for g in selected_groups),
         )
+
+
+@dataclass(frozen=True)
+class CountTuple:
+    """One combination of the counts the reading costs depend on.
+
+    ``red_mass``/``shown_mass`` cap the probability a multiplot with
+    these counts can show in red and in all; ``bound`` is the least
+    expected cost such a multiplot can have.
+    """
+
+    plots: int
+    red_plots: int
+    bars: int
+    red_bars: int
+    d_red: float
+    d_visible: float
+    red_mass: float
+    shown_mass: float
+    bound: float
+
+
+def count_tuples(problem: MultiplotSelectionProblem,
+                 plot_shapes: list[tuple[float, int, list[float]]],
+                 ) -> list[CountTuple]:
+    """Every count tuple a multiplot can have, given each template's
+    base width, bar capacity and member probabilities (descending).
+
+    Each plot has a bar; a plot with a red bar needs one, one without
+    needs a plain bar; a row holds at most as many plots as its
+    narrowest plots allow, and the narrowest plots plus one unit per bar
+    fit the screen.  The empty multiplot is the all-zero tuple.
+
+    ``j`` bars show at most the ``j`` most probable candidates, and ``j``
+    plots at most the ``j`` largest chunks of template mass (copy ``c``
+    of a template in another row shows at most its ``c``-th ``capacity``
+    members).  A tuple's bound shows that much mass in red and plain,
+    where that lowers the cost.
+    """
+    geometry = problem.geometry
+    cost_model = problem.cost_model
+    d_m = cost_model.miss_cost
+    num_rows = geometry.num_rows
+    width = geometry.width_units
+    top = [0.0, *itertools.accumulate(sorted(
+        (c.probability for c in problem.candidates), reverse=True))]
+    chunks = sorted((sum(members[c * capacity:(c + 1) * capacity])
+                     for _, capacity, members in plot_shapes
+                     for c in range(num_rows)), reverse=True)
+    plot_mass = [0.0, *itertools.accumulate(chunks)]
+    widths = sorted(base for base, _, _ in plot_shapes)
+    per_row = sum(1 for used in itertools.accumulate(
+        w + 1.0 for w in widths) if used <= width + 1e-9)
+    widths = sorted(widths * num_rows)[:per_row * num_rows]
+    tuples = [CountTuple(0, 0, 0, 0, 0.0, 0.0, 0.0, 0.0, d_m)]
+    base = 0.0
+    for plots, plot_width in enumerate(widths, start=1):
+        base += plot_width
+        max_bars = min(len(problem.candidates),
+                       int(num_rows * width - base + 1e-9))
+        if max_bars < plots:
+            break
+        for bars in range(plots, max_bars + 1):
+            shown_mass = min(top[bars], plot_mass[plots])
+            for red_plots in range(plots + 1):
+                red_bars_range = (
+                    range(red_plots, bars - (plots - red_plots) + 1)
+                    if red_plots else range(1))
+                for red_bars in red_bars_range:
+                    red_mass = min(top[red_bars], plot_mass[red_plots])
+                    d_red = cost_model.d_red(red_bars, red_plots)
+                    d_visible = cost_model.d_visible(bars, red_bars, plots,
+                                                     red_plots)
+                    bound = (d_m + min(d_red - d_m, 0.0) * red_mass
+                             + min(d_visible - d_m, 0.0)
+                             * (shown_mass - red_mass))
+                    tuples.append(CountTuple(
+                        plots, red_plots, bars, red_bars, d_red, d_visible,
+                        red_mass, shown_mass, bound))
+    return tuples
 
 
 def prune_dominated_templates(
@@ -183,12 +320,17 @@ def prune_dominated_templates(
 
 
 class _Formulation:
-    """The variables/constraints/objective for one problem instance."""
+    """The variables/constraints/objective for one problem instance.
+
+    Only count tuples whose bound is below *cutoff* enter the model; when
+    none is left, nothing else is built.
+    """
 
     def __init__(self, problem: MultiplotSelectionProblem,
                  processing_groups: list[ProcessingGroup] | None,
                  processing_weight: float,
-                 prune_templates: bool) -> None:
+                 prune_templates: bool,
+                 cutoff: float | None) -> None:
         self.problem = problem
         self.groups = list(processing_groups or [])
         self.model = Model("multiplot-selection")
@@ -203,18 +345,24 @@ class _Formulation:
         self.h_any: list[Variable] = []
         self.d_any: list[Variable] = []
         self.g_vars: list[Variable] = []
-        self._build(processing_weight, prune_templates)
+        self._select_templates(prune_templates)
+        probabilities = [c.probability for c in problem.candidates]
+        self.tuples = [
+            t for t in count_tuples(problem, [
+                (problem.geometry.plot_base_units(template), capacity,
+                 [probabilities[k] for k in members])
+                for template, capacity, members in zip(
+                    self.templates, self.capacities, self.members)])
+            if cutoff is None or t.bound < cutoff * (1 - _REL_GAP)]
+        if self.tuples:
+            self._build(processing_weight)
 
     # -- construction ---------------------------------------------------
 
-    def _build(self, processing_weight: float,
-               prune_templates: bool) -> None:
+    def _select_templates(self, prune_templates: bool) -> None:
         problem = self.problem
-        model = self.model
         geometry = problem.geometry
         candidates = problem.candidates
-        num_rows = geometry.num_rows
-
         if prune_templates:
             template_members = prune_dominated_templates(problem)
         else:
@@ -231,6 +379,13 @@ class _Formulation:
             self.templates.append(template)
             self.members.append(members)
             self.capacities.append(geometry.max_bars(template))
+
+    def _build(self, processing_weight: float) -> None:
+        problem = self.problem
+        model = self.model
+        geometry = problem.geometry
+        candidates = problem.candidates
+        num_rows = geometry.num_rows
 
         # Plot and bar-assignment variables.
         for i in range(len(self.templates)):
@@ -274,10 +429,17 @@ class _Formulation:
             model.add_eq(LinExpr({d_k.index: -1.0, q_k.index: 1.0,
                                   h_k.index: -1.0}))
 
-        # s-consistency: s <= p, s <= sum h, n_i * s >= sum h.
+        # A selected plot shows a bar (p <= sum q), so the plot count is
+        # the extracted multiplot's; s-consistency: s <= p, s <= sum h,
+        # n_i * s >= sum h.
         highlight_by_slot: dict[tuple[int, int], list[Variable]] = {}
+        shown = {slot: LinExpr({p_var.index: 1.0})
+                 for slot, p_var in self.p_vars.items()}
         for (k, i, r), h_var in self.h_vars.items():
             highlight_by_slot.setdefault((i, r), []).append(h_var)
+            shown[i, r].add_term(self.q_vars[k, i, r], -1.0)
+        for expr in shown.values():
+            model.add_le(expr)
         for (i, r), s_var in self.s_vars.items():
             model.add_le(LinExpr({s_var.index: 1.0,
                                   self.p_vars[i, r].index: -1.0}))
@@ -321,96 +483,56 @@ class _Formulation:
         self._build_objective()
         self._build_processing(processing_weight)
 
-    def _screen_capacity(self) -> tuple[float, float]:
-        """Upper bounds (M) on total bars and total plots on the screen."""
-        geometry = self.problem.geometry
-        if not self.templates:
-            return 0.0, 0.0
-        min_base = min(geometry.plot_base_units(t) for t in self.templates)
-        per_row_bars = max(0.0, geometry.width_units - min_base)
-        max_bars = min(float(len(self.problem.candidates)),
-                       per_row_bars * geometry.num_rows)
-        per_row_plots = max(1.0, geometry.width_units // (min_base + 1.0))
-        max_plots = min(float(len(self.templates)) * geometry.num_rows,
-                        per_row_plots * geometry.num_rows)
-        return max_bars, max_plots
-
     def _build_objective(self) -> None:
-        problem = self.problem
+        """Pick one count tuple and charge its reading costs to the
+        probability mass shown in red and plain."""
         model = self.model
-        cost_model = problem.cost_model
-        candidates = problem.candidates
-        c_b = cost_model.bar_cost
-        c_p = cost_model.plot_cost
-        d_m = cost_model.miss_cost
-        max_bars, max_plots = self._screen_capacity()
+        candidates = self.problem.candidates
+        d_m = self.problem.cost_model.miss_cost
 
-        # Aggregate totals: B_R (red bars), B_D (plain displayed bars),
-        # P_R (plots with red), P_D (plots without red).
-        b_red = model.continuous("B_R", upper=max(max_bars, 1.0))
-        b_plain = model.continuous("B_D", upper=max(max_bars, 1.0))
-        p_red = model.continuous("P_R", upper=max(max_plots, 1.0))
-        p_plain = model.continuous("P_D", upper=max(max_plots, 1.0))
-        expr_b_red = LinExpr({b_red.index: -1.0})
-        expr_b_plain = LinExpr({b_plain.index: -1.0})
+        one = LinExpr(constant=-1.0)
+        red_bars = LinExpr()
+        plain_bars = LinExpr()
+        red_plots = LinExpr()
+        plain_plots = LinExpr()
         for k in range(len(candidates)):
-            expr_b_red.add_term(self.h_any[k], 1.0)
-            expr_b_plain.add_term(self.d_any[k], 1.0)
-        model.add_eq(expr_b_red)
-        model.add_eq(expr_b_plain)
-        expr_p_red = LinExpr({p_red.index: -1.0})
-        expr_p_plain = LinExpr({p_plain.index: -1.0})
-        for (i, r), s_var in self.s_vars.items():
-            expr_p_red.add_term(s_var, 1.0)
-            expr_p_plain.add_term(s_var, -1.0)
-            expr_p_plain.add_term(self.p_vars[i, r], 1.0)
-        model.add_eq(expr_p_red)
-        model.add_eq(expr_p_plain)
-
-        def gated(indicator: Variable, aggregate: Variable,
-                  big_m: float, name: str) -> Variable:
-            """z = indicator * aggregate via big-M lower bounds.
-
-            Only lower bounds are needed: every use has a non-negative
-            objective coefficient, so minimisation pushes z down onto them.
-            """
-            z = model.continuous(name, upper=max(big_m, 1.0))
-            # z >= aggregate - M * (1 - indicator)
-            model.add_ge(LinExpr({
-                z.index: 1.0,
-                aggregate.index: -1.0,
-                indicator.index: -big_m,
-            }, constant=big_m), name=name)
-            return z
+            red_bars.add_term(self.h_any[k], 1.0)
+            plain_bars.add_term(self.d_any[k], 1.0)
+        for slot, s_var in self.s_vars.items():
+            red_plots.add_term(s_var, 1.0)
+            plain_plots.add_term(s_var, -1.0)
+            plain_plots.add_term(self.p_vars[slot], 1.0)
+        red_mass = LinExpr({k_var.index: -c.probability
+                            for k_var, c in zip(self.h_any, candidates)})
+        plain_mass = LinExpr({k_var.index: -c.probability
+                              for k_var, c in zip(self.d_any, candidates)})
 
         objective = LinExpr()
         residual = max(0.0, 1.0 - sum(c.probability for c in candidates))
         objective.add_constant(residual * d_m)
-
         for k, candidate in enumerate(candidates):
-            r_k = candidate.probability
-            if r_k <= 0.0:
-                continue
-            h_k = self.h_any[k]
-            d_k = self.d_any[k]
-            objective.add_constant(r_k * d_m)
-            objective.add_term(self.q_any[k], -r_k * d_m)
-            # Highlighted case: D_R = B_R * c_B/2 + P_R * c_P/2.
-            objective.add_term(
-                gated(h_k, b_red, max_bars, f"hBR[{k}]"), r_k * c_b / 2.0)
-            objective.add_term(
-                gated(h_k, p_red, max_plots, f"hPR[{k}]"), r_k * c_p / 2.0)
-            # Displayed-unhighlighted: 2*D_R + B_D*c_B/2 + P_D*c_P/2.
-            objective.add_term(
-                gated(d_k, b_red, max_bars, f"dBR[{k}]"), r_k * c_b)
-            objective.add_term(
-                gated(d_k, p_red, max_plots, f"dPR[{k}]"), r_k * c_p)
-            objective.add_term(
-                gated(d_k, b_plain, max_bars, f"dBD[{k}]"),
-                r_k * c_b / 2.0)
-            objective.add_term(
-                gated(d_k, p_plain, max_plots, f"dPD[{k}]"),
-                r_k * c_p / 2.0)
+            objective.add_constant(candidate.probability * d_m)
+            objective.add_term(self.q_any[k], -candidate.probability * d_m)
+        for index, t in enumerate(self.tuples):
+            y = model.binary(f"y[{index}]")
+            m_red = model.continuous(f"mR[{index}]", upper=t.shown_mass)
+            m_plain = model.continuous(f"mV[{index}]", upper=t.shown_mass)
+            one.add_term(y, 1.0)
+            red_bars.add_term(y, -t.red_bars)
+            plain_bars.add_term(y, -(t.bars - t.red_bars))
+            red_plots.add_term(y, -t.red_plots)
+            plain_plots.add_term(y, -(t.plots - t.red_plots))
+            red_mass.add_term(m_red, 1.0)
+            plain_mass.add_term(m_plain, 1.0)
+            model.add_le(LinExpr({m_red.index: 1.0,
+                                  y.index: -t.red_mass}))
+            model.add_le(LinExpr({m_red.index: 1.0, m_plain.index: 1.0,
+                                  y.index: -t.shown_mass}))
+            objective.add_term(m_red, t.d_red)
+            objective.add_term(m_plain, t.d_visible)
+        for expr in (one, red_bars, plain_bars, red_plots, plain_plots,
+                     red_mass, plain_mass):
+            model.add_eq(expr)
         self._objective = objective
         model.minimize(objective)
 

@@ -57,8 +57,9 @@ class VisualizationPlanner:
 
     * ``"greedy"`` — Section 6 greedy only (never times out).
     * ``"ilp"`` — Section 5 ILP only, honouring ``timeout_seconds``.
-    * ``"best"`` — run both and keep the lower-cost multiplot (falling
-      back to greedy when the ILP fails outright).
+    * ``"best"`` — run greedy, then the ILP cut off at greedy's cost, and
+      keep the lower-cost multiplot (greedy's when the ILP proves it
+      optimal, finds nothing better in time, or fails outright).
 
     The planner holds no per-request state, so one instance may plan for
     many threads concurrently.  An optional ``plan_cache``
@@ -173,7 +174,7 @@ class VisualizationPlanner:
         if self.strategy == "greedy":
             return self._plan_greedy(problem)
         if self.strategy == "ilp":
-            return self._plan_ilp(problem, processing_groups)
+            return self._plan_ilp(problem, processing_groups)[0]
         greedy_result = self._plan_greedy(problem)
         if deadline is not None and \
                 deadline.remaining_ms() < self.timeout_seconds * 1000.0:
@@ -187,7 +188,8 @@ class VisualizationPlanner:
                                          "greedy (deadline pressure)")
             return greedy_result
         try:
-            ilp_result = self._plan_ilp(problem, processing_groups)
+            ilp_result, from_greedy = self._plan_ilp(
+                problem, processing_groups, greedy_result.multiplot)
         except SolverError as exc:
             record_degradation("planner", "ilp_to_greedy",
                                exception_reason(exc))
@@ -198,6 +200,14 @@ class VisualizationPlanner:
         # costs so telemetry can report the live optimality gap.
         both = {"greedy_cost": greedy_result.expected_cost,
                 "ilp_cost": ilp_result.expected_cost}
+        if from_greedy:
+            # The ILP handed greedy's plan back: proven optimal, or
+            # nothing better found within the budget.
+            current_span().set_attribute(
+                "decision", "greedy proven optimal" if ilp_result.optimal
+                else "greedy kept")
+            return replace(greedy_result, optimal=ilp_result.optimal,
+                           **both)
         if ilp_result.expected_cost <= greedy_result.expected_cost:
             # The "best" strategy upgrade: the ILP beat (or matched) the
             # greedy incumbent within its budget.
@@ -224,11 +234,15 @@ class VisualizationPlanner:
 
     def _plan_ilp(self, problem: MultiplotSelectionProblem,
                   processing_groups: list[ProcessingGroup] | None,
-                  ) -> PlannerResult:
+                  incumbent: Multiplot | None = None,
+                  ) -> tuple[PlannerResult, bool]:
+        """The ILP's plan, and whether it is *incumbent*'s multiplot
+        handed back (the solver cuts the model off at its cost)."""
         with trace_span("planner.ilp", backend=self._ilp.backend) as span:
             start = time.perf_counter()
-            solution = self._ilp.solve(problem,
-                                       processing_groups=processing_groups)
+            solution = self._ilp.solve(
+                problem, processing_groups=processing_groups,
+                incumbent=incumbent)
             span.set_attribute("expected_cost",
                                round(solution.expected_cost, 3))
             span.set_attribute("optimal", solution.optimal)
@@ -241,4 +255,4 @@ class VisualizationPlanner:
                 optimal=solution.optimal,
                 timed_out=solution.timed_out,
                 ilp_cost=solution.expected_cost,
-            )
+            ), solution.from_incumbent

@@ -56,6 +56,10 @@ class SolverError(ReproError):
     """A MILP backend failed to produce a usable solution."""
 
 
+class ModelInfeasible(SolverError):
+    """The MILP has no feasible assignment (proven, not timed out)."""
+
+
 class SolverTimeout(SolverError):
     """The solver hit its deadline.
 

@@ -6,6 +6,7 @@ from repro.core.greedy import GreedySolver
 from repro.core.ilp.translate import (
     IlpSolver,
     ProcessingGroup,
+    _Formulation,
     prune_dominated_templates,
 )
 from repro.core.model import ScreenGeometry
@@ -106,14 +107,41 @@ class TestIlpSolutions:
             return
         assert solution.timed_out or solution.optimal
 
+    def test_optimal_incumbent_comes_back_proven(self, small_problem):
+        """Count tuples below the cutoff remain (their bounds are not
+        tight), the solve finds nothing cheaper, and the caller's plan
+        comes back proven optimal."""
+        optimum = IlpSolver(timeout_seconds=None).solve(small_problem)
+        again = IlpSolver(timeout_seconds=None).solve(
+            small_problem, incumbent=optimum.multiplot)
+        assert again.num_variables > 0
+        assert again.from_incumbent and again.optimal
+        assert not again.timed_out
+        assert again.multiplot == optimum.multiplot
+        assert again.objective == again.expected_cost == \
+            small_problem.evaluate(optimum.multiplot)
+
+    def test_incumbent_survives_any_budget(self, small_problem):
+        """Under a near-zero budget the caller's plan is the floor: no
+        SolverError and never a worse plan."""
+        greedy = GreedySolver().solve(small_problem)
+        solution = IlpSolver(timeout_seconds=1e-3).solve(
+            small_problem, incumbent=greedy.multiplot)
+        assert solution.optimal or solution.timed_out
+        assert solution.expected_cost <= greedy.expected_cost
+
     def test_unknown_backend_rejected(self):
         with pytest.raises(SolverError):
             IlpSolver(backend="gurobi")
 
     def test_model_size_grows_with_rows(self):
-        s1 = IlpSolver(timeout_seconds=None).solve(small_instance(rows=1))
-        s2 = IlpSolver(timeout_seconds=None).solve(small_instance(rows=2))
-        assert s2.num_variables > s1.num_variables
+        # The uncut model: with a cutoff, the tuple bounds alone can
+        # prove the greedy plan optimal and nothing gets built.
+        def uncut(problem):
+            return _Formulation(problem, None, 0.0, True, cutoff=None).model
+        m1 = uncut(small_instance(rows=1))
+        m2 = uncut(small_instance(rows=2))
+        assert m2.num_variables > m1.num_variables
 
 
 class TestProcessingExtension:

@@ -9,7 +9,10 @@ from repro.core.model import ScreenGeometry
 from repro.core.planner import VisualizationPlanner
 from repro.core.problem import MultiplotSelectionProblem
 from repro.errors import PlanningError, SolverError
+from repro.observability import get_trace_log
+from repro.resilience import degradation_scope
 from tests.core.helpers import candidate
+from tests.core.test_brute_force_validation import tiny_problem
 
 
 def make_problem(n=6, width=900, rows=1) -> MultiplotSelectionProblem:
@@ -22,14 +25,18 @@ def make_problem(n=6, width=900, rows=1) -> MultiplotSelectionProblem:
 
 class _NeverOptimalSolver:
     """Stub ILP solver: every call times out with a slightly better
-    incumbent than the last, recording the timeout it was given."""
+    incumbent than the last, recording the timeout and the incumbent it
+    was given."""
 
     def __init__(self, problem: MultiplotSelectionProblem) -> None:
         self.timeouts: list[float] = []
+        self.incumbents: list = []
         self._base = IlpSolver().solve(problem, timeout_seconds=10.0)
 
-    def solve(self, problem, processing_groups=None, timeout_seconds=None):
+    def solve(self, problem, processing_groups=None, timeout_seconds=None,
+              incumbent=None):
         self.timeouts.append(timeout_seconds)
+        self.incumbents.append(incumbent)
         return replace(self._base, optimal=False, timed_out=True,
                        expected_cost=(self._base.expected_cost
                                       + 1.0 / len(self.timeouts)))
@@ -95,6 +102,24 @@ class TestIncrementalSolve:
         with pytest.raises(SolverError):
             list(incremental_solve(make_problem(), growth_factor=1.0))
 
+    def test_steps_after_the_first_are_cut_at_the_best_so_far(self):
+        problem = make_problem()
+        solver = _NeverOptimalSolver(problem)
+        steps = list(incremental_solve(problem, solver=solver,
+                                       total_budget=1.0))
+        assert solver.incumbents[0] is None
+        assert solver.incumbents[1:] == [
+            s.solution.multiplot for s in steps[:-1]]
+
+    def test_proof_stops_the_schedule_without_a_worse_plan(self):
+        problem = make_problem(n=10, rows=2)
+        greedy = VisualizationPlanner(strategy="greedy").plan(problem)
+        steps = list(incremental_solve(problem, total_budget=2.0))
+        costs = [s.solution.expected_cost for s in steps]
+        assert all(cost <= greedy.expected_cost + 1e-9 for cost in costs)
+        assert costs == sorted(costs, reverse=True)
+        assert steps[-1].solution.optimal
+
     def test_budget_bounds_cumulative_time(self):
         steps = list(incremental_solve(make_problem(n=12, rows=3),
                                        total_budget=0.5))
@@ -136,3 +161,38 @@ class TestVisualizationPlanner:
                                        timeout_seconds=30.0)
         result = planner.plan(tiny_problem)
         assert result.solver_name == "ilp-bnb"
+
+
+class TestCertifiedBestStrategy:
+    """The "best" strategy cuts the ILP off at greedy's plan."""
+
+    @staticmethod
+    def plan_traced(problem):
+        planner = VisualizationPlanner(strategy="best",
+                                       timeout_seconds=10.0)
+        with degradation_scope() as degradations:
+            result = planner.plan(problem)
+        root = get_trace_log().tail(1)[-1].root
+        assert root.name == "planner.plan"
+        return result, root.attributes["decision"], degradations
+
+    def test_greedy_proven_optimal(self):
+        problem = make_problem()
+        greedy = VisualizationPlanner(strategy="greedy").plan(problem)
+        result, decision, degradations = self.plan_traced(problem)
+        assert decision == "greedy proven optimal"
+        assert result.optimal and not result.timed_out
+        assert result.multiplot == greedy.multiplot
+        assert result.ilp_cost == result.greedy_cost == greedy.expected_cost
+        assert degradations == []
+
+    def test_ilp_improvement_still_served(self):
+        problem = tiny_problem(5, width=360, seed=0, num_rows=2)
+        greedy = VisualizationPlanner(strategy="greedy").plan(problem)
+        result, decision, degradations = self.plan_traced(problem)
+        assert decision == "ilp upgrade"
+        assert result.solver_name == "ilp-highs" and result.optimal
+        assert result.expected_cost < greedy.expected_cost - 1.0
+        assert result.ilp_cost == result.expected_cost
+        assert result.greedy_cost == greedy.expected_cost
+        assert degradations == []
