@@ -6,12 +6,15 @@ PYTEST := PYTHONPATH=src python -m pytest
 
 # The gating suite: the full test tree (tier 1), then the concurrency
 # and caching suites plus the index differential suite (indexed ==
-# scan, bit for bit) once more on their own.  Test-order randomisation
-# is disabled so failures bisect deterministically.
+# scan, bit for bit) and the append differential suite (delta
+# maintenance == full rebuild, bit for bit) once more on their own.
+# Test-order randomisation is disabled so failures bisect
+# deterministically.
 check:
 	$(PYTEST) -x -q -p no:randomly
 	$(PYTEST) -q -p no:randomly tests/test_concurrency.py tests/caching \
-		tests/sqldb/test_index_differential.py
+		tests/sqldb/test_index_differential.py \
+		tests/sqldb/test_append_differential.py
 
 # Fast development loop: everything except the paper-experiment
 # regeneration suite (marked `slow`).

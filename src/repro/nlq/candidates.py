@@ -76,8 +76,10 @@ class _IndexBundle:
     Built once per distinct ``Database.vocabulary_version`` and shared by
     every :class:`CandidateGenerator` over the same table — index
     construction is the expensive part of generator construction, and the
-    indexes are immutable once built (mutations to the database bump the
-    version, which keys a *new* bundle instead of mutating this one).
+    indexes are immutable once built (DDL, and inserts that add a
+    distinct text value, bump the version, which keys a *new* bundle
+    instead of mutating this one; other inserts leave the vocabulary,
+    and so the bundle, as it is).
     """
 
     numeric_index: PhoneticIndex
@@ -102,7 +104,6 @@ def reset_index_bundles() -> None:
 
 
 def _build_bundle(database: Database, table_name: str) -> _IndexBundle:
-    import numpy as np
     table = database.table(table_name)
     numeric_index = PhoneticIndex(
         c.name for c in table.schema.numeric_columns())
@@ -110,8 +111,8 @@ def _build_bundle(database: Database, table_name: str) -> _IndexBundle:
         c.name for c in table.schema.text_columns())
     value_indexes: dict[str, PhoneticIndex] = {}
     for column in table.schema.text_columns():
-        values = np.unique(table.column(column.name)).tolist()
-        value_indexes[column.name] = PhoneticIndex(values)
+        value_indexes[column.name] = PhoneticIndex(
+            table.sorted_values(column.name))
     return _IndexBundle(numeric_index=numeric_index,
                         text_column_index=text_column_index,
                         value_indexes=MappingProxyType(value_indexes))
@@ -166,9 +167,10 @@ class CandidateGenerator:
     def _bundle(self) -> _IndexBundle:
         """The index bundle for the database's *current* vocabulary.
 
-        Resolved per call: a mutation bumps ``vocabulary_version``, so the
-        next request transparently builds (or picks up) fresh indexes
-        instead of serving rankings over a stale vocabulary.
+        Resolved per call: a vocabulary change bumps
+        ``vocabulary_version``, so the next request transparently builds
+        (or picks up) fresh indexes instead of serving rankings over a
+        stale vocabulary.
         """
         return _index_bundle(self._database, self._table_name)
 

@@ -70,17 +70,30 @@ class TextToSql:
 
     def __init__(self, database: Database, table_name: str,
                  max_values_per_column: int = 2000) -> None:
+        self._database = database
         self._table_name = database.table(table_name).schema.name
         table = database.table(table_name)
         self._numeric_columns = [c.name
                                  for c in table.schema.numeric_columns()]
         self._text_columns = [c.name for c in table.schema.text_columns()]
-        import numpy as np
-        self._values_by_column: dict[str, list[str]] = {
-            name: np.unique(table.column(name)).tolist()
-                  [:max_values_per_column]
-            for name in self._text_columns
-        }
+        self._max_values_per_column = max_values_per_column
+        # (vocabulary_version, text column -> sorted distinct values).
+        self._values: tuple[int, dict[str, list[str]]] | None = None
+
+    @property
+    def _values_by_column(self) -> dict[str, list[str]]:
+        """Each text column's distinct values, ascending, re-read from
+        the table's dictionaries whenever the vocabulary version moves —
+        so values added by an insert are matched like the others."""
+        version = self._database.vocabulary_version
+        values = self._values
+        if values is None or values[0] != version:
+            table = self._database.table(self._table_name)
+            values = (version, {
+                name: table.sorted_values(name)[:self._max_values_per_column]
+                for name in self._text_columns})
+            self._values = values
+        return values[1]
 
     # ------------------------------------------------------------------
 

@@ -113,9 +113,10 @@ class Database:
         # so the batch executor shares them across requests; see
         # cached_mask()/store_mask().
         self._masks = SelectionCache(mask_cache_bytes)
-        # Monotone counter bumped by every DDL/data mutation; phonetic
-        # index bundles and probe caches key on it, so a mutation
-        # implicitly invalidates every vocabulary-derived cache entry.
+        # Monotone counter bumped by every DDL and by every insert that
+        # adds a distinct TEXT value; phonetic index bundles and probe
+        # caches key on it, so such a mutation implicitly invalidates
+        # every vocabulary-derived cache entry.
         self._vocabulary_version = 0
         self._uid = next(_database_uids)
 
@@ -161,25 +162,30 @@ class Database:
 
     def insert_rows(self, table_name: str,
                     rows: Iterable[Sequence[Any]]) -> None:
+        """Append rows; the vocabulary version moves only when a TEXT
+        column gains a distinct value (see :attr:`vocabulary_version`)."""
         table = self.table(table_name)
-        table.append_rows(rows)
+        grown = table.append_rows(rows)
         self._statistics.pop(table_name.lower(), None)
-        self._invalidate_statement_caches()
+        self._invalidate_statement_caches(vocabulary_changed=bool(grown))
 
-    def _invalidate_statement_caches(self) -> None:
-        """Drop cached bound statements, cost estimates and masks.
+    def _invalidate_statement_caches(self,
+                                     vocabulary_changed: bool = True,
+                                     ) -> None:
+        """Drop cached bound statements, cost estimates and masks, and
+        bump the vocabulary version if *vocabulary_changed*.
 
         Called on any DDL or data mutation: bound statements depend on
         schemas, cost estimates on table statistics, predicate masks on
         the data itself.  Dropping everything (instead of per-table
-        entries) keeps invalidation trivially correct; mutations happen
-        at load time, not on the serving path.
+        entries) keeps invalidation trivially correct.
         """
         self._statements.clear()
         self._raw_statements = {}
         self._costs.clear()
         self._masks.clear()
-        self._vocabulary_version += 1
+        if vocabulary_changed:
+            self._vocabulary_version += 1
 
     # ------------------------------------------------------------------
     # Predicate mask cache (used by repro.execution.batch)
@@ -213,7 +219,8 @@ class Database:
 
     @property
     def vocabulary_version(self) -> int:
-        """Bumped by every DDL/data mutation.
+        """Bumped by every DDL statement and by every insert that gives a
+        TEXT column a new distinct value.
 
         ``(uid, table, vocabulary_version)`` identifies a vocabulary
         snapshot, so phonetic index bundles and probe rankings cached
@@ -253,8 +260,8 @@ class Database:
         terms: list[str] = [table_name]
         terms.extend(table.schema.column_names)
         for column in table.schema.text_columns():
-            values = np.unique(table.column(column.name))
-            terms.extend(values[:max_values_per_column].tolist())
+            terms.extend(
+                table.sorted_values(column.name)[:max_values_per_column])
         return terms
 
     # ------------------------------------------------------------------

@@ -13,6 +13,7 @@ engine-level optimisations:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Protocol
 
@@ -35,6 +36,7 @@ from repro.sqldb.index import (
 )
 from repro.sqldb.parser import SelectStatement
 from repro.sqldb.table import Table
+from repro.sqldb.types import DataType
 
 #: Rows per chunk of the order-sensitive SUM/AVG kernel below — 8
 #: zone-map blocks.  Float addition is not associative, so the fixed
@@ -188,14 +190,15 @@ def execute_bound(bound: BoundStatement, table: Table,
         # either way, so the group order is the same.
         group_factors: list[tuple[np.ndarray, np.ndarray]] = []
         for name in group_columns:
-            column = table.column(name)
-            if column.dtype == object:
+            if table.schema.column(name).dtype == DataType.TEXT:
                 uniques, codes, _ = table.dictionary(name)
             elif shared is not None:
                 uniques, codes = shared.numeric_factor(table, name)
             else:
-                group_factors.append(_factorize(
-                    column if selection is None else column[selection]))
+                column = table.column(name)
+                group_factors.append(np.unique(
+                    column if selection is None else column[selection],
+                    return_inverse=True))
                 continue
             group_factors.append(
                 (uniques,
@@ -384,27 +387,6 @@ def _compute_aggregate(agg: AggregateCall, array: np.ndarray | None,
     return float(array.max())
 
 
-def _factorize(array: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(unique values, per-row codes); dict-based for object arrays,
-    which beats sorting Python strings for the typical low-cardinality
-    categorical columns."""
-    if array.dtype == object:
-        mapping: dict[Any, int] = {}
-        codes = np.empty(len(array), dtype=np.int64)
-        for index, value in enumerate(array):
-            code = mapping.get(value)
-            if code is None:
-                code = len(mapping)
-                mapping[value] = code
-            codes[index] = code
-        uniques = np.empty(len(mapping), dtype=object)
-        for value, code in mapping.items():
-            uniques[code] = value
-        return uniques, codes
-    uniques, codes = np.unique(array, return_inverse=True)
-    return uniques, codes
-
-
 def _chunked_weighted_bincount(row_groups: np.ndarray, array: np.ndarray,
                                n_groups: int) -> np.ndarray:
     """``np.bincount(row_groups, weights=array.astype(float))`` computed
@@ -439,8 +421,25 @@ def _group_extreme(row_groups: np.ndarray, array: np.ndarray,
     out = np.full(n_groups, -np.inf if maximize else np.inf)
     reduce_at = np.maximum.at if maximize else np.minimum.at
     with np.errstate(invalid="ignore"):
-        reduce_at(out, row_groups, array.astype(float))
+        reduce_at(out, row_groups, array.astype(float, copy=False))
     return out
+
+
+def _dense_group_ids(combined: np.ndarray,
+                     id_space: int) -> tuple[np.ndarray, np.ndarray]:
+    """The values of ``np.unique(combined, return_inverse=True)``: the
+    ascending distinct group ids and each row's index among them.
+
+    When the ids in ``[0, id_space)`` are no more than the rows, a
+    ``bincount`` marks the ids present and a cumulative sum numbers
+    them: no sort, and int32 row indexes instead of the unique's int64
+    sorted copy, permutation and inverse.
+    """
+    if id_space > len(combined):
+        return np.unique(combined, return_inverse=True)
+    present = np.bincount(combined, minlength=id_space) > 0
+    number = np.cumsum(present, dtype=np.int32) - 1
+    return np.flatnonzero(present), number[combined]
 
 
 def _grouped_aggregate(arrays: dict[str, np.ndarray], row_count: int,
@@ -460,12 +459,16 @@ def _grouped_aggregate(arrays: dict[str, np.ndarray], row_count: int,
         return names, []
 
     # Combine the per-column codes into one group id per row.
-    group_values: list[np.ndarray] = []
-    combined = np.zeros(row_count, dtype=np.int64)
-    for uniques, codes in group_factors:
-        group_values.append(uniques)
-        combined = combined * len(uniques) + codes
-    group_ids, row_groups = np.unique(combined, return_inverse=True)
+    group_values = [uniques for uniques, _ in group_factors]
+    if len(group_factors) == 1:
+        combined = group_factors[0][1]
+    else:
+        combined = np.zeros(row_count, dtype=np.int64)
+        for uniques, codes in group_factors:
+            combined *= len(uniques)
+            combined += codes
+    group_ids, row_groups = _dense_group_ids(
+        combined, math.prod(len(uniques) for uniques in group_values))
     n_groups = len(group_ids)
 
     # Decode the combined id back into per-column unique indices.

@@ -89,18 +89,19 @@ class Comparison(BooleanExpr):
         return Comparison(column.name, self.op, coerced)
 
     def evaluate(self, table: Table) -> np.ndarray:
-        array = table.column(self.column)
         comparator = _NUMPY_COMPARATORS[self.op]
-        if array.dtype == object:
-            # Equality on text runs on the dictionary encoding: one int64
+        if self.op in (ComparisonOp.EQ, ComparisonOp.NE) and \
+                table.schema.column(self.column).dtype == DataType.TEXT:
+            # Equality on text runs on the dictionary encoding: one int32
             # comparison per row instead of Python-object comparisons.
-            if self.op in (ComparisonOp.EQ, ComparisonOp.NE):
-                _, codes, index = table.dictionary(self.column)
-                code = index.get(self.value, -1)
-                mask = codes == code
-                if self.op == ComparisonOp.NE:
-                    mask = ~mask
-                return mask
+            _, codes, index = table.dictionary(self.column)
+            code = index.get(self.value, -1)
+            mask = codes == code
+            if self.op == ComparisonOp.NE:
+                mask = ~mask
+            return mask
+        array = table.column(self.column)
+        if array.dtype == object:
             value = self.value
             return np.fromiter(
                 (comparator(item, value) for item in array),
@@ -127,10 +128,9 @@ class InList(BooleanExpr):
         return InList(column.name, coerced)
 
     def evaluate(self, table: Table) -> np.ndarray:
-        array = table.column(self.column)
         if not self.values:
-            return np.zeros(len(array), dtype=bool)
-        if array.dtype == object:
+            return np.zeros(table.num_rows, dtype=bool)
+        if table.schema.column(self.column).dtype == DataType.TEXT:
             # Membership on the dictionary: mark the wanted codes in a
             # boolean table of the (small) dictionary size and gather it
             # through the per-row codes — one O(rows) fancy-index instead
@@ -139,11 +139,11 @@ class InList(BooleanExpr):
             uniques, codes, index = table.dictionary(self.column)
             wanted = [index[v] for v in self.values if v in index]
             if not wanted:
-                return np.zeros(len(array), dtype=bool)
+                return np.zeros(table.num_rows, dtype=bool)
             matched = np.zeros(len(uniques), dtype=bool)
             matched[wanted] = True
             return matched[codes]
-        return np.isin(array, np.asarray(self.values))
+        return np.isin(table.column(self.column), np.asarray(self.values))
 
     def referenced_columns(self) -> frozenset[str]:
         return frozenset((self.column,))
@@ -215,7 +215,6 @@ class Like(BooleanExpr):
         return re.compile("".join(fragments) + r"\Z")
 
     def evaluate(self, table: Table) -> np.ndarray:
-        array = table.column(self.column)
         regex = self._compiled()
         # Match per distinct value via the dictionary, then map to rows.
         uniques, codes, _ = table.dictionary(self.column)

@@ -24,10 +24,12 @@ into O(result):
   per row.
 
 All structures are built lazily on first probe under the table's
-double-checked lock (the same pattern as dictionary encoding) and are
-dropped by :meth:`Table.append_rows`; the database-level caches keyed on
-``Database.uid``/version bumps never see stale postings because every
-DDL/data mutation bumps the version and clears them.
+double-checked lock (the same pattern as dictionary encoding).
+:meth:`Table.append_rows` publishes a fresh container
+(:meth:`TableIndexes.extended`): the TEXT inverted indexes are extended
+with the new rows, everything else rebuilds on its next probe.  The
+database-level selection cache never serves stale postings because
+every DDL/data mutation clears it.
 
 **Bit-identity contract:** for any resolvable predicate tree,
 :func:`resolve_selection` returns a selection — int64 row positions in
@@ -66,7 +68,7 @@ from repro.sqldb.types import DataType
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from repro.observability import MetricsRegistry
-    from repro.sqldb.table import Table
+    from repro.sqldb.table import Dictionary, Table
 
 __all__ = [
     "InvertedIndex",
@@ -212,23 +214,54 @@ class InvertedIndex:
     ``order`` is a stable argsort of the per-row dictionary codes, so the
     positions of one code form a contiguous slice *in ascending row
     order* — exactly ``np.nonzero(column == value)[0]``, which is what
-    the bit-identity contract requires.
+    the bit-identity contract requires.  Positions are stored as int32
+    and handed out as int64.
     """
 
-    def __init__(self, array: np.ndarray,
-                 dictionary: tuple[np.ndarray, np.ndarray,
-                                   dict[Any, int]] | None = None) -> None:
+    def __init__(self, array: np.ndarray | None,
+                 dictionary: Dictionary | None = None) -> None:
+        """Index *array*'s values, or the codes of a TEXT column's
+        *dictionary* (then *array* is not read)."""
         if dictionary is not None:
             uniques, codes, lookup = dictionary
             self._lookup: dict[Any, int] | None = lookup
             self._uniques = uniques
         else:
+            assert array is not None
             self._uniques, codes = np.unique(array, return_inverse=True)
             self._lookup = None
-        self._order = np.argsort(codes, kind="stable")
+        self._order = np.argsort(codes, kind="stable").astype(np.int32)
         counts = np.bincount(codes, minlength=len(self._uniques))
         self._starts = np.concatenate(
             ([0], np.cumsum(counts))).astype(np.int64)
+
+    def extended(self, dictionary: Dictionary) -> "InvertedIndex":
+        """This dictionary-coded index over the table after an append.
+
+        *dictionary* is the column's extended encoding.  The new rows
+        hold the largest positions, so each code's postings are its old
+        slice followed by its new positions: one ``np.insert`` of the
+        (stably code-sorted) new positions at the ends of their codes'
+        slices, with no sort over the old rows.  A code new to the
+        dictionary has no slice yet; its rows go after every old one.
+        Equal to building the index from *dictionary* afresh.
+        """
+        uniques, codes, lookup = dictionary
+        old_rows = len(self._order)
+        added = codes[old_rows:]
+        arrival = np.argsort(added, kind="stable")
+        known = len(self._starts) - 1
+        slice_ends = self._starts[np.minimum(added[arrival] + 1, known)]
+        index = InvertedIndex.__new__(InvertedIndex)
+        index._lookup = lookup
+        index._uniques = uniques
+        index._order = np.insert(self._order, slice_ends,
+                                 (arrival + old_rows).astype(np.int32))
+        index._starts = np.full(len(uniques) + 1, old_rows, dtype=np.int64)
+        index._starts[:known + 1] = self._starts
+        index._starts[1:] += np.cumsum(
+            np.bincount(added, minlength=len(uniques)))
+        return index
 
     @property
     def n_distinct(self) -> int:
@@ -254,7 +287,8 @@ class InvertedIndex:
         code = self._code_of(value)
         if code is None:
             return np.empty(0, dtype=np.int64)
-        return self._order[self._starts[code]:self._starts[code + 1]]
+        return self._order[self._starts[code]:self._starts[code + 1]] \
+            .astype(np.int64)
 
     def postings_for_values(self, values: Iterable[Any]) -> np.ndarray:
         """Sorted union of postings over *values* (the ``IN`` shape).
@@ -267,10 +301,12 @@ class InvertedIndex:
         codes.discard(None)
         if not codes:
             return np.empty(0, dtype=np.int64)
-        parts = [self._order[self._starts[code]:self._starts[code + 1]]
-                 for code in sorted(codes)]
-        merged = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        return np.sort(merged)
+        merged = np.concatenate(
+            [self._order[self._starts[code]:self._starts[code + 1]]
+             for code in sorted(codes)], dtype=np.int64)
+        if len(codes) > 1:
+            merged.sort()
+        return merged
 
 
 class SortedProjection:
@@ -376,10 +412,11 @@ class SortedProjection:
 class TableIndexes:
     """Lazily-built secondary indexes of one table.
 
-    One instance per table snapshot; :meth:`Table.append_rows` drops the
-    whole container, so a rebuilt index can never mix old and new rows.
-    Builds are serialised by a per-container lock (double-checked, like
-    dictionary encoding) so concurrent first probes share one build.
+    One instance per table snapshot; :meth:`Table.append_rows` replaces
+    it with :meth:`extended`, so a structure can never mix old and new
+    rows.  Builds are serialised by a per-container lock
+    (double-checked, like dictionary encoding) so concurrent first
+    probes share one build.
     """
 
     def __init__(self, table: "Table") -> None:
@@ -406,8 +443,7 @@ class TableIndexes:
                 span.set_attribute("rows", table.num_rows)
                 if column.dtype == DataType.TEXT:
                     index = InvertedIndex(
-                        table.column(column.name),
-                        dictionary=table.dictionary(column.name))
+                        None, dictionary=table.dictionary(column.name))
                 else:
                     index = InvertedIndex(table.column(column.name))
                 span.set_attribute("distinct", index.n_distinct)
@@ -435,6 +471,25 @@ class TableIndexes:
             _STATS.record_build()
             self._projections[key] = projection
             return projection
+
+    def extended(self, table: "Table",
+                 dictionaries: "dict[str, Dictionary]") -> "TableIndexes":
+        """A fresh container for *table* after an append.
+
+        *dictionaries* maps each TEXT column to its extended encoding.
+        The built TEXT inverted indexes carry over, extended with the new
+        rows; sorted projections, zone maps and numeric inverted indexes
+        are left to rebuild lazily on their next probe.
+        """
+        fresh = TableIndexes(table)
+        # A copy, not the lock: the caller holds the table's lock, which
+        # a first build takes inside this container's lock.
+        built = dict(self._inverted)
+        for column, dictionary in dictionaries.items():
+            index = built.get(column.lower())
+            if index is not None:
+                fresh._inverted[column.lower()] = index.extended(dictionary)
+        return fresh
 
     def estimated_bytes(self) -> int:
         with self._lock:

@@ -166,21 +166,29 @@ class TableStatistics:
 
 def _analyze_column(table: Table, name: str, dtype: DataType,
                     mcv_size: int) -> ColumnStatistics:
-    array = table.column(name)
-    if len(array) == 0:
+    if table.num_rows == 0:
         return ColumnStatistics(name, dtype, 0, None, None, (), ())
-    values, counts = np.unique(array, return_counts=True)
+    min_value = max_value = None
+    if dtype == DataType.TEXT:
+        # The dictionary already holds the distinct values and per-row
+        # codes: counting codes and sorting the (few) distinct values
+        # gives the arrays ``np.unique(array, return_counts=True)``
+        # returns, without sorting every row's string.
+        uniques, codes, _ = table.dictionary(name)
+        ascending = np.argsort(uniques)
+        values = uniques[ascending]
+        counts = np.bincount(codes, minlength=len(uniques))[ascending]
+    else:
+        array = table.column(name)
+        values, counts = _value_counts(array)
+        if dtype.is_numeric:
+            min_value = float(array.min())
+            max_value = float(array.max())
     n_distinct = len(values)
     order = np.argsort(counts)[::-1][:mcv_size]
-    total = float(len(array))
+    total = float(table.num_rows)
     mcv_values = tuple(values[order].tolist())
     mcv_fractions = tuple(float(counts[i]) / total for i in order)
-    if dtype.is_numeric:
-        min_value = float(array.min())
-        max_value = float(array.max())
-    else:
-        min_value = None
-        max_value = None
     return ColumnStatistics(
         name=name,
         dtype=dtype,
@@ -190,3 +198,33 @@ def _analyze_column(table: Table, name: str, dtype: DataType,
         mcv_values=mcv_values,
         mcv_fractions=mcv_fractions,
     )
+
+
+def _value_counts(array: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(array, return_counts=True)`` of a numeric column, read
+    off one sorted copy.
+
+    At most 24 bytes per row are held at once, where ``np.unique`` holds
+    about 33.  NaNs collapse into one value counted last, as in
+    ``np.unique``.
+    """
+    ordered = np.sort(array)
+    finite = len(ordered)
+    if np.isnan(ordered[-1]):
+        finite = int(np.searchsorted(ordered, ordered[-1], side="left"))
+    head = ordered[:finite]
+    run_starts = np.empty(finite, dtype=bool)
+    run_starts[:1] = True
+    np.not_equal(head[1:], head[:-1], out=run_starts[1:])
+    starts = np.flatnonzero(run_starts)
+    del run_starts
+    runs = len(starts) + (finite < len(ordered))
+    values = np.empty(runs, dtype=ordered.dtype)
+    np.take(head, starts, out=values[:len(starts)], mode="clip")
+    values[len(starts):] = ordered[finite:finite + 1]
+    del ordered, head
+    counts = np.empty(runs, dtype=np.intp)
+    np.subtract(starts[1:], starts[:-1], out=counts[:len(starts) - 1])
+    counts[len(starts) - 1:len(starts)] = finite - starts[-1:]
+    counts[len(starts):] = len(array) - finite
+    return values, counts

@@ -2,9 +2,11 @@
 
 Covers the invalidation protocol end to end: ``PhoneticIndex`` mutations
 bump ``index.version`` (keying fresh probe-cache entries), ``Database``
-DDL and inserts bump ``vocabulary_version`` (keying fresh index bundles,
-whose new indexes carry new uids — so stale probe rankings can never be
-served after a vocabulary change).
+DDL, and inserts that add a distinct text value, bump
+``vocabulary_version`` (keying fresh index bundles, whose new indexes
+carry new uids — so stale probe rankings can never be served after a
+vocabulary change).  Inserts of known values keep the version, and with
+it the cached bundle.
 """
 
 import threading
@@ -135,6 +137,21 @@ class TestVocabularyVersion:
 
         version = database.vocabulary_version
         database.drop_table("t")
+        assert database.vocabulary_version > version
+
+    def test_insert_of_existing_values_keeps_the_version(self):
+        database = make_fruit_database()
+        generator = CandidateGenerator(database, "fruits", k=5)
+        bundle = generator._bundle()
+        version = database.vocabulary_version
+        database.insert_rows("fruits", [("apple", 9.0), ("banana", 0.5)])
+        assert database.vocabulary_version == version
+        assert generator._bundle() is bundle
+
+    def test_insert_of_a_new_value_bumps_the_version(self):
+        database = make_fruit_database()
+        version = database.vocabulary_version
+        database.insert_rows("fruits", [("apple", 9.0), ("cherry", 3.5)])
         assert database.vocabulary_version > version
 
     def test_register_table_bumps_the_version(self):

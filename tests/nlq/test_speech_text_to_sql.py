@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.datasets.generators import make_nyc311_table
 from repro.errors import CandidateGenerationError
 from repro.nlq.speech import SpeechSimulator, build_default_vocabulary
 from repro.nlq.text_to_sql import TextToSql
+from repro.sqldb.database import Database
 from repro.sqldb.expressions import AggregateFunction
 
 VOCAB = ["Brooklyn", "Bronx", "Manhattan", "Queens", "noise", "heating",
@@ -125,6 +127,18 @@ class TestTextToSql:
     def test_table_name_from_constructor(self, translator):
         query = translator.translate("count of requests")
         assert query.table == "nyc311"
+
+    def test_matches_values_added_by_an_insert(self):
+        database = Database(seed=1)
+        database.register_table(make_nyc311_table(num_rows=500, seed=7))
+        translator = TextToSql(database, "nyc311")
+        text = "count of requests for borough Staten Island North"
+        before = translator.translate(text)
+        assert before.predicate_on("borough").value == "Staten Island"
+        database.insert_rows("nyc311", [
+            ("Noise", "NYPD", "Staten Island North", "Open", 1.0, 1)])
+        after = translator.translate(text)
+        assert after.predicate_on("borough").value == "Staten Island North"
 
 
 class TestSpeechNoiseModes:

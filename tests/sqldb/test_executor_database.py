@@ -163,6 +163,83 @@ class TestNanExtremes:
         assert np.isnan(grouped[4])
 
 
+class TestDenseGroupIds:
+    """GROUP BY numbers its groups with a bincount when the product of
+    the group cardinalities fits in the row count, and with
+    ``np.unique`` otherwise; both give the same ids in the same
+    ascending order, so results match the unique path exactly."""
+
+    STATEMENTS = (
+        "SELECT city, COUNT(*), SUM(v) FROM m GROUP BY city",
+        "SELECT city, dept, AVG(v), MAX(n) FROM m GROUP BY city, dept",
+        "SELECT dept, city, n, COUNT(*) FROM m WHERE city <> 'la' "
+        "GROUP BY dept, city, n",
+        "SELECT city, dept, SUM(n) FROM m GROUP BY city, dept "
+        "HAVING SUM(n) > 20",
+        "SELECT dept, city, MIN(v), COUNT(*) FROM m WHERE n >= 3 "
+        "GROUP BY dept, city HAVING COUNT(*) >= 20",
+        # Hundreds of distinct v values times three depts exceed the
+        # row count: the np.unique fallback.
+        "SELECT dept, v, COUNT(*) FROM m GROUP BY dept, v",
+    )
+
+    @pytest.fixture()
+    def group_db(self):
+        rng = np.random.default_rng(3)
+        cities = ["nyc", "sf", "la", "austin"]
+        depts = ["eng", "hr", "ops"]
+        db = Database()
+        db.create_table("m", [("city", DataType.TEXT),
+                              ("dept", DataType.TEXT),
+                              ("v", DataType.FLOAT),
+                              ("n", DataType.INT)])
+        values = rng.normal(10.0, 3.0, 400).round(2)
+        values[rng.random(400) < 0.05] = np.nan
+        db.insert_rows("m", [
+            (cities[rng.integers(0, 4)], depts[rng.integers(0, 3)],
+             float(values[i]), int(rng.integers(1, 6)))
+            for i in range(400)])
+        return db
+
+    @staticmethod
+    def _canon(rows):
+        return [tuple(struct.pack("<d", v) if isinstance(v, float) else v
+                      for v in row) for row in rows]
+
+    def test_results_match_the_unique_path(self, group_db, monkeypatch):
+        from repro.sqldb import executor
+        dense_calls = []
+        numbering = executor._dense_group_ids
+
+        def spy(combined, id_space):
+            dense_calls.append(id_space <= len(combined))
+            return numbering(combined, id_space)
+
+        monkeypatch.setattr(executor, "_dense_group_ids", spy)
+        dense = [self._canon(group_db.execute(sql).rows)
+                 for sql in self.STATEMENTS]
+        assert dense_calls == [True] * 5 + [False]
+        monkeypatch.setattr(
+            executor, "_dense_group_ids",
+            lambda combined, _: np.unique(combined, return_inverse=True))
+        unique = [self._canon(group_db.execute(sql).rows)
+                  for sql in self.STATEMENTS]
+        assert dense == unique
+        assert all(dense[:5])
+
+    @pytest.mark.parametrize("id_space", [1, 7, 40, 64])
+    def test_ids_match_np_unique(self, id_space):
+        from repro.sqldb.executor import _dense_group_ids
+        rng = np.random.default_rng(id_space)
+        combined = rng.integers(0, id_space, size=64).astype(np.int64)
+        combined[::5] = id_space - 1
+        ids, rows = _dense_group_ids(combined, id_space)
+        expected_ids, expected_rows = np.unique(combined,
+                                                return_inverse=True)
+        np.testing.assert_array_equal(ids, expected_ids)
+        np.testing.assert_array_equal(rows, expected_rows)
+
+
 class TestSampling:
     def test_full_sample_exact(self, emp_db):
         result = emp_db.execute(
