@@ -2,7 +2,9 @@
 
 Both backends solve the identical compiled formulation, so this isolates
 the solver technology: HiGHS (presolve, cuts, heuristics) vs a textbook
-best-bound B&B over LP relaxations.
+best-bound B&B over LP relaxations.  The instances have one row, which
+:meth:`IlpSolver.solve` hands to the combinatorial row search, so the
+backends are called through the MILP path explicitly.
 """
 
 from benchmarks.conftest import emit
@@ -30,7 +32,7 @@ def run_backend_comparison(database, num_queries=6, num_candidates=8,
         problem = MultiplotSelectionProblem(candidates, geometry=geometry)
         for backend in ("highs", "bnb"):
             solver = IlpSolver(backend=backend, timeout_seconds=20.0)
-            solution = solver.solve(problem)
+            solution = solver._solve_milp(problem)
             results[backend].append(
                 (solution.elapsed_seconds, solution.optimal,
                  solution.expected_cost))

@@ -11,6 +11,9 @@
 * :mod:`repro.core.ilp.translate` — the Section 5 formulation (decision
   variables, constraints, objective) plus the Section 8.1 processing-cost
   extension, and extraction of the resulting multiplot.
+* :mod:`repro.core.ilp.rowsearch` — the exact combinatorial search that
+  solves one-row problems without a MILP (template-set bounds and
+  assignment solves).
 * :mod:`repro.core.ilp.incremental` — Section 5.4 incremental optimisation
   with exponentially growing timeouts.
 """

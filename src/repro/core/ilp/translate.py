@@ -37,6 +37,10 @@ our actual implementation"):
 The processing-cost extension of Section 8.1 adds group variables ``g``
 with coverage constraints ``q_k <= sum_(g in G(k)) g`` and either a budget
 constraint or a weighted objective term over group costs.
+
+On a one-row screen without processing groups, :meth:`IlpSolver.solve`
+skips the model: the same templates and count tuples feed the exact
+search of :mod:`repro.core.ilp.rowsearch`.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ from repro.core.greedy import GreedySolver
 from repro.core.ilp.bnb import solve_with_bnb
 from repro.core.ilp.highs import solve_with_highs
 from repro.core.ilp.modeling import LinExpr, Model, SolveResult, Variable
+from repro.core.ilp.rowsearch import search_row
 from repro.core.model import Bar, Multiplot, Plot
 from repro.core.problem import MultiplotSelectionProblem
 from repro.errors import ModelInfeasible, SolverError
@@ -81,6 +86,12 @@ class IlpSolution:
     ``from_incumbent`` marks the caller's (or the greedy seed's)
     multiplot coming back: proven optimal when ``optimal``, otherwise
     better than anything the solver found before its timeout.
+
+    The certificate explains the choice: ``tuples_left`` count tuples
+    survived the cut at the incumbent's cost, ``pairs_left`` (template
+    set, tuple) pairs survived the one-row subset bound,
+    ``assignments`` assignment problems were solved, and ``open_bound``
+    is the lowest cost bound not yet searched (0 once proven).
     """
 
     multiplot: Multiplot
@@ -94,6 +105,10 @@ class IlpSolution:
     selected_groups: tuple[int, ...] = field(default=())
     processing_cost: float = 0.0
     from_incumbent: bool = False
+    tuples_left: int = 0
+    pairs_left: int = 0
+    assignments: int = 0
+    open_bound: float = 0.0
 
 
 #: Relative tolerance of every optimality claim (HiGHS's ``mip_rel_gap``).
@@ -106,7 +121,9 @@ class IlpSolver:
     Parameters
     ----------
     backend:
-        ``"highs"`` (scipy MILP) or ``"bnb"`` (pure-Python branch & bound).
+        ``"highs"`` (scipy MILP) or ``"bnb"`` (pure-Python branch & bound);
+        it solves only the problems routed to the MILP (see
+        :meth:`searches_row`).
     timeout_seconds:
         Wall-clock limit; on expiry the incumbent is returned with
         ``timed_out=True`` (matching the paper's behaviour under the one-
@@ -139,12 +156,62 @@ class IlpSolver:
         """Solve *problem*, optionally with processing-cost machinery.
 
         *incumbent* is a feasible multiplot; every count tuple whose bound
-        cannot beat its cost is dropped from the model.  When none is
-        given the greedy plan seeds the cutoff, its time counted against
-        the budget.  With *processing_groups* neither applies: the
-        objective then includes group costs that neither a multiplot nor
-        the greedy (which ignores processing budgets) accounts for.
+        cannot beat its cost is dropped.  When none is given the greedy
+        plan seeds the cutoff, its time counted against the budget.  With
+        *processing_groups* neither applies: the objective then includes
+        group costs that neither a multiplot nor the greedy (which
+        ignores processing budgets) accounts for.
+
+        A one-row screen without processing groups is solved by the exact
+        combinatorial search of :mod:`repro.core.ilp.rowsearch`; other
+        problems by the MILP on the configured backend.
         """
+        if not self.searches_row(problem, processing_groups):
+            return self._solve_milp(problem, processing_groups,
+                                    timeout_seconds, incumbent)
+        start = time.perf_counter()
+        timeout = (timeout_seconds if timeout_seconds is not None
+                   else self.timeout_seconds)
+        if incumbent is None:
+            incumbent = GreedySolver().solve(problem).multiplot
+        cutoff = problem.evaluate(incumbent)
+        templates, members, shapes, tuples = _templates_and_tuples(
+            problem, self.prune_templates, cutoff)
+        found = search_row(
+            problem, templates, members, [base for base, _, _ in shapes],
+            tuples, cutoff, _REL_GAP,
+            None if timeout is None else start + timeout)
+        better = found.multiplot is not None
+        return IlpSolution(
+            multiplot=found.multiplot if better else incumbent,
+            expected_cost=(problem.evaluate(found.multiplot) if better
+                           else cutoff),
+            objective=found.cost,
+            optimal=not found.timed_out,
+            timed_out=found.timed_out,
+            elapsed_seconds=time.perf_counter() - start,
+            num_variables=0,
+            num_constraints=0,
+            from_incumbent=not better,
+            tuples_left=len(tuples),
+            pairs_left=found.pairs,
+            assignments=found.assignments,
+            open_bound=found.open_bound,
+        )
+
+    @staticmethod
+    def searches_row(problem: MultiplotSelectionProblem,
+                     processing_groups: list[ProcessingGroup] | None = None,
+                     ) -> bool:
+        """Whether :meth:`solve` takes the one-row search (so the
+        configured backend does not run)."""
+        return not processing_groups and problem.geometry.num_rows == 1
+
+    def _solve_milp(self, problem: MultiplotSelectionProblem,
+                    processing_groups: list[ProcessingGroup] | None = None,
+                    timeout_seconds: float | None = None,
+                    incumbent: Multiplot | None = None) -> IlpSolution:
+        """:meth:`solve` on the MILP, whatever the screen."""
         start = time.perf_counter()
         timeout = (timeout_seconds if timeout_seconds is not None
                    else self.timeout_seconds)
@@ -158,6 +225,10 @@ class IlpSolver:
                                    self.processing_weight,
                                    self.prune_templates, cutoff)
 
+        tuples_left = len(formulation.tuples)
+        # The MILP reports no dual bound; the least tuple bound is one.
+        least_bound = min((t.bound for t in formulation.tuples), default=0.0)
+
         def keep_incumbent(optimal: bool) -> IlpSolution:
             return IlpSolution(
                 multiplot=incumbent, expected_cost=cutoff,
@@ -165,7 +236,8 @@ class IlpSolver:
                 elapsed_seconds=time.perf_counter() - start,
                 num_variables=formulation.model.num_variables,
                 num_constraints=formulation.model.num_constraints,
-                from_incumbent=True)
+                from_incumbent=True, tuples_left=tuples_left,
+                open_bound=0.0 if optimal else least_bound)
 
         if not formulation.tuples:
             return keep_incumbent(optimal=True)
@@ -201,6 +273,8 @@ class IlpSolver:
             selected_groups=selected_groups,
             processing_cost=sum(
                 formulation.groups[g].cost for g in selected_groups),
+            tuples_left=tuples_left,
+            open_bound=0.0 if result.optimal else least_bound,
         )
 
 
@@ -319,6 +393,37 @@ def prune_dominated_templates(
     return ordered_members
 
 
+def _templates_and_tuples(
+        problem: MultiplotSelectionProblem, prune_templates: bool,
+        cutoff: float | None,
+) -> tuple[list[QueryTemplate], list[list[int]],
+           list[tuple[float, int, list[float]]], list[CountTuple]]:
+    """The templates a plot may use (every one that fits a bar, or with
+    *prune_templates* the undominated ones), their member candidate
+    indices (most probable first), their shapes as :func:`count_tuples`
+    takes them, and the count tuples whose bound beats *cutoff* (all of
+    them without one)."""
+    geometry = problem.geometry
+    if prune_templates:
+        pairs = prune_dominated_templates(problem)
+    else:
+        candidate_index = {c.query: i
+                           for i, c in enumerate(problem.candidates)}
+        pairs = [(template, [candidate_index[m.query] for m in members])
+                 for template, members
+                 in problem.queries_by_template().items()
+                 if geometry.max_bars(template) > 0]
+    probabilities = [c.probability for c in problem.candidates]
+    shapes = [(geometry.plot_base_units(template),
+               geometry.max_bars(template),
+               [probabilities[k] for k in members])
+              for template, members in pairs]
+    tuples = [t for t in count_tuples(problem, shapes)
+              if cutoff is None or t.bound < cutoff * (1 - _REL_GAP)]
+    return ([template for template, _ in pairs],
+            [members for _, members in pairs], shapes, tuples)
+
+
 class _Formulation:
     """The variables/constraints/objective for one problem instance.
 
@@ -334,9 +439,6 @@ class _Formulation:
         self.problem = problem
         self.groups = list(processing_groups or [])
         self.model = Model("multiplot-selection")
-        self.templates: list[QueryTemplate] = []
-        self.members: list[list[int]] = []
-        self.capacities: list[int] = []
         self.p_vars: dict[tuple[int, int], Variable] = {}
         self.s_vars: dict[tuple[int, int], Variable] = {}
         self.q_vars: dict[tuple[int, int, int], Variable] = {}
@@ -345,40 +447,13 @@ class _Formulation:
         self.h_any: list[Variable] = []
         self.d_any: list[Variable] = []
         self.g_vars: list[Variable] = []
-        self._select_templates(prune_templates)
-        probabilities = [c.probability for c in problem.candidates]
-        self.tuples = [
-            t for t in count_tuples(problem, [
-                (problem.geometry.plot_base_units(template), capacity,
-                 [probabilities[k] for k in members])
-                for template, capacity, members in zip(
-                    self.templates, self.capacities, self.members)])
-            if cutoff is None or t.bound < cutoff * (1 - _REL_GAP)]
+        self.templates, self.members, shapes, self.tuples = \
+            _templates_and_tuples(problem, prune_templates, cutoff)
+        self.capacities = [capacity for _, capacity, _ in shapes]
         if self.tuples:
             self._build(processing_weight)
 
     # -- construction ---------------------------------------------------
-
-    def _select_templates(self, prune_templates: bool) -> None:
-        problem = self.problem
-        geometry = problem.geometry
-        candidates = problem.candidates
-        if prune_templates:
-            template_members = prune_dominated_templates(problem)
-        else:
-            candidate_index = {c.query: i for i, c in enumerate(candidates)}
-            template_members = []
-            for template, members in problem.queries_by_template().items():
-                if geometry.max_bars(template) <= 0:
-                    continue
-                template_members.append(
-                    (template,
-                     [candidate_index[m.query] for m in members]))
-
-        for template, members in template_members:
-            self.templates.append(template)
-            self.members.append(members)
-            self.capacities.append(geometry.max_bars(template))
 
     def _build(self, processing_weight: float) -> None:
         problem = self.problem

@@ -18,6 +18,7 @@ from repro.core.problem import MultiplotSelectionProblem
 from repro.errors import DeadlineExceeded, PlanningError, SolverError
 from repro.observability import current_span, trace_span
 from repro.resilience import (
+    EXECUTION_PRESSURE_FRACTION,
     current_deadline,
     deadline_grace,
     degradation_count,
@@ -176,26 +177,44 @@ class VisualizationPlanner:
         if self.strategy == "ilp":
             return self._plan_ilp(problem, processing_groups)[0]
         greedy_result = self._plan_greedy(problem)
-        if deadline is not None and \
-                deadline.remaining_ms() < self.timeout_seconds * 1000.0:
-            # Not enough budget left for the ILP's own timeout: keep the
-            # greedy incumbent rather than start work we cannot finish.
-            record_degradation(
-                "planner", "ilp_to_greedy", "deadline_pressure",
-                detail=f"remaining {deadline.remaining_ms():.0f} ms < "
-                       f"ilp budget {self.timeout_seconds * 1000:.0f} ms")
-            current_span().set_attribute("decision",
-                                         "greedy (deadline pressure)")
-            return greedy_result
+        budget = self.timeout_seconds
+        if deadline is not None:
+            remaining = deadline.remaining_ms() / 1000.0
+            if self._ilp.searches_row(problem, processing_groups):
+                # The row search is anytime, so it gets what the deadline
+                # leaves once execution's share is kept back; a short
+                # budget still serves greedy's plan at worst.
+                reserve = (EXECUTION_PRESSURE_FRACTION
+                           * deadline.budget_ms / 1000.0)
+                budget = min(budget, max(0.0, remaining - reserve))
+            elif remaining < budget:
+                # Not enough budget left for the MILP's own timeout: keep
+                # the greedy incumbent rather than start work we cannot
+                # finish.
+                record_degradation(
+                    "planner", "ilp_to_greedy", "deadline_pressure",
+                    detail=f"remaining {remaining * 1000:.0f} ms < "
+                           f"ilp budget {budget * 1000:.0f} ms")
+                current_span().set_attribute("decision",
+                                             "greedy (deadline pressure)")
+                return greedy_result
         try:
             ilp_result, from_greedy = self._plan_ilp(
-                problem, processing_groups, greedy_result.multiplot)
+                problem, processing_groups, greedy_result.multiplot, budget)
         except SolverError as exc:
             record_degradation("planner", "ilp_to_greedy",
                                exception_reason(exc))
             current_span().set_attribute("decision",
                                          "greedy (ilp failed)")
             return greedy_result
+        if ilp_result.timed_out and budget < self.timeout_seconds:
+            # The deadline cut the row search's budget and it did not
+            # finish in it: recorded as a degradation, so the plan is not
+            # cached as what the full budget would have served.
+            record_degradation(
+                "planner", "ilp_budget_cut", "deadline_pressure",
+                detail=f"ilp budget {budget * 1000:.0f} ms < "
+                       f"{self.timeout_seconds * 1000:.0f} ms")
         # Both solvers ran: whichever wins, the result carries both
         # costs so telemetry can report the live optimality gap.
         both = {"greedy_cost": greedy_result.expected_cost,
@@ -235,18 +254,27 @@ class VisualizationPlanner:
     def _plan_ilp(self, problem: MultiplotSelectionProblem,
                   processing_groups: list[ProcessingGroup] | None,
                   incumbent: Multiplot | None = None,
+                  timeout_seconds: float | None = None,
                   ) -> tuple[PlannerResult, bool]:
         """The ILP's plan, and whether it is *incumbent*'s multiplot
         handed back (the solver cuts the model off at its cost)."""
-        with trace_span("planner.ilp", backend=self._ilp.backend) as span:
+        backend = ("rowsearch"
+                   if self._ilp.searches_row(problem, processing_groups)
+                   else self._ilp.backend)
+        with trace_span("planner.ilp", backend=backend) as span:
             start = time.perf_counter()
             solution = self._ilp.solve(
                 problem, processing_groups=processing_groups,
-                incumbent=incumbent)
+                timeout_seconds=timeout_seconds, incumbent=incumbent)
             span.set_attribute("expected_cost",
                                round(solution.expected_cost, 3))
             span.set_attribute("optimal", solution.optimal)
             span.set_attribute("timed_out", solution.timed_out)
+            # The certificate: why this plan was served.
+            span.set_attribute("tuples_left", solution.tuples_left)
+            span.set_attribute("pairs_left", solution.pairs_left)
+            span.set_attribute("assignments", solution.assignments)
+            span.set_attribute("open_bound", round(solution.open_bound, 3))
             return PlannerResult(
                 multiplot=solution.multiplot,
                 expected_cost=solution.expected_cost,

@@ -9,6 +9,7 @@ two solvers' solutions.
 
 from __future__ import annotations
 
+import statistics
 from dataclasses import dataclass
 
 from repro.core.greedy import GreedySolver
@@ -26,6 +27,7 @@ DEFAULT_CANDIDATES = 20
 DEFAULT_ROWS = 1
 DEFAULT_PIXELS = 1125  # iPhone-class screen, the paper's default
 DEFAULT_TIMEOUT = 1.0
+TIMING_REPEATS = 3
 
 
 @dataclass(frozen=True)
@@ -39,26 +41,36 @@ class SolverComparison:
     ilp_timed_out: bool
 
 
-def _compare_on_instance(problem: MultiplotSelectionProblem,
-                         timeout: float) -> SolverComparison:
-    greedy = GreedySolver().solve(problem)
+def _solve_ilp(problem: MultiplotSelectionProblem,
+               timeout: float) -> tuple[float, float, bool]:
+    """One timed ILP solve: its seconds, cost and whether it timed out."""
     try:
         ilp = IlpSolver(timeout_seconds=timeout).solve(problem)
-        ilp_cost = ilp.expected_cost
-        ilp_seconds = ilp.elapsed_seconds
-        timed_out = ilp.timed_out
+        return ilp.elapsed_seconds, ilp.expected_cost, ilp.timed_out
     except SolverError:
         # No incumbent within the timeout: fall back to the empty
         # multiplot's cost, matching "timeout without solution".
         from repro.core.model import Multiplot
-        ilp_cost = problem.evaluate(
-            Multiplot.empty(problem.geometry.num_rows))
-        ilp_seconds = timeout
-        timed_out = True
+        return timeout, problem.evaluate(
+            Multiplot.empty(problem.geometry.num_rows)), True
+
+
+def _compare_on_instance(problem: MultiplotSelectionProblem,
+                         timeout: float) -> SolverComparison:
+    # Each solver is timed TIMING_REPEATS times, interleaved, and keeps
+    # its median: on one row the ILP's search adds only a few ms to the
+    # greedy seed it computes itself, less than one noisy run can move
+    # either time.
+    greedy_seconds, ilp_seconds = [], []
+    for _ in range(TIMING_REPEATS):
+        greedy = GreedySolver().solve(problem)
+        greedy_seconds.append(greedy.elapsed_seconds)
+        seconds, ilp_cost, timed_out = _solve_ilp(problem, timeout)
+        ilp_seconds.append(seconds)
     return SolverComparison(
-        greedy_seconds=greedy.elapsed_seconds,
+        greedy_seconds=statistics.median(greedy_seconds),
         greedy_cost=greedy.expected_cost,
-        ilp_seconds=ilp_seconds,
+        ilp_seconds=statistics.median(ilp_seconds),
         ilp_cost=ilp_cost,
         ilp_timed_out=timed_out,
     )
@@ -114,5 +126,6 @@ def figure6_solver_sweep(database: Database, table_name: str = "nyc311",
         table.add_row(level, greedy_ms, ilp_ms, timeout_ratio,
                       greedy_cost, ilp_cost, greedy_cost - ilp_cost)
     table.add_note(f"{num_queries} random queries per level, "
-                   f"timeout {timeout:.1f}s")
+                   f"timeout {timeout:.1f}s, times are medians of "
+                   f"{TIMING_REPEATS} runs")
     return table

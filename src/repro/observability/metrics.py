@@ -22,7 +22,9 @@ Histograms optionally carry **exemplars**: ``observe(value,
 exemplar=trace_id)`` keeps, per bucket, the slowest recent observation's
 reference, so a p99 bucket in ``/api/metrics`` links straight to the
 ``/api/traces`` entry that produced it (see
-:func:`repro.observability.tracing.current_trace_id`).
+:func:`repro.observability.tracing.current_trace_id`).  An exemplar
+older than every trace the trace log holds links nowhere, so any newer
+observation in its bucket replaces it.
 
 Instruments are identified by ``(name, labels)``; labels are plain
 keyword arguments (``registry.counter("errors", type="ValueError")``),
@@ -124,6 +126,12 @@ class Gauge:
 EXEMPLAR_STALENESS = 1024
 
 
+def _trace_evicted(reference: str) -> bool:
+    """Whether the trace log has evicted the trace *reference* names."""
+    from repro.observability.tracing import get_trace_log
+    return get_trace_log().evicted(reference)
+
+
 class Histogram:
     """Fixed-bucket distribution with estimated percentiles.
 
@@ -171,7 +179,8 @@ class Histogram:
                 stored = self._exemplars[index]
                 if (stored is None or value >= stored[0]
                         or self._counts[index] - stored[2]
-                        > EXEMPLAR_STALENESS):
+                        > EXEMPLAR_STALENESS
+                        or _trace_evicted(stored[1])):
                     self._exemplars[index] = (value, exemplar,
                                               self._counts[index])
 

@@ -242,6 +242,19 @@ class TraceLog:
         with self._lock:
             self._traces.append(trace)
 
+    def evicted(self, trace_id: str) -> bool:
+        """Whether *trace_id* is older than the oldest trace held.
+
+        Trace ids are numbered in start order (``t%08d``), so an id
+        below the oldest held one has been evicted; an id of another
+        form, or any id while the buffer is empty, is not known to be.
+        """
+        try:
+            oldest = self._traces[0].trace_id
+        except IndexError:
+            return False
+        return len(trace_id) == len(oldest) and trace_id < oldest
+
     def tail(self, n: int = 20) -> list[Trace]:
         """The most recent *n* traces, oldest first."""
         with self._lock:

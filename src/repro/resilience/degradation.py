@@ -12,6 +12,7 @@ site                      action                     replaces
 ``candidates``            ``seed_only`` /            full candidate set
                           ``top_m``
 ``planner``               ``ilp_to_greedy``          ILP / best planning
+``planner``               ``ilp_budget_cut``         the row search's budget
 ``executor``              ``batch_to_per_group``     shared plan execution
 ``executor``              ``single_plot``            full multiplot
 ========================  =========================  ====================

@@ -13,12 +13,16 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.core.cost_model import UserCostModel
 from repro.core.ilp import IlpSolver, ProcessingGroup
-from repro.core.ilp.translate import _Formulation
+from repro.core.ilp.rowsearch import _RowSearch, _top_mass
+from repro.core.ilp.translate import _Formulation, _templates_and_tuples
 from repro.core.model import Bar, Multiplot, Plot, ScreenGeometry
 from repro.core.problem import MultiplotSelectionProblem
 from tests.core.helpers import candidate
@@ -135,14 +139,14 @@ def test_tuple_bounds_hold_for_every_multiplot(num_rows, width, seed):
 @pytest.mark.parametrize("backend", ["highs", "bnb"])
 def test_cut_model_matches_brute_force(backend, num_rows, width, seed,
                                        incumbent):
-    """Whatever the cutoff, the solve proves the brute-force optimum, and
+    """Whatever the cutoff, the MILP proves the brute-force optimum, and
     the model objective is the cost of the multiplot it extracts."""
     problem, brute_cost, optimum = brute_force(num_rows, width, seed)
     given = {"greedy seed": None, "weak": weak_incumbent(problem),
              "optimal": optimum}[incumbent]
     if given is not None:
         assert problem.is_feasible(given)
-    solution = IlpSolver(backend=backend, timeout_seconds=None).solve(
+    solution = IlpSolver(backend=backend, timeout_seconds=None)._solve_milp(
         problem, incumbent=given)
     assert solution.optimal and not solution.timed_out
     assert problem.is_feasible(solution.multiplot)
@@ -151,6 +155,120 @@ def test_cut_model_matches_brute_force(backend, num_rows, width, seed,
         problem.evaluate(solution.multiplot), rel=1e-9)
     if incumbent == "optimal":
         assert solution.from_incumbent
+
+
+@pytest.mark.parametrize("incumbent", ["greedy seed", "weak", "optimal"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_row_search_matches_brute_force(seed, incumbent):
+    """On one row no model is built: whatever the cutoff, the search
+    proves the brute-force optimum, and its objective is the cost of the
+    multiplot it returns."""
+    problem, brute_cost, optimum = brute_force(1, 620, seed)
+    given = {"greedy seed": None, "weak": weak_incumbent(problem),
+             "optimal": optimum}[incumbent]
+    solution = IlpSolver(timeout_seconds=None).solve(problem,
+                                                     incumbent=given)
+    assert solution.num_variables == 0
+    assert solution.optimal and not solution.timed_out
+    assert solution.open_bound == 0.0
+    assert problem.is_feasible(solution.multiplot)
+    assert solution.expected_cost == pytest.approx(brute_cost, rel=1e-6)
+    assert solution.objective == pytest.approx(
+        problem.evaluate(solution.multiplot), rel=1e-9)
+    if incumbent == "weak":
+        assert not solution.from_incumbent and solution.assignments >= 1
+    if incumbent == "optimal":
+        assert solution.from_incumbent
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_subset_bounds_hold_for_every_multiplot(seed):
+    """Every multiplot costs at least the bound of its (template set,
+    count tuple) pair, and at least the extension bound of each prefix
+    of its template set: what makes the search's cuts sound."""
+    problem, _, _ = brute_force(1, 620, seed)
+    templates, members, shapes, tuples = _templates_and_tuples(
+        problem, prune_templates=False, cutoff=None)
+    tuple_index = {(t.plots, t.red_plots, t.bars, t.red_bars): k
+                   for k, t in enumerate(tuples)}
+    search = _RowSearch(problem, templates, members,
+                        [base for base, _, _ in shapes], tuples,
+                        cutoff=math.inf, rel_gap=0.0, deadline=None)
+    checked = 0
+    for multiplot in enumerate_multiplots(problem):
+        plots = sorted(templates.index(plot.template)
+                       for plot in multiplot.plots())
+        if not plots or len(set(plots)) < len(plots):
+            continue  # one plot per template is all the search builds
+        cost = problem.evaluate(multiplot)
+        index = np.array([tuple_index[
+            (multiplot.num_plots, multiplot.num_plots_with_highlight,
+             multiplot.num_bars, multiplot.num_highlighted_bars)]])
+        for level in range(1, len(plots) + 1):
+            sets = np.array([plots[:level]])
+            widths = search.base[sets].sum(axis=1)
+            unions = search.member[sets].any(axis=1)
+            top = _top_mass(unions * search.p)
+            if level == len(plots):
+                bound = search._pair_bounds(sets, widths, top,
+                                            unions.sum(axis=1), index)[0, 0]
+            else:
+                bound = search._extension_bounds(sets, widths, unions, top,
+                                                 index, level)[0]
+            assert bound <= cost + 1e-9
+        checked += 1
+    assert checked > 100
+
+
+def interrupted_search(problem: MultiplotSelectionProblem,
+                       stop_after: int):
+    """The one-row search from the empty multiplot's cost, its deadline
+    passing once *stop_after* assignments are solved."""
+    templates, members, shapes, tuples = _templates_and_tuples(
+        problem, prune_templates=True, cutoff=None)
+
+    class Interrupted(_RowSearch):
+        def _expired(self) -> bool:
+            return self.assignments >= stop_after
+
+    return Interrupted(problem, templates, members,
+                       [base for base, _, _ in shapes], tuples,
+                       cutoff=problem.evaluate(Multiplot.empty(1)),
+                       rel_gap=1e-6, deadline=None).run()
+
+
+def assert_certified(problem, found, optimum_cost: float) -> None:
+    """A feasible plan costing its objective, and the optimum no lower
+    than the lesser of that cost and the open bound."""
+    served = found.multiplot or Multiplot.empty(1)
+    assert problem.is_feasible(served)
+    assert found.cost == pytest.approx(problem.evaluate(served), rel=1e-9)
+    if found.timed_out:
+        assert found.open_bound > 0.0
+        assert min(found.cost, found.open_bound) <= optimum_cost + 1e-9
+    else:
+        assert found.cost == pytest.approx(optimum_cost, rel=1e-6)
+
+
+@pytest.mark.parametrize("stop_after", [0, 1])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_interrupted_search_certifies_its_gap(seed, stop_after):
+    """Out of time before or after its first assignment, the search
+    serves a feasible plan and a valid open bound."""
+    problem, brute_cost, _ = brute_force(1, 620, seed)
+    assert_certified(problem, interrupted_search(problem, stop_after),
+                     brute_cost)
+
+
+def test_search_interrupted_mid_walk_certifies_its_gap(small_problem):
+    """A wide screen leaves pairs unsearched after the first assignment:
+    the open bound then covers them and every deeper level."""
+    problem = replace(small_problem,
+                      geometry=ScreenGeometry(width_pixels=1920))
+    found = interrupted_search(problem, stop_after=1)
+    assert found.timed_out and found.assignments == 1
+    optimum = IlpSolver(timeout_seconds=None)._solve_milp(problem)
+    assert_certified(problem, found, optimum.expected_cost)
 
 
 @pytest.mark.parametrize("backend", ["highs", "bnb"])

@@ -83,17 +83,17 @@ class TestIlpSolutions:
     def test_pruning_does_not_change_optimum(self):
         problem = small_instance(num_candidates=4)
         pruned = IlpSolver(timeout_seconds=None,
-                           prune_templates=True).solve(problem)
+                           prune_templates=True)._solve_milp(problem)
         full = IlpSolver(timeout_seconds=None,
-                         prune_templates=False).solve(problem)
+                         prune_templates=False)._solve_milp(problem)
         assert pruned.expected_cost == pytest.approx(full.expected_cost,
                                                      rel=1e-6)
 
     def test_bnb_backend_agrees_with_highs(self, tiny_problem):
         highs = IlpSolver(backend="highs",
-                          timeout_seconds=None).solve(tiny_problem)
+                          timeout_seconds=None)._solve_milp(tiny_problem)
         bnb = IlpSolver(backend="bnb",
-                        timeout_seconds=60.0).solve(tiny_problem)
+                        timeout_seconds=60.0)._solve_milp(tiny_problem)
         assert highs.expected_cost == pytest.approx(bnb.expected_cost,
                                                     rel=1e-6)
 
@@ -111,8 +111,8 @@ class TestIlpSolutions:
         """Count tuples below the cutoff remain (their bounds are not
         tight), the solve finds nothing cheaper, and the caller's plan
         comes back proven optimal."""
-        optimum = IlpSolver(timeout_seconds=None).solve(small_problem)
-        again = IlpSolver(timeout_seconds=None).solve(
+        optimum = IlpSolver(timeout_seconds=None)._solve_milp(small_problem)
+        again = IlpSolver(timeout_seconds=None)._solve_milp(
             small_problem, incumbent=optimum.multiplot)
         assert again.num_variables > 0
         assert again.from_incumbent and again.optimal

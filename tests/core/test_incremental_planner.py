@@ -4,13 +4,14 @@ from dataclasses import replace
 
 import pytest
 
+from repro.core.greedy import GreedySolver
 from repro.core.ilp import IlpSolver, incremental_solve
 from repro.core.model import ScreenGeometry
 from repro.core.planner import VisualizationPlanner
 from repro.core.problem import MultiplotSelectionProblem
 from repro.errors import PlanningError, SolverError
 from repro.observability import get_trace_log
-from repro.resilience import degradation_scope
+from repro.resilience import deadline_scope, degradation_scope
 from tests.core.helpers import candidate
 from tests.core.test_brute_force_validation import tiny_problem
 
@@ -196,3 +197,120 @@ class TestCertifiedBestStrategy:
         assert result.ilp_cost == result.expected_cost
         assert result.greedy_cost == greedy.expected_cost
         assert degradations == []
+
+    @staticmethod
+    def ilp_certificate() -> dict:
+        root = get_trace_log().tail(1)[-1].root
+        (span,) = [s for s in root.iter_spans() if s.name == "planner.ilp"]
+        return {key: span.attributes[key] for key in
+                ("backend", "tuples_left", "pairs_left", "assignments",
+                 "open_bound")}
+
+    def test_certificate_of_a_greedy_proven_plan(self, small_problem):
+        """Count tuples survive the cut at greedy's cost, but no template
+        set can realise one of them cheaper: the proof needs no
+        assignment."""
+        _, decision, _ = self.plan_traced(small_problem)
+        assert decision == "greedy proven optimal"
+        certificate = self.ilp_certificate()
+        assert certificate["backend"] == "rowsearch"
+        assert certificate["tuples_left"] > 0
+        assert certificate["pairs_left"] == 0
+        assert certificate["assignments"] == 0
+        assert certificate["open_bound"] == 0.0
+
+    def test_span_names_the_milp_backend_on_two_rows(self):
+        self.plan_traced(tiny_problem(5, width=360, seed=0, num_rows=2))
+        assert self.ilp_certificate()["backend"] == "highs"
+
+    def test_certificate_of_an_ilp_upgrade(self, small_problem):
+        wide = replace(small_problem,
+                       geometry=ScreenGeometry(width_pixels=1500))
+        result, decision, _ = self.plan_traced(wide)
+        assert decision == "ilp upgrade" and result.optimal
+        certificate = self.ilp_certificate()
+        assert certificate["tuples_left"] > 0
+        assert certificate["pairs_left"] >= 1
+        assert certificate["assignments"] >= 1
+        assert certificate["open_bound"] == 0.0
+
+
+class TestDeadlineBudget:
+    """The ILP's budget is whatever the request deadline leaves of it."""
+
+    def test_short_deadline_still_proves_a_one_row_plan(self, small_problem):
+        planner = VisualizationPlanner(strategy="best")
+        with degradation_scope() as degradations:
+            with deadline_scope(300):
+                result = planner.plan(small_problem)
+        assert result.optimal and not result.timed_out
+        assert [e for e in degradations if e.site == "planner"] == []
+
+    def test_exhausted_budget_keeps_greedy_and_is_recorded(
+            self, small_problem):
+        """With nothing left of the deadline the search stops at once:
+        greedy's plan is served unproven, and the cut budget is recorded
+        as a degradation (degraded plans are never cached)."""
+        class Spent:
+            budget_ms = 300.0
+
+            def remaining_ms(self) -> float:
+                return 0.0
+
+        greedy = VisualizationPlanner(strategy="greedy").plan(small_problem)
+        planner = VisualizationPlanner(strategy="best")
+        with degradation_scope() as degradations:
+            result = planner._plan_primary(small_problem, None, Spent())
+        assert result.solver_name == "greedy" and not result.optimal
+        assert result.multiplot == greedy.multiplot
+        assert [(e.site, e.action, e.reason) for e in degradations] == [
+            ("planner", "ilp_budget_cut", "deadline_pressure")]
+
+
+    def test_row_search_leaves_execution_its_share(self, small_problem):
+        """The row search's budget keeps back the fraction of the
+        deadline execution needs before it would shrink the answer."""
+        class Deadline:
+            budget_ms = 1000.0
+
+            def remaining_ms(self) -> float:
+                return 400.0
+
+        budgets = []
+        planner = VisualizationPlanner(strategy="best")
+        solve = planner._ilp.solve
+
+        def recording_solve(problem, **kwargs):
+            budgets.append(kwargs["timeout_seconds"])
+            return solve(problem, **kwargs)
+
+        planner._ilp.solve = recording_solve
+        planner._plan_primary(small_problem, None, Deadline())
+        assert budgets == [pytest.approx(0.25)]
+
+    def test_milp_is_skipped_when_its_limit_does_not_fit(self):
+        """Two rows go to the MILP, which is not anytime: under a
+        deadline shorter than its limit the planner keeps greedy's plan
+        and records the skip, as before the row search existed."""
+        problem = tiny_problem(5, width=360, seed=0, num_rows=2)
+        greedy = VisualizationPlanner(strategy="greedy").plan(problem)
+        planner = VisualizationPlanner(strategy="best")
+        with degradation_scope() as degradations:
+            with deadline_scope(500):
+                result = planner.plan(problem)
+        assert result.solver_name == "greedy"
+        assert result.multiplot == greedy.multiplot
+        assert [(e.site, e.action, e.reason) for e in degradations] == [
+            ("planner", "ilp_to_greedy", "deadline_pressure")]
+
+
+def test_zero_budget_returns_the_incumbent_with_an_open_bound(small_problem):
+    """The search is anytime: out of time before any pair, it hands the
+    incumbent back unproven, with the lowest bound it did not search."""
+    greedy = GreedySolver().solve(small_problem)
+    solution = IlpSolver(timeout_seconds=0.0).solve(
+        small_problem, incumbent=greedy.multiplot)
+    assert solution.timed_out and not solution.optimal
+    assert solution.from_incumbent
+    assert solution.multiplot == greedy.multiplot
+    assert 0.0 < solution.open_bound < greedy.expected_cost

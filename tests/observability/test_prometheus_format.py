@@ -111,6 +111,7 @@ class TestExemplars:
         histogram = Histogram((10.0, 100.0))
         histogram.observe(50.0, exemplar="t1")
         histogram.observe(20.0, exemplar="t2")  # smaller: not kept
+        assert histogram.snapshot()["exemplars"]["100"]["trace_id"] == "t1"
         histogram.observe(70.0, exemplar="t3")  # larger: replaces
         snap = histogram.snapshot()
         assert snap["exemplars"]["100"]["trace_id"] == "t3"

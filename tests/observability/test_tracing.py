@@ -136,6 +136,36 @@ class TestTraceLog:
             log.append(Trace(f"t{index}", 0.0, Span(f"s{index}")))
         assert [trace.trace_id for trace in log.tail(10)] == ["t1", "t2"]
 
+    def test_evicted_compares_against_the_oldest_held_id(self):
+        log = TraceLog(capacity=2)
+        assert not log.evicted("t00000000")   # empty: not known
+        for index in range(3):
+            log.append(Trace(f"t{index:08d}", 0.0, Span(f"s{index}")))
+        assert log.evicted("t00000000")
+        assert not log.evicted("t00000001")
+        assert not log.evicted("t00000009")   # still in progress
+        assert not log.evicted("t0")          # not a numbered id
+
+    def test_evicted_exemplar_yields_to_a_faster_observation(self):
+        """A bucket's slowest exemplar holds only while its trace can
+        still be fetched; once evicted, a faster observation replaces
+        it (so ``/api/metrics`` never links to a vanished trace)."""
+        from repro.observability.metrics import Histogram
+        from repro.observability.tracing import current_trace_id
+        histogram = Histogram((100.0,))
+        with trace_span("slow"):
+            slow = current_trace_id()
+        with trace_span("fast"):
+            fast = current_trace_id()
+        histogram.observe(90.0, exemplar=slow)
+        histogram.observe(10.0, exemplar=fast)   # slow is retained
+        assert histogram.snapshot()["exemplars"]["100"]["trace_id"] == slow
+        for _ in range(get_trace_log().capacity):
+            with trace_span("filler"):
+                pass
+        histogram.observe(10.0, exemplar=fast)
+        assert histogram.snapshot()["exemplars"]["100"]["trace_id"] == fast
+
     def test_tail_returns_oldest_first(self):
         log = TraceLog(capacity=8)
         for index in range(4):

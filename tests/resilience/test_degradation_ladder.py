@@ -71,6 +71,27 @@ class TestPlannerRung:
         assert result.solver_name == "greedy"
 
 
+    def test_deadline_on_a_two_row_screen_keeps_the_full_multiplot(
+            self, muve):
+        """A two-row screen routes the ILP to the MILP, whose 1 s limit
+        a 500 ms deadline cannot fit: the planner keeps greedy's plan
+        without starting the MILP, so execution still has its share of
+        the budget and the whole multiplot is served."""
+        from repro import Muve, VisualizationPlanner
+        greedy = muve.ask(QUESTION)
+        best = Muve(muve.database, "nyc311", seed=1,
+                    geometry=muve.geometry,
+                    planner=VisualizationPlanner(strategy="best"),
+                    enable_caching=False)
+        with deadline_scope(500):
+            response = best.ask(QUESTION)
+        assert [(e.site, e.action, e.reason)
+                for e in response.degradations] == [
+            ("planner", "ilp_to_greedy", "deadline_pressure")]
+        assert response.multiplot == greedy.multiplot
+        assert response.multiplot.num_plots > 1
+
+
 class TestExecutorRungs:
     def test_batch_failure_falls_back_to_per_group(self, muve):
         baseline = muve.ask(QUESTION)
