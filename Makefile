@@ -7,9 +7,10 @@ PYTEST := PYTHONPATH=src python -m pytest
 # The gating suite: the full test tree (tier 1), then the concurrency
 # and caching suites plus the index differential suite (indexed ==
 # scan, bit for bit), the append differential suite (delta
-# maintenance == full rebuild, bit for bit) and the row-search
-# differential suite (one-row search == uncut MILP optimum) once more
-# on their own.
+# maintenance == full rebuild, bit for bit), the row-search
+# differential suite (one-row search == uncut MILP optimum) and the
+# greedy differential suite (greedy over version summaries == the
+# plot-object oracle, bit for bit) once more on their own.
 # Test-order randomisation is disabled so failures bisect
 # deterministically.
 check:
@@ -17,7 +18,8 @@ check:
 	$(PYTEST) -q -p no:randomly tests/test_concurrency.py tests/caching \
 		tests/sqldb/test_index_differential.py \
 		tests/sqldb/test_append_differential.py \
-		tests/core/test_rowsearch_differential.py
+		tests/core/test_rowsearch_differential.py \
+		tests/core/test_greedy_differential.py
 
 # Fast development loop: everything except the paper-experiment
 # regeneration suite (marked `slow`).

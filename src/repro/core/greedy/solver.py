@@ -5,7 +5,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from repro.core.greedy.coloring import add_colors
+from repro.core.greedy.coloring import PlotVersions
 from repro.core.greedy.pick_plots import pick_plots
 from repro.core.greedy.plot_candidates import plot_candidates
 from repro.core.greedy.polish import polish
@@ -32,27 +32,22 @@ class GreedySolver:
     variant:
         ``"knapsack"`` (multi-dimensional knapsack greedy, the default) or
         ``"cardinality"`` (fixed-width Nemhauser variant).
-    epsilon:
-        Density-threshold decay for the knapsack greedy; smaller values
-        trade running time for solution quality (Theorem 8's epsilon).
     max_highlighted:
         Optional cap on highlights per plot (None considers all prefixes).
     """
 
-    def __init__(self, variant: str = "knapsack", epsilon: float = 0.1,
+    def __init__(self, variant: str = "knapsack",
                  max_highlighted: int | None = None,
                  apply_polish: bool = True) -> None:
         self.variant = variant
-        self.epsilon = epsilon
         self.max_highlighted = max_highlighted
         self.apply_polish = apply_polish
 
     def solve(self, problem: MultiplotSelectionProblem) -> GreedySolution:
         start = time.perf_counter()
         uncolored = plot_candidates(problem)
-        colored = add_colors(uncolored, self.max_highlighted)
-        multiplot = pick_plots(problem, colored, variant=self.variant,
-                               epsilon=self.epsilon)
+        versions = PlotVersions(problem, uncolored, self.max_highlighted)
+        multiplot = pick_plots(problem, versions, variant=self.variant)
         if self.apply_polish:
             multiplot = polish(problem, multiplot)
         elapsed = time.perf_counter() - start
@@ -61,5 +56,5 @@ class GreedySolver:
             expected_cost=problem.evaluate(multiplot),
             elapsed_seconds=elapsed,
             num_plot_candidates=len(uncolored),
-            num_colored_candidates=len(colored),
+            num_colored_candidates=len(versions),
         )

@@ -16,10 +16,21 @@
   assignment solves).
 * :mod:`repro.core.ilp.incremental` — Section 5.4 incremental optimisation
   with exponentially growing timeouts.
+
+The scipy solvers are imported where they are called, so a process that
+only plans greedily never loads them; :func:`load_backends` loads them
+ahead of the first solve.
 """
 
 from repro.core.ilp.incremental import incremental_solve
 from repro.core.ilp.translate import IlpSolution, IlpSolver, ProcessingGroup
 
 __all__ = ["IlpSolution", "IlpSolver", "ProcessingGroup",
-           "incremental_solve"]
+           "incremental_solve", "load_backends"]
+
+
+def load_backends() -> None:
+    """Import ``scipy.optimize`` and ``scipy.sparse`` now (about 0.5 s
+    and 45 MB), so that the first ILP solve does not pay for them."""
+    import scipy.optimize  # noqa: F401
+    import scipy.sparse  # noqa: F401

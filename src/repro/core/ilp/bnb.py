@@ -21,7 +21,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.core.ilp.modeling import CompiledModel, SolveResult
 from repro.errors import ModelInfeasible, SolverError
@@ -50,6 +49,7 @@ def solve_with_bnb(model: CompiledModel,
     exists, and :class:`SolverError` when the deadline passes before any
     integral incumbent is found.
     """
+    from scipy.optimize import linprog
     start = time.perf_counter()
     deadline = (start + timeout_seconds
                 if timeout_seconds is not None else None)

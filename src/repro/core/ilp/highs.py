@@ -5,7 +5,6 @@ from __future__ import annotations
 import time
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.core.ilp.modeling import CompiledModel, SolveResult
 from repro.errors import ModelInfeasible, SolverError
@@ -22,6 +21,7 @@ def solve_with_highs(model: CompiledModel,
     :class:`ModelInfeasible` when HiGHS proves no assignment exists and
     :class:`SolverError` when none is available for another reason.
     """
+    from scipy.optimize import Bounds, LinearConstraint, milp
     constraints = []
     if model.a_ub.shape[0]:
         constraints.append(LinearConstraint(

@@ -12,11 +12,14 @@ consumed by the backends in :mod:`repro.core.ilp.highs` and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from repro.errors import SolverError
+
+if TYPE_CHECKING:  # pragma: no cover - type hints only
+    from scipy import sparse
 
 
 @dataclass(frozen=True)
@@ -214,6 +217,7 @@ def _sparse_rows(rows: list[tuple[dict[int, float], float, float]],
     """CSR matrix and right-hand side of ``(coefficients, sign, bound)``
     rows; the models are sparse, and a dense matrix dominates their build
     time once they reach a few thousand columns."""
+    from scipy import sparse
     indptr = [0]
     indices: list[int] = []
     data: list[float] = []

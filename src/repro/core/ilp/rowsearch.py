@@ -48,7 +48,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from repro.core.model import Bar, Multiplot, Plot
 from repro.core.problem import MultiplotSelectionProblem
@@ -345,6 +344,7 @@ class _RowSearch:
     def _solve_pair(self, plots, red, index) -> None:
         """One assignment: the best multiplot over *plots* with exactly
         *red* red plots and tuple *index*'s counts."""
+        from scipy.optimize import linear_sum_assignment
         t = self.tuples
         bars = int(t.bars[index])
         red_bars = int(t.red_bars[index])

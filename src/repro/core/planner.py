@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from repro.core.greedy import GreedySolver
-from repro.core.ilp import IlpSolver, ProcessingGroup
+from repro.core.ilp import IlpSolver, ProcessingGroup, load_backends
 from repro.core.model import Multiplot
 from repro.core.problem import MultiplotSelectionProblem
 from repro.errors import DeadlineExceeded, PlanningError, SolverError
@@ -72,7 +72,6 @@ class VisualizationPlanner:
     def __init__(self, strategy: str = "best",
                  timeout_seconds: float = 1.0,
                  ilp_backend: str = "highs",
-                 greedy_epsilon: float = 0.1,
                  processing_weight: float = 0.0,
                  plan_cache: "PlanCache | None" = None) -> None:
         if strategy not in ("greedy", "ilp", "best"):
@@ -80,10 +79,12 @@ class VisualizationPlanner:
         self.strategy = strategy
         self.timeout_seconds = timeout_seconds
         self.plan_cache = plan_cache
-        self._greedy = GreedySolver(epsilon=greedy_epsilon)
+        self._greedy = GreedySolver()
         self._ilp = IlpSolver(backend=ilp_backend,
                               timeout_seconds=timeout_seconds,
                               processing_weight=processing_weight)
+        if strategy != "greedy":
+            load_backends()  # at set-up, not inside the first plan
 
     def plan(self, problem: MultiplotSelectionProblem,
              processing_groups: list[ProcessingGroup] | None = None,
@@ -110,7 +111,7 @@ class VisualizationPlanner:
                     else "bypass")
             else:
                 key = (self.strategy, self.timeout_seconds,
-                       self._ilp.backend, self._greedy.epsilon,
+                       self._ilp.backend,
                        self.plan_cache.problem_key(problem,
                                                    processing_groups))
                 if guarded:

@@ -70,12 +70,18 @@ class MultiplotSelectionProblem:
 
         This is the grouping step of Algorithm 2.
         """
+        # One (probability, SQL) rank per candidate, not one per
+        # (candidate, template) pair: rendering SQL is the costly part.
+        ranked = sorted(self.candidates,
+                        key=lambda c: (-c.probability, c.query.to_sql()))
+        rank = {candidate.query: index
+                for index, candidate in enumerate(ranked)}
         groups: dict[QueryTemplate, list[CandidateQuery]] = {}
         for candidate in self.candidates:
             for template in templates_of(candidate.query):
                 groups.setdefault(template, []).append(candidate)
         for members in groups.values():
-            members.sort(key=lambda c: (-c.probability, c.query.to_sql()))
+            members.sort(key=lambda c: rank[c.query])
         return groups
 
     def evaluate(self, multiplot: Multiplot) -> float:

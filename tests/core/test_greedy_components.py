@@ -3,7 +3,7 @@ maximization."""
 
 import pytest
 
-from repro.core.greedy.coloring import add_colors, color_plot
+from repro.core.greedy.coloring import PlotVersions, color_plot
 from repro.core.greedy.plot_candidates import plot_candidates
 from repro.core.greedy.submodular import (
     maximize_cardinality,
@@ -92,19 +92,38 @@ class TestColoring:
     def test_add_colors_counts(self):
         problem = make_problem(n=3)
         uncolored = plot_candidates(problem)
-        colored = add_colors(uncolored)
+        versions = PlotVersions(problem, uncolored)
         expected = sum(len(u.members) + 1 for u in uncolored)
-        assert len(colored) == expected
+        assert len(versions) == expected
 
     def test_add_colors_respects_cap(self):
         problem = make_problem(n=5)
-        colored = add_colors(plot_candidates(problem), max_highlighted=1)
-        assert all(p.num_highlighted <= 1 for p in colored)
+        versions = PlotVersions(problem, plot_candidates(problem),
+                                max_highlighted=1)
+        assert all(versions.plot(v).num_highlighted <= 1
+                   for v in range(len(versions)))
+
+    def test_versions_summarise_their_plots(self):
+        """Each version's numbers describe the plot it builds."""
+        problem = make_problem(n=5, width=900)
+        versions = PlotVersions(problem, plot_candidates(problem))
+        queries = [c.query for c in problem.candidates]
+        for v in range(len(versions)):
+            plot = versions.plot(v)
+            assert versions.units[v] == problem.geometry.plot_units(plot)
+            assert versions.bars[v] == plot.num_bars
+            assert versions.highlighted[v] == plot.num_highlighted
+            shown = versions.red[v] + versions.plain[v]
+            assert [(queries[i], p) for i, p in shown] == \
+                [(bar.query, bar.probability) for bar in plot.bars]
+            assert all(plot.bars[i].highlighted
+                       for i in range(len(versions.red[v])))
 
     def test_highlights_most_likely_only(self):
         """Theorem 2: only probability-prefix highlight patterns appear."""
         problem = make_problem(n=5)
-        for plot in add_colors(plot_candidates(problem)):
+        versions = PlotVersions(problem, plot_candidates(problem))
+        for plot in map(versions.plot, range(len(versions))):
             flags = [bar.highlighted for bar in plot.bars]
             # once a False appears, no True may follow
             seen_false = False

@@ -3,13 +3,16 @@
 import pytest
 
 from repro.core.greedy import GreedySolver
-from repro.core.greedy.pick_plots import pick_plots
+from repro.core.greedy.coloring import PlotVersions
+from repro.core.greedy.pick_plots import pick_plots, selection_savings
 from repro.core.greedy.plot_candidates import plot_candidates
-from repro.core.greedy.coloring import add_colors
 from repro.core.greedy.polish import polish
 from repro.core.model import Multiplot, ScreenGeometry
 from repro.core.problem import MultiplotSelectionProblem
-from tests.core.helpers import candidate, multiplot, plot, query
+from repro.nlq.candidates import CandidateQuery
+from tests.core import greedy_oracle
+from tests.core.helpers import TEMPLATE, TEMPLATE_B, candidate, multiplot, \
+    plot, query
 
 
 def make_problem(n=6, width=1200, rows=1) -> MultiplotSelectionProblem:
@@ -20,36 +23,38 @@ def make_problem(n=6, width=1200, rows=1) -> MultiplotSelectionProblem:
         geometry=ScreenGeometry(width_pixels=width, num_rows=rows))
 
 
+def all_versions(problem) -> PlotVersions:
+    return PlotVersions(problem, plot_candidates(problem))
+
+
 class TestPickPlots:
     @pytest.mark.parametrize("variant", ["knapsack", "cardinality"])
     def test_result_fits_screen(self, variant):
         problem = make_problem(width=800, rows=2)
-        colored = add_colors(plot_candidates(problem))
-        result = pick_plots(problem, colored, variant=variant)
+        result = pick_plots(problem, all_versions(problem), variant=variant)
         assert problem.geometry.fits(result)
 
     @pytest.mark.parametrize("variant", ["knapsack", "cardinality"])
     def test_positive_savings(self, variant):
         problem = make_problem()
-        colored = add_colors(plot_candidates(problem))
-        result = pick_plots(problem, colored, variant=variant)
+        result = pick_plots(problem, all_versions(problem), variant=variant)
         assert problem.cost_model.cost_savings(
             result, problem.candidates) > 0
 
     def test_unknown_variant(self):
         problem = make_problem()
         with pytest.raises(ValueError):
-            pick_plots(problem, [], variant="magic")
+            pick_plots(problem, PlotVersions(problem, []),
+                       variant="magic")
 
     def test_no_candidates_empty_multiplot(self):
         problem = make_problem()
-        result = pick_plots(problem, [])
+        result = pick_plots(problem, PlotVersions(problem, []))
         assert result.num_plots == 0
 
     def test_one_version_per_template(self):
         problem = make_problem(rows=2)
-        colored = add_colors(plot_candidates(problem))
-        result = pick_plots(problem, colored)
+        result = pick_plots(problem, all_versions(problem))
         templates = [p.template for p in result.plots()]
         assert len(templates) == len(set(templates))
 
@@ -57,8 +62,7 @@ class TestPickPlots:
         """The knapsack variant must not get stuck on a small prefix
         version of the best template (the exchange-move regression)."""
         problem = make_problem(n=6, width=1200, rows=1)
-        colored = add_colors(plot_candidates(problem))
-        result = pick_plots(problem, colored, variant="knapsack")
+        result = pick_plots(problem, all_versions(problem), variant="knapsack")
         # The best single plot shows all six queries; exchange moves must
         # reach at least five bars.
         assert result.num_bars >= 5
@@ -162,14 +166,14 @@ class TestGreedySolver:
 
 
 class TestSelectionSavings:
-    """The O(bars) fast savings evaluation must agree with the cost model
+    """The O(bars) savings evaluations must agree with the cost model
     whenever bar probabilities equal candidate probabilities — which the
-    coloring pipeline guarantees."""
+    coloring pipeline guarantees.  The oracle's plot-based evaluation is
+    checked as well: it is the reference the differential suite uses."""
 
     @staticmethod
     def _plot_with_candidate_probs(problem, indices, highlighted):
         from repro.core.model import Bar, Plot
-        from tests.core.helpers import TEMPLATE
         bars = tuple(
             Bar(query=problem.candidates[i].query,
                 probability=problem.candidates[i].probability,
@@ -179,7 +183,6 @@ class TestSelectionSavings:
         return Plot(TEMPLATE, bars)
 
     def test_matches_cost_model_without_duplicates(self):
-        from repro.core.greedy.pick_plots import selection_savings
         problem = make_problem(n=6, width=4000)
         plots = [
             self._plot_with_candidate_probs(problem, [0, 1], {0}),
@@ -187,11 +190,10 @@ class TestSelectionSavings:
         ]
         mp = multiplot([plots])
         slow = problem.cost_model.cost_savings(mp, problem.candidates)
-        fast = selection_savings(plots, problem.cost_model)
+        fast = greedy_oracle.selection_savings(plots, problem.cost_model)
         assert fast == pytest.approx(slow)
 
     def test_counts_duplicate_probability_once(self):
-        from repro.core.greedy.pick_plots import selection_savings
         problem = make_problem(n=4, width=4000)
         plots = [
             self._plot_with_candidate_probs(problem, [0, 1], set()),
@@ -199,28 +201,80 @@ class TestSelectionSavings:
         ]
         mp = multiplot([plots])
         slow = problem.cost_model.cost_savings(mp, problem.candidates)
-        fast = selection_savings(plots, problem.cost_model)
+        fast = greedy_oracle.selection_savings(plots, problem.cost_model)
         assert fast == pytest.approx(slow)
 
     def test_matches_on_full_greedy_pipeline(self, nyc_candidates):
         """End to end: the fast path and the cost model agree on the
         plots the real pipeline produces."""
-        from repro.core.greedy.pick_plots import selection_savings
         problem = MultiplotSelectionProblem(
             nyc_candidates,
             geometry=ScreenGeometry(width_pixels=1125, num_rows=2))
         solution = GreedySolver(apply_polish=False).solve(problem)
         slow = problem.cost_model.cost_savings(solution.multiplot,
                                                problem.candidates)
-        fast = selection_savings(list(solution.multiplot.plots()),
-                                 problem.cost_model)
+        fast = greedy_oracle.selection_savings(
+            list(solution.multiplot.plots()), problem.cost_model)
         assert fast == pytest.approx(slow)
 
     def test_empty_selection_saves_nothing(self):
-        from repro.core.greedy.pick_plots import selection_savings
         problem = make_problem()
-        assert selection_savings([], problem.cost_model) == pytest.approx(
-            0.0)
+        assert greedy_oracle.selection_savings(
+            [], problem.cost_model) == pytest.approx(0.0)
+        assert selection_savings(all_versions(problem), [],
+                                 problem.cost_model) == pytest.approx(0.0)
+
+    def test_versions_match_cost_model(self, nyc_candidates):
+        """Every single version, and every pair of versions sharing no
+        candidate, is costed as the cost model costs its multiplot."""
+        problem = MultiplotSelectionProblem(
+            nyc_candidates, geometry=ScreenGeometry(width_pixels=1125))
+        versions = all_versions(problem)
+        model = problem.cost_model
+        for v in range(len(versions)):
+            single = Multiplot(((versions.plot(v),),))
+            assert selection_savings(versions, [v], model) == \
+                pytest.approx(model.cost_savings(single, nyc_candidates))
+        shown = [{i for i, _ in versions.red[v] + versions.plain[v]}
+                 for v in range(len(versions))]
+        for v, w in [(0, w) for w in range(len(versions))
+                     if not shown[0] & shown[w]]:
+            pair = Multiplot(((versions.plot(v), versions.plot(w)),))
+            assert selection_savings(versions, [v, w], model) == \
+                pytest.approx(model.cost_savings(pair, nyc_candidates))
+
+    def test_duplicate_counts_at_first_selected_occurrence(self):
+        """A candidate two selected versions show counts once, in the
+        first version of the selection (whatever the rows say)."""
+        shared = query(0, TEMPLATE)
+        problem = MultiplotSelectionProblem(
+            (CandidateQuery(shared, 0.5),
+             candidate(1, 0.3, TEMPLATE_B)),
+            geometry=ScreenGeometry(width_pixels=4000, num_rows=2))
+        versions = all_versions(problem)
+        # A plain version showing only the shared query, and a version
+        # highlighting it.
+        plain = next(v for v in range(len(versions))
+                     if versions.plain[v] == ((0, 0.5),)
+                     and not versions.red[v])
+        red = next(v for v in range(len(versions))
+                   if versions.red[v] and versions.red[v][0][0] == 0
+                   and versions.template[v] != versions.template[plain])
+        model = problem.cost_model
+        bars = versions.bars[plain] + versions.bars[red]
+        red_bars = versions.highlighted[red]
+        red_mass = sum(p for i, p in versions.red[red] if i != 0)
+        plain_mass = sum(p for _, p in versions.plain[red])
+        for first, second, r_red, r_visible in (
+                (plain, red, red_mass, 0.5 + plain_mass),
+                (red, plain, 0.5 + red_mass, plain_mass)):
+            d_red = model.d_red(red_bars, 1)
+            d_visible = model.d_visible(bars, red_bars, 2, 1)
+            expected = (r_red * d_red + r_visible * d_visible
+                        + max(0.0, 1.0 - r_red - r_visible)
+                        * model.miss_cost)
+            assert selection_savings(versions, [first, second], model) \
+                == pytest.approx(model.miss_cost - expected)
 
 
 class TestApproximationQuality:

@@ -1,5 +1,10 @@
 """End-to-end integration tests of the MUVE façade (the Figure 1 pipeline)."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from repro import Database, Muve, ScreenGeometry, VisualizationPlanner
@@ -110,6 +115,50 @@ class TestStrategies:
             UTTERANCE, strategy=ApproximateProcessing(fraction=0.1))
         assert response.updates[0].approximate
         assert response.updates[-1].final
+
+
+# Runs in a fresh interpreter (the test process has long imported
+# scipy): builds a Muve with the planner strategy in argv[1], then asks
+# one voice question, printing the scipy solver modules loaded after
+# each step.
+_SOLVER_IMPORTS = textwrap.dedent("""
+    import sys
+    from repro import Database, Muve, VisualizationPlanner
+    from repro.datasets import make_nyc311_table
+
+    def loaded():
+        return ",".join(name for name in ("scipy.optimize", "scipy.sparse")
+                        if name in sys.modules) or "none"
+
+    db = Database(seed=0)
+    db.register_table(make_nyc311_table(num_rows=1000, seed=5))
+    muve = Muve(db, "nyc311", seed=1,
+                planner=VisualizationPlanner(strategy=sys.argv[1]))
+    print(loaded())
+    response = muve.ask_voice("count of requests for borough Queens")
+    assert response.multiplot.num_plots >= 1
+    print(loaded())
+""")
+
+
+def _solver_imports(strategy: str) -> list[str]:
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.abspath(src), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", _SOLVER_IMPORTS, strategy],
+                          env=env, capture_output=True, text=True,
+                          timeout=120, check=False)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
+class TestLazySolverImports:
+    def test_greedy_muve_never_loads_scipy_solvers(self):
+        assert _solver_imports("greedy") == ["none", "none"]
+
+    def test_best_planner_loads_them_at_set_up(self):
+        both = "scipy.optimize,scipy.sparse"
+        assert _solver_imports("best") == [both, both]
 
 
 class TestOtherDatasets:
