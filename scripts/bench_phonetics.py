@@ -1,7 +1,7 @@
 """Phonetic retrieval benchmark (``make bench-phonetics``).
 
 Builds synthetic vocabularies (10k and 100k terms by default, 1M with
-``--full`` or ``MUVE_BENCH_FULL=1``), probes each with pruned exact
+``--full``), probes each with pruned exact
 top-k retrieval and the exhaustive oracle, verifies the rankings are
 identical, and writes ``BENCH_phonetics.json`` with per-probe latency
 percentiles and the pruned-over-exhaustive speedup.
@@ -10,14 +10,6 @@ The synthetic vocabulary is deliberately hostile: syllable soup is far
 denser in near-homophones than real categorical data (thousands of codes
 within a few Jaro-Winkler points of any probe), so pruning effectiveness
 measured here is a lower bound on real vocabularies.
-
-Environment knobs::
-
-    MUVE_BENCH_PROBES              probes per scale (default 20)
-    MUVE_BENCH_ROUNDS              rounds, best kept (default 3)
-    MUVE_BENCH_EXHAUSTIVE_PROBES   oracle probes per scale (default 5)
-    MUVE_BENCH_FULL                "1" adds the 1M-term scale
-    MUVE_BENCH_OUTPUT              output path (default BENCH_phonetics.json)
 """
 
 from __future__ import annotations
@@ -28,8 +20,14 @@ import statistics
 import sys
 import time
 
-from repro.flags import env_int, env_raw, env_str
 from repro.phonetics.index import PhoneticIndex
+
+PROBES = 20
+#: rounds, best kept
+ROUNDS = 3
+#: probes per scale timed against the exhaustive oracle
+EXHAUSTIVE_PROBES = 5
+OUTPUT = "BENCH_phonetics.json"
 
 _SYLLABLES = [
     "ba", "be", "bo", "ka", "ke", "ko", "da", "de", "do", "fa", "fe",
@@ -135,19 +133,13 @@ def bench_scale(size: int, probes: int, rounds: int,
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    probes = env_int("MUVE_BENCH_PROBES", 20)
-    rounds = env_int("MUVE_BENCH_ROUNDS", 3)
-    exhaustive_probes = env_int("MUVE_BENCH_EXHAUSTIVE_PROBES", 5)
-    output = env_str("MUVE_BENCH_OUTPUT", "BENCH_phonetics.json")
-    full = "--full" in argv or env_raw("MUVE_BENCH_FULL") == "1"
-
-    scales = [10_000, 100_000] + ([1_000_000] if full else [])
+    scales = [10_000, 100_000] + ([1_000_000] if "--full" in argv else [])
     report: dict = {"scales": {}}
     for size in scales:
         # The 1M oracle costs a minute per probe; sample it thinner.
-        oracle = exhaustive_probes if size <= 100_000 \
-            else max(1, exhaustive_probes // 2)
-        entry = bench_scale(size, probes, rounds, oracle)
+        oracle = EXHAUSTIVE_PROBES if size <= 100_000 \
+            else max(1, EXHAUSTIVE_PROBES // 2)
+        entry = bench_scale(size, PROBES, ROUNDS, oracle)
         report["scales"][str(size)] = entry
         print(f"{size:>9} terms ({entry['distinct_codes']} codes, "
               f"built in {entry['build_seconds']:.1f}s): "
@@ -161,10 +153,10 @@ def main(argv: list[str] | None = None) -> int:
                   "oracle", file=sys.stderr)
             return 1
 
-    with open(output, "w", encoding="utf-8") as handle:
+    with open(OUTPUT, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2)
         handle.write("\n")
-    print(f"wrote {output}")
+    print(f"wrote {OUTPUT}")
     return 0
 
 

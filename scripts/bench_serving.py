@@ -19,21 +19,8 @@ cold (probe cache cleared per round) and warm.
 The ``row_scaling`` section replays a dedicated grouped-equality
 candidate workload — the shape secondary indexes target — across a
 ``--rows`` sweep (default 20k/200k/1M), once with index access paths and
-once with ``MUVE_INDEXES=0`` scans, so scan-bound O(rows) cost is
-visible instead of hidden by a small table.
-
-Environment knobs::
-
-    MUVE_BENCH_REQUESTS     number of requests (default 30)
-    MUVE_BENCH_ROWS         table rows (default 20000)
-    MUVE_BENCH_CANDIDATES   candidates per request (default 50)
-    MUVE_BENCH_ROUNDS       measurement rounds, best kept (default 5)
-    MUVE_BENCH_VOCAB        candidate-generation vocabulary size
-                            (default 50000)
-    MUVE_BENCH_OUTPUT       output path (default BENCH_serving.json)
-    MUVE_BENCH_ROW_SWEEP    row-scaling sweep sizes (default
-                            "20000,200000,1000000"; same as --rows)
-    MUVE_BENCH_SCALING_REQUESTS   requests per sweep point (default 8)
+once with full scans (``set_indexes_enabled(False)``), so scan-bound
+O(rows) cost is visible instead of hidden by a small table.
 """
 
 from __future__ import annotations
@@ -52,7 +39,6 @@ from repro.datasets.generators import DATASET_GENERATORS
 from repro.datasets.workload import WorkloadGenerator
 from repro.execution.batch import plan_scan_counts, run_plan
 from repro.execution.merging import plan_execution
-from repro.flags import env_int, env_str
 from repro.nlq.candidates import CandidateGenerator
 from repro.sqldb.database import Database
 from repro.sqldb.index import set_indexes_enabled
@@ -60,6 +46,17 @@ from repro.sqldb.query import AggregateQuery
 from repro.sqldb.schema import ColumnSchema, TableSchema
 from repro.sqldb.table import Table
 from repro.sqldb.types import DataType
+
+REQUESTS = 30
+ROWS = 20000
+CANDIDATES = 50
+#: measurement rounds, best kept
+ROUNDS = 5
+#: vocabulary size of the candidate-generation section
+VOCABULARY = 50000
+#: requests per row-scaling sweep point
+SCALING_REQUESTS = 8
+OUTPUT = "BENCH_serving.json"
 
 
 def build_requests(rows: int, count: int, candidates: int, seed: int = 0):
@@ -270,21 +267,13 @@ def measure_candidate_generation(vocabulary_size: int, requests: int,
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--rows", default=env_str("MUVE_BENCH_ROW_SWEEP", "20000,200000,1000000"),
+        "--rows", default="20000,200000,1000000",
         help="comma-separated table sizes for the row_scaling sweep "
-             "(grouped-equality workload, indexed vs MUVE_INDEXES=0)")
+             "(grouped-equality workload, indexed vs full scans)")
     args = parser.parse_args(argv)
     sweep = [int(token) for token in str(args.rows).split(",") if token]
 
-    requests = env_int("MUVE_BENCH_REQUESTS", 30)
-    rows = env_int("MUVE_BENCH_ROWS", 20000)
-    candidates = env_int("MUVE_BENCH_CANDIDATES", 50)
-    rounds = env_int("MUVE_BENCH_ROUNDS", 5)
-    vocabulary = env_int("MUVE_BENCH_VOCAB", 50000)
-    scaling_requests = env_int("MUVE_BENCH_SCALING_REQUESTS", 8)
-    output = env_str("MUVE_BENCH_OUTPUT", "BENCH_serving.json")
-
-    database, plans = build_requests(rows, requests, candidates)
+    database, plans = build_requests(ROWS, REQUESTS, CANDIDATES)
     legacy_scans = []
     batch_scans = []
     for plan in plans:
@@ -292,17 +281,17 @@ def main(argv=None) -> int:
         legacy_scans.append(legacy)
         batch_scans.append(batch)
 
-    legacy = measure(database, plans, rounds=rounds, per_group=True)
+    legacy = measure(database, plans, rounds=ROUNDS, per_group=True)
     legacy["scans_per_request"] = round(statistics.fmean(legacy_scans), 2)
-    batched = measure(database, plans, rounds=rounds)
+    batched = measure(database, plans, rounds=ROUNDS)
     batched["scans_per_request"] = round(statistics.fmean(batch_scans), 2)
 
     report = {
         "workload": {
             "dataset": "nyc311",
-            "rows": rows,
-            "requests": requests,
-            "candidates_per_request": candidates,
+            "rows": ROWS,
+            "requests": REQUESTS,
+            "candidates_per_request": CANDIDATES,
             "groups_per_request": round(statistics.fmean(
                 len(plan.groups) for plan in plans), 2),
         },
@@ -313,25 +302,25 @@ def main(argv=None) -> int:
             legacy["scans_per_request"]
             / max(batched["scans_per_request"], 1e-9), 2),
         "candidate_generation": measure_candidate_generation(
-            vocabulary, requests, max(2, rounds - 2)),
+            VOCABULARY, REQUESTS, max(2, ROUNDS - 2)),
         "row_scaling": {
             "workload": {
                 "dataset": "events",
-                "requests": scaling_requests,
-                "candidates_per_request": candidates,
+                "requests": SCALING_REQUESTS,
+                "candidates_per_request": CANDIDATES,
             },
-            "sweep": measure_row_scaling(sweep, scaling_requests,
-                                         candidates,
-                                         max(2, rounds - 2)),
+            "sweep": measure_row_scaling(sweep, SCALING_REQUESTS,
+                                         CANDIDATES,
+                                         max(2, ROUNDS - 2)),
         },
     }
-    with open(output, "w", encoding="utf-8") as handle:
+    with open(OUTPUT, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2)
         handle.write("\n")
 
-    print(f"wrote {output}")
-    print(f"  workload: {requests} requests x {candidates} candidates "
-          f"on {rows} rows "
+    print(f"wrote {OUTPUT}")
+    print(f"  workload: {REQUESTS} requests x {CANDIDATES} candidates "
+          f"on {ROWS} rows "
           f"({report['workload']['groups_per_request']} groups/request)")
     for mode in ("legacy", "batch"):
         entry = report[mode]

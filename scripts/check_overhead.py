@@ -17,12 +17,6 @@ Two gates, both exit 1 on violation:
 Each configuration runs on a **fresh pipeline** (fresh caches) so all
 measure identical cold-cache work, and takes the best of three rounds so
 scheduler noise does not fail the gate spuriously.
-
-Environment knobs::
-
-    MUVE_OVERHEAD_THRESHOLD   allowed fractional overhead (default 0.05)
-    MUVE_PROFILE_REQUESTS     requests per round (default 50)
-    MUVE_PROFILE_ROWS         table rows (default 5000)
 """
 
 from __future__ import annotations
@@ -35,10 +29,9 @@ from repro.core.planner import VisualizationPlanner
 from repro.datasets.generators import DATASET_GENERATORS
 from repro.datasets.workload import WorkloadGenerator
 from repro.experiments.robustness import _speak
-from repro.flags import env_float, env_int
 from repro.muve import Muve
 from repro.observability import (
-    get_registry,
+    get_trace_log,
     render_profile,
     set_tracing_enabled,
     tracing_enabled,
@@ -47,6 +40,10 @@ from repro.resilience import deadline_scope
 from repro.sqldb.database import Database
 
 ROUNDS = 3
+#: allowed fractional overhead of tracing and of the armed deadline
+THRESHOLD = 0.05
+REQUESTS = 50
+ROWS = 5000
 
 
 def build_muve(rows: int, seed: int = 0) -> Muve:
@@ -92,18 +89,16 @@ def best_of(rounds: int, rows: int, count: int,
 
 
 def main() -> int:
-    threshold = env_float("MUVE_OVERHEAD_THRESHOLD", 0.05)
-    count = env_int("MUVE_PROFILE_REQUESTS", 50)
-    rows = env_int("MUVE_PROFILE_ROWS", 5000)
     previous = tracing_enabled()
     try:
         set_tracing_enabled(True)
-        get_registry().reset()
-        traced = best_of(ROUNDS, rows, count)
+        get_trace_log().clear()
+        traced = best_of(ROUNDS, ROWS, REQUESTS)
         profile = render_profile()
         set_tracing_enabled(False)
-        untraced = best_of(ROUNDS, rows, count)
-        with_deadline = best_of(ROUNDS, rows, count, AMPLE_DEADLINE_MS)
+        untraced = best_of(ROUNDS, ROWS, REQUESTS)
+        with_deadline = best_of(ROUNDS, ROWS, REQUESTS,
+                                AMPLE_DEADLINE_MS)
     finally:
         set_tracing_enabled(previous)
 
@@ -112,20 +107,20 @@ def main() -> int:
                   if untraced > 0 else 0.0)
     print(profile)
     print()
-    print(f"wall-clock for {count} requests (best of {ROUNDS}): "
+    print(f"wall-clock for {REQUESTS} requests (best of {ROUNDS}): "
           f"traced {traced * 1000:.1f} ms, "
           f"untraced {untraced * 1000:.1f} ms, "
           f"deadline-armed {with_deadline * 1000:.1f} ms")
     print(f"tracing overhead: {overhead:+.1%} "
-          f"(budget {threshold:.0%})")
+          f"(budget {THRESHOLD:.0%})")
     print(f"resilience overhead (no faults): {resilience:+.1%} "
-          f"(budget {threshold:.0%})")
+          f"(budget {THRESHOLD:.0%})")
     failed = False
-    if overhead > threshold:
+    if overhead > THRESHOLD:
         print("FAIL: tracing overhead exceeds the budget",
               file=sys.stderr)
         failed = True
-    if resilience > threshold:
+    if resilience > THRESHOLD:
         print("FAIL: resilience overhead exceeds the budget",
               file=sys.stderr)
         failed = True

@@ -3,18 +3,11 @@
 Builds the 100k-term synthetic vocabulary from ``bench_phonetics`` and
 fails (exit 1) if pruned exact top-k retrieval
 
-* is not at least ``MUVE_PHONETIC_SPEEDUP_FACTOR`` (default 5) times
-  faster than the exhaustive scan (mean per probe), or
-* exceeds ``MUVE_PHONETIC_P50_MS`` (default 10) milliseconds median
-  per-probe latency, or
+* is not at least ``SPEEDUP_FACTOR`` (5) times faster than the
+  exhaustive scan (mean per probe), or
+* exceeds ``P50_BUDGET_MS`` (10) milliseconds median per-probe latency,
+  or
 * disagrees with the exhaustive oracle on any probed ranking.
-
-Environment knobs::
-
-    MUVE_PHONETIC_SPEEDUP_FACTOR   required speedup (default 5)
-    MUVE_PHONETIC_P50_MS           p50 latency budget in ms (default 10)
-    MUVE_PHONETIC_TERMS            vocabulary size (default 100000)
-    MUVE_PHONETIC_PROBES           probes measured (default 20)
 """
 
 from __future__ import annotations
@@ -26,41 +19,38 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from bench_phonetics import bench_scale
 
-from repro.flags import env_float, env_int
-
 ROUNDS = 3
 EXHAUSTIVE_PROBES = 4
+SPEEDUP_FACTOR = 5.0
+P50_BUDGET_MS = 10.0
+TERMS = 100_000
+PROBES = 20
 
 
 def main() -> int:
-    factor = env_float("MUVE_PHONETIC_SPEEDUP_FACTOR", 5)
-    p50_budget = env_float("MUVE_PHONETIC_P50_MS", 10)
-    terms = env_int("MUVE_PHONETIC_TERMS", 100000)
-    probes = env_int("MUVE_PHONETIC_PROBES", 20)
-
-    entry = bench_scale(terms, probes, ROUNDS, EXHAUSTIVE_PROBES)
+    entry = bench_scale(TERMS, PROBES, ROUNDS, EXHAUSTIVE_PROBES)
     pruned = entry["pruned"]
     exhaustive = entry["exhaustive"]
     print(f"phonetic retrieval at {entry['terms']} terms "
           f"({entry['distinct_codes']} codes):")
     print(f"  pruned p50 {pruned['p50_ms']:.2f} ms "
-          f"(budget {p50_budget:.1f} ms), "
+          f"(budget {P50_BUDGET_MS:.1f} ms), "
           f"mean {pruned['mean_ms']:.2f} ms")
     print(f"  exhaustive mean {exhaustive['mean_ms']:.1f} ms, "
           f"speedup {entry['speedup_mean']}x "
-          f"(required {factor:.1f}x)")
+          f"(required {SPEEDUP_FACTOR:.1f}x)")
 
     failed = False
     if exhaustive["mismatches"]:
         print("FAIL: pruned ranking differs from the exhaustive oracle",
               file=sys.stderr)
         failed = True
-    if entry["speedup_mean"] < factor:
-        print(f"FAIL: pruned retrieval is not {factor:.1f}x faster than "
-              "the exhaustive scan", file=sys.stderr)
+    if entry["speedup_mean"] < SPEEDUP_FACTOR:
+        print(f"FAIL: pruned retrieval is not {SPEEDUP_FACTOR:.1f}x "
+              "faster than the exhaustive scan", file=sys.stderr)
         failed = True
-    if pruned["p50_ms"] > p50_budget:
-        print(f"FAIL: pruned p50 exceeds {p50_budget:.1f} ms",
+    if pruned["p50_ms"] > P50_BUDGET_MS:
+        print(f"FAIL: pruned p50 exceeds {P50_BUDGET_MS:.1f} ms",
               file=sys.stderr)
         failed = True
     if failed:

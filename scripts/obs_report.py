@@ -11,11 +11,12 @@ baseline::
     python scripts/obs_report.py --check BENCH_quality.json
 
 ``--check`` exits 1 when any metric moved outside its tolerance band
-(see :mod:`repro.observability.report`): latency up beyond the relative
-band, truth coverage down, intended queries missing more often, the
-simulated user reading longer, any errors at all.  The workload is
-seeded, so every quality dimension is bit-identical run to run — only
-latency is machine-dependent, and only latency has a loose band.
+(``DEFAULT_BANDS`` in :mod:`repro.observability.report`): latency up
+beyond the 15% relative band, truth coverage down, intended queries
+missing more often, the simulated user reading longer, any errors at
+all.  The workload is seeded, so every quality dimension is
+bit-identical run to run — only latency is machine-dependent, and only
+latency has a loose band.
 
 Self-test hooks::
 
@@ -24,12 +25,8 @@ Self-test hooks::
     --current PATH          compare an existing snapshot file instead
                             of running the workload
 
-Environment knobs::
-
-    MUVE_PROFILE_REQUESTS       requests per round (default 40)
-    MUVE_PROFILE_ROWS           table rows (default 4000)
-    MUVE_SENTINEL_ROUNDS        cold-cache rounds (default 3)
-    MUVE_SENTINEL_LATENCY_REL   relative latency band (default 0.15)
+The workload: ``REQUESTS`` (40) questions per round on ``ROWS`` (4,000)
+nyc311 rows, ``ROUNDS`` (3) cold-cache rounds.
 """
 
 from __future__ import annotations
@@ -43,13 +40,10 @@ from repro.core.planner import VisualizationPlanner
 from repro.datasets.generators import DATASET_GENERATORS
 from repro.datasets.workload import WorkloadGenerator
 from repro.experiments.robustness import _speak
-from repro.flags import env_int, env_str
 from repro.muve import Muve
 from repro.observability import get_workload_analytics
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.report import (
-    DEFAULT_BANDS,
-    Band,
     collect_report,
     compare_reports,
     render_regressions,
@@ -57,6 +51,10 @@ from repro.observability.report import (
 from repro.observability.slo import SloEngine
 from repro.sqldb.database import Database
 from repro.users.simulator import SimulatedUser
+
+ROWS = 4000
+REQUESTS = 40
+ROUNDS = 3
 
 
 def build_muve(rows: int, registry: MetricsRegistry, slo: SloEngine,
@@ -149,18 +147,6 @@ def _inflate_latency(report: dict, fraction: float) -> dict:
     return {**report, "metrics": metrics}
 
 
-def _bands() -> tuple[tuple[str, Band], ...]:
-    raw = env_str("MUVE_SENTINEL_LATENCY_REL", "").strip()
-    if not raw:
-        return DEFAULT_BANDS
-    rel = float(raw)
-    return tuple(
-        (prefix, Band(rel=rel, absolute=band.absolute,
-                      direction=band.direction)
-         if prefix == "latency." else band)
-        for prefix, band in DEFAULT_BANDS)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--snapshot", metavar="PATH",
@@ -180,19 +166,15 @@ def main(argv: list[str] | None = None) -> int:
     if not args.snapshot and not args.check:
         parser.error("one of --snapshot or --check is required")
 
-    rows = env_int("MUVE_PROFILE_ROWS", 4000)
-    count = env_int("MUVE_PROFILE_REQUESTS", 40)
-    rounds = env_int("MUVE_SENTINEL_ROUNDS", 3)
-
     if args.check and args.current:
         with open(args.current, encoding="utf-8") as handle:
             report = json.load(handle)
     else:
-        registry, latencies = run_workload(rows, count, rounds)
+        registry, latencies = run_workload(ROWS, REQUESTS, ROUNDS)
         report = collect_report(
             registry,
-            meta={"rows": rows, "requests_per_round": count,
-                  "rounds": rounds},
+            meta={"rows": ROWS, "requests_per_round": REQUESTS,
+                  "rounds": ROUNDS},
             extra=_latency_stats(latencies))
     if args.inject_latency:
         report = _inflate_latency(report, args.inject_latency)
@@ -207,8 +189,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.check:
         with open(args.check, encoding="utf-8") as handle:
             baseline = json.load(handle)
-        regressions = compare_reports(baseline, report,
-                                      bands=_bands())
+        regressions = compare_reports(baseline, report)
         print(render_regressions(regressions))
         if regressions:
             return 1

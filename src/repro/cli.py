@@ -93,14 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--access-log", action="store_true",
                         help="with --serve: write one JSON line per "
                              "HTTP request to stderr")
-    parser.add_argument("--no-phonetic-pruning", action="store_true",
-                        help="disable pruned phonetic retrieval and scan "
-                             "the whole vocabulary per probe (identical "
-                             "results, debugging escape hatch)")
-    parser.add_argument("--no-indexes", action="store_true",
-                        help="disable secondary-index access paths and "
-                             "answer every predicate with full scans "
-                             "(identical results, debugging escape hatch)")
     parser.add_argument("--deadline-ms", type=float, default=None,
                         help="per-request latency budget; stages that "
                              "would blow it degrade instead of running "
@@ -119,12 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def make_muve(args: argparse.Namespace) -> Muve:
-    if getattr(args, "no_phonetic_pruning", False):
-        from repro.phonetics.index import set_pruning_enabled
-        set_pruning_enabled(False)
-    if getattr(args, "no_indexes", False):
-        from repro.sqldb.index import set_indexes_enabled
-        set_indexes_enabled(False)
     if getattr(args, "faults", None):
         from repro.testing.faults import FaultPlan, set_fault_plan
         set_fault_plan(FaultPlan.parse(args.faults, seed=args.seed))
@@ -221,7 +207,7 @@ def run_load_test(muve: Muve, args: argparse.Namespace, out) -> int:
         from repro.observability import render_profile
         from repro.observability.quality import render_quality
         from repro.observability.slo import render_slo
-        print(render_profile(muve.metrics), file=out)
+        print(render_profile(), file=out)
         print(render_quality(muve.metrics), file=out)
         print(render_slo(muve.slo), file=out)
     return 0 if errors == 0 else 1
@@ -336,7 +322,7 @@ def main(argv: Sequence[str] | None = None, *, stdin=None,
             from repro.observability import render_profile
             from repro.observability.quality import render_quality
             from repro.observability.slo import render_slo
-            print(render_profile(muve.metrics), file=out)
+            print(render_profile(), file=out)
             print(render_quality(muve.metrics), file=out)
             print(render_slo(muve.slo), file=out)
         return 0

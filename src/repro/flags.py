@@ -72,19 +72,6 @@ def _flag(name: str, kind: str, default: str, description: str,
 
 
 # ---------------------------------------------------------------------------
-# Serving & execution
-# ---------------------------------------------------------------------------
-
-_flag("MUVE_INDEXES", "switch", "on",
-      "Secondary-index access paths (`--no-indexes`); off answers every "
-      "predicate with full scans (identical results).",
-      "Execution")
-_flag("MUVE_PHONETIC_PRUNING", "switch", "on",
-      "Pruned best-first phonetic top-k (`--no-phonetic-pruning`); off "
-      "falls back to the exhaustive scan oracle.",
-      "Execution")
-
-# ---------------------------------------------------------------------------
 # Resilience & fault injection
 # ---------------------------------------------------------------------------
 
@@ -127,117 +114,6 @@ _flag("MUVE_LOCKDEP", "switch", "off",
       "per-thread lock acquisition edges, fails tests on lock-order "
       "cycles.",
       "Tooling")
-
-# ---------------------------------------------------------------------------
-# Benchmarks & performance gates (scripts/, `make profile`)
-# ---------------------------------------------------------------------------
-
-_flag("MUVE_OVERHEAD_THRESHOLD", "float", "0.05",
-      "Allowed fractional overhead of tracing/resilience "
-      "(`scripts/check_overhead.py`).",
-      "Gates")
-_flag("MUVE_PROFILE_REQUESTS", "int", "50",
-      "Requests per round in the overhead gate and the sentinel "
-      "workload.",
-      "Gates")
-_flag("MUVE_PROFILE_ROWS", "int", "5000",
-      "Table rows of the overhead-gate/sentinel workload.",
-      "Gates")
-_flag("MUVE_BATCH_TOLERANCE", "float", "0.02",
-      "Allowed batch-vs-per-group slowdown "
-      "(`scripts/check_batch_speedup.py`).",
-      "Gates")
-_flag("MUVE_BATCH_SCAN_FACTOR", "float", "1.5",
-      "Required scans-per-request reduction of the batch executor.",
-      "Gates")
-_flag("MUVE_BATCH_REQUESTS", "int", "30",
-      "Requests per arm of the batch-speedup gate.",
-      "Gates")
-_flag("MUVE_BATCH_ROWS", "int", "20000",
-      "Table rows of the batch-speedup gate workload.",
-      "Gates")
-_flag("MUVE_BATCH_CANDIDATES", "int", "50",
-      "Candidate count of the batch-speedup gate workload.",
-      "Gates")
-_flag("MUVE_PHONETIC_SPEEDUP_FACTOR", "float", "5",
-      "Required pruned-vs-exhaustive speedup at 100k terms "
-      "(`scripts/check_phonetics_speedup.py`).",
-      "Gates")
-_flag("MUVE_PHONETIC_P50_MS", "float", "10",
-      "p50 latency budget of pruned phonetic retrieval at 100k terms.",
-      "Gates")
-_flag("MUVE_PHONETIC_TERMS", "int", "100000",
-      "Vocabulary size of the phonetic-speedup gate.",
-      "Gates")
-_flag("MUVE_PHONETIC_PROBES", "int", "20",
-      "Probe count of the phonetic-speedup gate.",
-      "Gates")
-_flag("MUVE_INDEX_SPEEDUP_FACTOR", "float", "5",
-      "Required indexed-vs-scan p50 speedup "
-      "(`scripts/check_index_speedup.py`).",
-      "Gates")
-_flag("MUVE_INDEX_ROWS", "int", "1000000",
-      "Table rows of the index-speedup gate workload.",
-      "Gates")
-_flag("MUVE_INDEX_REQUESTS", "int", "8",
-      "Requests per arm of the index-speedup gate.",
-      "Gates")
-_flag("MUVE_INDEX_CANDIDATES", "int", "50",
-      "Candidate count of the index-speedup gate workload.",
-      "Gates")
-_flag("MUVE_SHED_CLIENTS", "int", "16",
-      "Concurrent clients of the overload-shedding gate "
-      "(`scripts/check_shedding.py`).",
-      "Gates")
-_flag("MUVE_SHED_INFLIGHT", "int", "4",
-      "`max_inflight` of the overload-shedding gate's server.",
-      "Gates")
-_flag("MUVE_SHED_DEADLINE_MS", "float", "250",
-      "Per-request deadline of the overload-shedding gate.",
-      "Gates")
-_flag("MUVE_SENTINEL_LATENCY_REL", "float", "0.5",
-      "Relative tolerance of the sentinel's latency bands "
-      "(`scripts/obs_report.py --check`).",
-      "Gates")
-_flag("MUVE_SENTINEL_ROUNDS", "int", "3",
-      "Rounds (best-of) of the sentinel workload.",
-      "Gates")
-_flag("MUVE_BENCH_REQUESTS", "int", "30",
-      "Requests per configuration in `scripts/bench_serving.py`.",
-      "Benchmarks")
-_flag("MUVE_BENCH_ROWS", "int", "20000",
-      "Table rows of the serving benchmark's base workload.",
-      "Benchmarks")
-_flag("MUVE_BENCH_CANDIDATES", "int", "50",
-      "Candidate count of the serving benchmark workload.",
-      "Benchmarks")
-_flag("MUVE_BENCH_ROUNDS", "int", "varies",
-      "Rounds (best-of) of the serving/phonetic benchmarks "
-      "(serving 5, phonetics 3).",
-      "Benchmarks")
-_flag("MUVE_BENCH_VOCAB", "int", "50000",
-      "Vocabulary size of the serving benchmark's candidate-generation "
-      "section.",
-      "Benchmarks")
-_flag("MUVE_BENCH_ROW_SWEEP", "str", "20000,200000,1000000",
-      "Row counts of the serving benchmark's scaling sweep (`--rows`).",
-      "Benchmarks")
-_flag("MUVE_BENCH_SCALING_REQUESTS", "int", "8",
-      "Requests per row-scaling configuration.",
-      "Benchmarks")
-_flag("MUVE_BENCH_PROBES", "int", "20",
-      "Probes per vocabulary in `scripts/bench_phonetics.py`.",
-      "Benchmarks")
-_flag("MUVE_BENCH_EXHAUSTIVE_PROBES", "int", "5",
-      "Probes timed against the exhaustive-scan oracle arm.",
-      "Benchmarks")
-_flag("MUVE_BENCH_FULL", "switch", "off",
-      "Include the 1M-term vocabulary in the phonetic benchmark "
-      "(`--full`).",
-      "Benchmarks")
-_flag("MUVE_BENCH_OUTPUT", "str", "BENCH_*.json",
-      "Output path override of the benchmark report writers.",
-      "Benchmarks")
 
 
 # ---------------------------------------------------------------------------

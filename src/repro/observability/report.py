@@ -12,10 +12,9 @@ overhead gate pins the cost of observability itself.
 Tolerance bands are directional — latency regresses *upwards*, truth
 coverage regresses *downwards* — and allow the larger of a relative and
 an absolute slack, so tiny baselines are not held to sub-noise
-precision.  Latency is the only machine-dependent dimension; its
-relative band is configurable (``MUVE_SENTINEL_LATENCY_REL``) and the
-quality dimensions are deterministic given the workload seeds, so their
-bands are tight.
+precision.  Latency is the only machine-dependent dimension, so only
+its band is loose (15%); the quality dimensions are deterministic given
+the workload seeds, so their bands are tight.
 """
 
 from __future__ import annotations

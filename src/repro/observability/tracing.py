@@ -18,11 +18,11 @@ Propagation uses a :mod:`contextvars` variable, so concurrent requests on
 different threads (the demo server, ``--load-test --workers``) build
 disjoint trees — spans never leak across requests.  When a root span
 (no active parent) finishes, its :class:`Trace` is appended to the global
-:class:`TraceLog` ring buffer (``GET /api/traces``; capacity via
-``MUVE_TRACE_LOG_SIZE``, default 256) and its duration is recorded into
-the ``span_ms`` histogram family of the default metrics registry — with
-the request's trace id as the bucket exemplar — which is what
-``muve.cli --profile`` tabulates.
+:class:`TraceLog` ring buffer (``GET /api/traces``, and what
+``muve.cli --profile`` tabulates; capacity via ``MUVE_TRACE_LOG_SIZE``,
+default 256).  Every span's duration is also recorded into the
+``span_ms`` histogram family of the default metrics registry, with the
+request's trace id as the bucket exemplar.
 
 Tracing is **on by default** and globally disabled with the environment
 variable ``MUVE_TRACING=off`` (or :func:`set_tracing_enabled`).  The

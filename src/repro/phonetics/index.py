@@ -24,10 +24,6 @@ exhaustive scan:
   same terms, same scores, same tie order — which the differential tests
   in ``tests/phonetics`` pin against the private :meth:`_exhaustive_scan`
   oracle.
-
-The pruned path can be disabled with ``MUVE_PHONETIC_PRUNING=off`` (or the
-CLI's ``--no-phonetic-pruning``) as a debugging escape hatch; results are
-identical either way, only slower.
 """
 
 from __future__ import annotations
@@ -41,7 +37,6 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from repro.flags import env_switch
 from repro.observability import trace_span
 from repro.phonetics.distance import jaro_winkler
 from repro.phonetics.metaphone import metaphone_codes
@@ -56,10 +51,8 @@ __all__ = [
     "ScoredTerm",
     "phonetic_similarity",
     "phonetic_stats",
-    "pruning_enabled",
     "register_phonetic_metrics",
     "reset_phonetic_stats",
-    "set_pruning_enabled",
 ]
 
 #: Vocabularies at or below this size are answered by the plain scan: the
@@ -77,24 +70,6 @@ _SEED_CODES = 48
 #: Codes batch-scored per phase-2 round; between rounds the remaining pool
 #: is re-filtered against the tightened cutoff.
 _PHASE2_CHUNK = 1024
-
-
-# ---------------------------------------------------------------------------
-# Pruning flag (escape hatch)
-# ---------------------------------------------------------------------------
-
-_pruning = env_switch("MUVE_PHONETIC_PRUNING")
-
-
-def pruning_enabled() -> bool:
-    """Whether ``most_similar`` uses the pruned best-first search."""
-    return _pruning
-
-
-def set_pruning_enabled(enabled: bool) -> None:
-    """Globally toggle pruned retrieval (``--no-phonetic-pruning``)."""
-    global _pruning
-    _pruning = bool(enabled)
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +298,7 @@ class PhoneticIndex:
         begin = time.perf_counter()
         probe_codes = tuple(code for code in metaphone_codes(probe) if code)
         vocabulary_size = len(self._codes)
-        if (not _pruning or not probe_codes
-                or vocabulary_size <= max(_SMALL_VOCABULARY, k)):
+        if not probe_codes or vocabulary_size <= max(_SMALL_VOCABULARY, k):
             ranked = self._exhaustive_scan(probe, k,
                                            include_self=include_self)
             _STATS.record(exhaustive=True,
@@ -353,8 +327,8 @@ class PhoneticIndex:
     def _exhaustive_scan(self, probe: str, k: int, *,
                          include_self: bool = True) -> list[ScoredTerm]:
         """Score every term — the O(vocabulary) oracle the pruned search
-        is differential-tested against (and the fallback for tiny
-        vocabularies, codeless probes, and ``--no-phonetic-pruning``)."""
+        is differential-tested against (and the path for tiny vocabularies
+        and codeless probes)."""
         scored = []
         for term in list(self._codes):
             if not include_self and term == probe:

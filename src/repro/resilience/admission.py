@@ -6,8 +6,8 @@ raises :class:`~repro.errors.OverloadedError` *immediately* — no
 queueing — which the demo server maps to ``429 Too Many Requests`` with
 a ``Retry-After`` header.  Shedding at the door keeps the latency of
 admitted requests bounded under overload instead of letting every
-request slow down together (the gate ``scripts/check_shedding.py``
-enforces exactly this).
+request slow down together (``TestLoadShedding`` in
+``tests/resilience/test_server_resilience.py`` enforces exactly this).
 
 The in-flight count is exported as the live ``resilience_inflight``
 gauge and each shed request increments ``resilience_shed``.

@@ -35,8 +35,8 @@ every DDL/data mutation clears it.
 :func:`resolve_selection` returns a selection — int64 row positions in
 ascending order, or a boolean mask — that selects *exactly* the rows of
 ``expr.evaluate(table)``.  The scan path is retained as the differential
-oracle (``MUVE_INDEXES=0`` / ``--no-indexes``); the Hypothesis suite in
-``tests/sqldb/test_index_differential.py`` pins the equivalence.
+oracle (:func:`set_indexes_enabled`, a test seam); the Hypothesis suite
+in ``tests/sqldb/test_index_differential.py`` pins the equivalence.
 
 Observability: builds run inside ``index.build`` spans, and process-wide
 counters surface as ``index_*`` gauges (``/api/metrics``) and the
@@ -51,7 +51,6 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable
 import numpy as np
 
 from repro.errors import CatalogError
-from repro.flags import env_switch
 from repro.observability import trace_span
 from repro.sqldb.expressions import (
     And,
@@ -89,10 +88,10 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Enable flag (escape hatch)
+# Scan-oracle seam
 # ---------------------------------------------------------------------------
 
-_enabled = env_switch("MUVE_INDEXES")
+_enabled = True
 
 
 def indexes_enabled() -> bool:
@@ -101,7 +100,12 @@ def indexes_enabled() -> bool:
 
 
 def set_indexes_enabled(enabled: bool) -> None:
-    """Globally enable/disable index access paths (``--no-indexes``)."""
+    """Globally enable/disable index access paths.
+
+    Off answers every predicate with full scans (identical results): the
+    reference arm of the index differential suites and of
+    ``scripts/check_index_speedup.py``.
+    """
     global _enabled
     _enabled = bool(enabled)
 

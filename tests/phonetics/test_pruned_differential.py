@@ -16,12 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.phonetics.index import (
-    PhoneticIndex,
-    phonetic_stats,
-    pruning_enabled,
-    set_pruning_enabled,
-)
+from repro.phonetics.index import PhoneticIndex, phonetic_stats
 
 _SYLLABLES = ["ba", "be", "bo", "ka", "ko", "da", "do", "fa", "ga",
               "la", "lo", "ma", "mo", "na", "no", "ra", "ro", "sa",
@@ -89,34 +84,14 @@ class TestFixedSeedDifferential:
             _assert_identical(index, probe, 25)
 
 
-class TestPruningFlag:
-    def test_disabled_pruning_is_identical_and_counted(self):
-        index = PhoneticIndex(_random_terms(random.Random(3), 400))
-        expected = index.most_similar("bakoda", k=10)
-        assert pruning_enabled()
-        set_pruning_enabled(False)
-        try:
-            before = phonetic_stats()["exhaustive_probes"]
-            assert index.most_similar("bakoda", k=10) == expected
-            assert phonetic_stats()["exhaustive_probes"] == before + 1
-        finally:
-            set_pruning_enabled(True)
-
-    def test_env_flag_spelling(self, monkeypatch):
-        import importlib
-
-        from repro.phonetics import index as index_module
-        monkeypatch.setenv("MUVE_PHONETIC_PRUNING", "off")
-        importlib.reload(index_module)
-        try:
-            assert not index_module.pruning_enabled()
-        finally:
-            monkeypatch.delenv("MUVE_PHONETIC_PRUNING")
-            importlib.reload(index_module)
-        assert index_module.pruning_enabled()
-
-
 class TestRetrievalStats:
+    def test_exhaustive_probe_is_counted(self):
+        index = PhoneticIndex(_random_terms(random.Random(3), 40))
+        before = phonetic_stats()["exhaustive_probes"]
+        assert index.most_similar("bakoda", k=10) == \
+            index._exhaustive_scan("bakoda", 10)
+        assert phonetic_stats()["exhaustive_probes"] == before + 1
+
     def test_pruned_probe_scans_a_fraction(self):
         index = PhoneticIndex(_random_terms(random.Random(9), 2000))
         before = phonetic_stats()

@@ -15,6 +15,8 @@ import time
 
 import pytest
 
+from repro import Database, Muve, ScreenGeometry, VisualizationPlanner
+from repro.datasets import make_nyc311_table
 from repro.demo import MuveDemoServer
 from repro.testing.faults import inject_faults
 
@@ -129,6 +131,29 @@ class TestDeadlineParameter:
         assert json.loads(raw)["degraded"] is False
 
 
+#: The overload-shedding gate: 16 deadline-carrying clients against a
+#: 4-request admission cap while every admitted request's execution is
+#: slowed by 400 ms (clamped by its 250 ms deadline, which then takes
+#: the single-plot rung -- still a 200, just a slow one).
+SHED_CLIENTS = 16
+SHED_INFLIGHT = 4
+SHED_DEADLINE_MS = 250.0
+SHED_FAULT = "executor.batch:delay=400"
+SCHEDULING_SLACK_MS = 500.0
+
+
+@pytest.fixture()
+def shed_server():
+    database = Database(seed=0)
+    database.register_table(make_nyc311_table(num_rows=2000, seed=0))
+    muve = Muve(database, "nyc311", seed=0, geometry=ScreenGeometry(),
+                planner=VisualizationPlanner(strategy="greedy"))
+    demo = MuveDemoServer(muve, port=0, max_inflight=SHED_INFLIGHT)
+    demo.start()
+    yield demo
+    demo.shutdown()
+
+
 class TestLoadShedding:
     def test_saturation_sheds_429_with_retry_after(self, tiny_server):
         with inject_faults("executor.batch:delay=400"):
@@ -166,6 +191,39 @@ class TestLoadShedding:
         snapshot = json.loads(raw)
         assert "resilience_shed" in snapshot["counters"]
         assert "resilience_inflight" in snapshot["gauges"]
+
+    def test_overload_gate(self, shed_server):
+        """16 clients against a cap of 4: sheds cleanly, and admitted
+        requests still meet their deadline."""
+        def timed(index):
+            begin = time.perf_counter()
+            status, headers, raw = request(
+                shed_server, "POST",
+                f"/api/ask?deadline_ms={SHED_DEADLINE_MS:g}",
+                {"question": "average resolution hours for borough "
+                             f"Brooklyn run {index}"})
+            elapsed_ms = (time.perf_counter() - begin) * 1000.0
+            return status, elapsed_ms, headers, json.loads(raw)
+
+        with inject_faults(SHED_FAULT, seed=0):
+            with concurrent.futures.ThreadPoolExecutor(
+                    SHED_CLIENTS) as pool:
+                outcomes = list(pool.map(timed, range(SHED_CLIENTS)))
+
+        answered = [o for o in outcomes if o[0] == 200]
+        shed = [o for o in outcomes if o[0] == 429]
+        assert {o[0] for o in outcomes} <= {200, 429}
+        assert answered, "no request was admitted"
+        assert shed, "no request was shed (cap never reached)"
+        for _, _, headers, payload in shed:
+            assert "Retry-After" in headers
+            assert payload["error_type"] == "OverloadedError"
+        slowest_ms = max(o[1] for o in answered)
+        bound_ms = 2 * SHED_DEADLINE_MS + SCHEDULING_SLACK_MS
+        assert slowest_ms <= bound_ms, (
+            f"slowest 200 took {slowest_ms:.0f} ms > {bound_ms:.0f} ms")
+        assert shed_server.admission.shed_total == len(shed)
+        assert shed_server.admission.inflight == 0
 
 
 class TestTypedErrors:

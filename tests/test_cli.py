@@ -98,7 +98,7 @@ class TestReplMode:
         code, output = run_cli(["--rows", "2000"], stdin_text=stdin_text)
         assert code == 0
         # The selective equality predicate takes the secondary-index
-        # access path; --no-indexes below restores the sequential scan.
+        # access path; the scan seam below restores the sequential scan.
         assert "Index Scan on nyc311" in output
         assert "Index Cond: borough = 'Bronx'" in output
 
@@ -106,11 +106,12 @@ class TestReplMode:
         from repro.sqldb.index import set_indexes_enabled
         stdin_text = ("\\explain SELECT COUNT(*) FROM nyc311 "
                       "WHERE borough = 'Bronx'\n\\quit\n")
+        set_indexes_enabled(False)
         try:
-            code, output = run_cli(["--rows", "2000", "--no-indexes"],
+            code, output = run_cli(["--rows", "2000"],
                                    stdin_text=stdin_text)
         finally:
-            # The flag is process-global; don't leak into later tests.
+            # The seam is process-global; don't leak into later tests.
             set_indexes_enabled(True)
         assert code == 0
         assert "Seq Scan on nyc311" in output
@@ -217,6 +218,24 @@ class TestProfileFlag:
         assert "planner.plan" in output
         assert "executor.run" in output
         assert "share" in output
+
+    def test_profile_shares_do_not_overlap(self):
+        code, output = run_cli([
+            "--rows", "1500", "--planner", "greedy",
+            "--load-test", "4", "--profile",
+            "--query", "average resolution hours for borough Brooklyn"])
+        assert code == 0
+        table = output.split("per-stage profile", 1)[1].splitlines()
+        start = next(i for i, line in enumerate(table)
+                     if line.startswith("---")) + 1
+        shares = []
+        for line in table[start:]:
+            if not line.rstrip().endswith("%"):
+                break
+            shares.append(float(line.split()[-1].rstrip("%")))
+        assert shares
+        # Shares print to 0.1%; allow each its rounding half-step.
+        assert sum(shares) <= 100.0 + 0.05 * len(shares), shares
 
     def test_single_query_profile(self):
         code, output = run_cli([
