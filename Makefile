@@ -8,9 +8,11 @@ PYTEST := PYTHONPATH=src python -m pytest
 # and caching suites plus the index differential suite (indexed ==
 # scan, bit for bit), the append differential suite (delta
 # maintenance == full rebuild, bit for bit), the row-search
-# differential suite (one-row search == uncut MILP optimum) and the
+# differential suite (one-row search == uncut MILP optimum), the
 # greedy differential suite (greedy over version summaries == the
-# plot-object oracle, bit for bit) once more on their own.
+# plot-object oracle, bit for bit) and the statement differential suite
+# (merged-group statements == the parsed group SQL of the string
+# oracle, exact and sampled) once more on their own.
 # Test-order randomisation is disabled so failures bisect
 # deterministically.
 check:
@@ -19,7 +21,8 @@ check:
 		tests/sqldb/test_index_differential.py \
 		tests/sqldb/test_append_differential.py \
 		tests/core/test_rowsearch_differential.py \
-		tests/core/test_greedy_differential.py
+		tests/core/test_greedy_differential.py \
+		tests/execution/test_statement_differential.py
 
 # Fast development loop: everything except the paper-experiment
 # regeneration suite (marked `slow`).
@@ -69,8 +72,9 @@ bench:
 # The ILP paper-shape checks: Figure 6 (greedy faster, ILP timeouts
 # rising with rows, ILP no worse where it proves optimality), Figure 8
 # (a tighter processing bound trades disambiguation for execution
-# cost) and the HiGHS-vs-branch-and-bound ablation.  They rewrite their
-# tables under benchmarks/results/.
+# cost) and the HiGHS-vs-branch-and-bound ablation.  They write their
+# tables under the git-ignored .benchmarks/results/, so the checkout
+# stays clean (CI checks it with git diff --exit-code).
 paper-shapes:
 	$(PYTEST) -q -p no:randomly benchmarks/test_fig6_solver_comparison.py \
 		benchmarks/test_fig6_other_datasets.py \

@@ -3,7 +3,10 @@
 Databases are session-scoped (building synthetic tables once) and sized so
 the full suite runs in minutes on a laptop while preserving the paper's
 qualitative trends.  Every benchmark prints its result table (run pytest
-with ``-s`` to see them live) and saves it under ``benchmarks/results/``.
+with ``-s`` to see them live) and saves it under the git-ignored
+``.benchmarks/results/``, so a run never touches the tracked files.  The
+tables under ``benchmarks/results/`` are the committed snapshot; refresh
+one by copying its run output over it (see README).
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from repro.datasets import (
 )
 from repro.sqldb.database import Database
 
-RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
+RESULTS_DIR = os.path.join(os.path.dirname(__file__), os.pardir,
+                           ".benchmarks", "results")
 
 
 @pytest.fixture(scope="session")

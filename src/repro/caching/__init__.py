@@ -1,16 +1,19 @@
 """Thread-safe caching for the concurrent serving path.
 
-The package provides three layers:
+The package provides:
 
 * :class:`LruCache` — a generic thread-safe LRU with single-flight
   computation and hit/miss/eviction counters.
-* :func:`normalize_sql` — lexical SQL canonicalisation for cache keys.
 * :class:`QueryResultCache` / :class:`PlanCache` — the two domain caches
   wired into :class:`~repro.execution.engine.MuveExecutor` and
-  :class:`~repro.core.planner.VisualizationPlanner`.
+  :class:`~repro.core.planner.VisualizationPlanner`, keyed on parse
+  trees (:class:`~repro.sqldb.parser.SelectStatement`) and canonical
+  :class:`~repro.sqldb.query.AggregateQuery` objects respectively.
 * :class:`PhoneticProbeCache` — exact top-k phonetic rankings keyed by
   ``(index uid, index version, probe, k, include_self)``, wired into
   :class:`~repro.nlq.candidates.CandidateGenerator`.
+* :class:`SelectionCache` — the byte-bounded cross-request cache of leaf
+  predicate selections the batch executor shares.
 """
 
 from repro.caching.caches import (
@@ -25,7 +28,6 @@ from repro.caching.phonetic import (
     reset_phonetic_probe_cache,
 )
 from repro.caching.selection import SelectionCache
-from repro.caching.sql import normalize_sql
 
 __all__ = [
     "CacheStats",
@@ -34,7 +36,6 @@ __all__ = [
     "PlanCache",
     "QueryResultCache",
     "SelectionCache",
-    "normalize_sql",
     "phonetic_probe_cache",
     "register_cache_metrics",
     "reset_phonetic_probe_cache",

@@ -19,13 +19,13 @@ from dataclasses import astuple
 from typing import TYPE_CHECKING, Callable, Hashable, Sequence
 
 from repro.caching.lru import CacheStats, LruCache
-from repro.caching.sql import normalize_sql
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards for type hints
     from repro.core.ilp import ProcessingGroup
     from repro.core.problem import MultiplotSelectionProblem
     from repro.observability import MetricsRegistry
     from repro.sqldb.database import QueryResult
+    from repro.sqldb.parser import SelectStatement
 
 
 def register_cache_metrics(registry: "MetricsRegistry", cache_name: str,
@@ -55,23 +55,25 @@ def register_cache_metrics(registry: "MetricsRegistry", cache_name: str,
 
 
 class QueryResultCache:
-    """Query results keyed on normalised SQL text.
+    """Query results keyed on the executed statement.
 
     Wired into the execution layer: every merged-group statement the
     executor would run is first looked up here, so a repeated question (or
-    a different question whose candidates merge into the same group SQL)
-    skips the engine entirely.
+    a different question whose candidates merge into the same group
+    statement) skips the engine entirely.
     """
 
     def __init__(self, capacity: int = 512) -> None:
         self._cache = LruCache(capacity)
 
-    def get_or_execute(self, sql: str,
-                       execute: Callable[[str], "QueryResult"],
+    def get_or_execute(self, statement: "SelectStatement",
+                       execute: Callable[["SelectStatement"],
+                                         "QueryResult"],
                        ) -> "QueryResult":
-        """The cached result of *sql*, running *execute* once on a miss."""
-        return self._cache.get_or_compute(normalize_sql(sql),
-                                          lambda: execute(sql))
+        """The cached result of *statement*, running *execute* once on a
+        miss."""
+        return self._cache.get_or_compute(statement,
+                                          lambda: execute(statement))
 
     @property
     def stats(self) -> CacheStats:
@@ -90,9 +92,9 @@ class PlanCache:
     Multiplot planning is deterministic given the problem (both solvers
     break ties lexicographically), so the planner result for a repeated
     candidate distribution can be reused wholesale.  The key captures
-    everything that feeds the solvers: each candidate's SQL and
-    probability, the screen geometry, the user cost model, the optional
-    processing costs/budget, and the processing groups of the
+    everything that feeds the solvers: each candidate's (canonical)
+    query and probability, the screen geometry, the user cost model, the
+    optional processing costs/budget, and the processing groups of the
     processing-aware extension.
     """
 
@@ -106,7 +108,7 @@ class PlanCache:
                     ) -> Hashable:
         """A hashable identity of a planning problem instance."""
         candidates = tuple(
-            (candidate.query.to_sql(), round(candidate.probability, 12))
+            (candidate.query, round(candidate.probability, 12))
             for candidate in problem.candidates)
         groups_key = None
         if processing_groups is not None:

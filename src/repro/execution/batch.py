@@ -9,10 +9,10 @@ and so through :func:`~repro.sqldb.executor.execute_bound`, the one
 statement executor; what this module adds is the work the groups share
 (:class:`_RequestContext`, the executor's ``shared`` argument):
 
-* **Statement binding** — every group statement resolves through the
-  database's parsed-and-bound statement cache
-  (:meth:`~repro.sqldb.database.Database.bound_statement`), so repeated
-  SQL never touches the lexer or parser again.
+* **Statement binding** — every group statement arrives as a parse tree
+  and resolves through the database's bound-statement cache (keyed on
+  the statement), so a repeated statement is bound once; no SQL text is
+  rendered or parsed.
 * **Mask cache** — leaf predicates (``borough = 'Brooklyn'``,
   ``agency IN (...)``) are evaluated once per request and reused across
   every group that references them; AND/OR/NOT combine the cached leaf
@@ -64,6 +64,7 @@ from repro.testing.faults import fault_point
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from repro.caching import QueryResultCache
     from repro.execution.merging import ExecutionPlan, MergedGroup
+    from repro.sqldb.parser import SelectStatement
     from repro.sqldb.query import AggregateQuery
 
 __all__ = [
@@ -360,14 +361,15 @@ def run_plan(plan: "ExecutionPlan", database: Database,
     ``ctx=None`` is the per-group rung of the degradation ladder: every
     group runs through plain ``Database.execute`` behind the
     ``executor.group`` fault point.  Both give the same results bit for
-    bit, including TABLESAMPLE draws (the rng derives from the statement
-    text), NULL/zero-row normalisation and result-cache entries (keyed
-    on the same group SQL).  The request deadline is polled per group.
+    bit, including TABLESAMPLE draws (the rng derives from the statement's
+    SQL rendering), NULL/zero-row normalisation and result-cache entries
+    (keyed on the same group statement).  The request deadline is polled
+    per group.
     """
     from repro.execution.merging import (
         _extract_group_results,
         _normalize,
-        _with_sample,
+        sampled,
     )
 
     def run_group(group: "MergedGroup",
@@ -377,9 +379,9 @@ def run_plan(plan: "ExecutionPlan", database: Database,
         deadline = current_deadline()
         if deadline is not None:
             deadline.check("executor.group")
-        sql = group.sql
+        statement = group.statement
         if sample_fraction is not None and sample_fraction < 1.0:
-            sql = _with_sample(sql, sample_fraction)
+            statement = sampled(statement, sample_fraction)
         with trace_span("executor.group") as span:
             span.set_attribute("queries", len(group.queries))
             span.set_attribute("merged", group.is_merged)
@@ -387,19 +389,19 @@ def run_plan(plan: "ExecutionPlan", database: Database,
                                round(group.estimated_cost, 3))
             executed = True
 
-            def execute(text: str) -> QueryResult:
+            def execute(statement: "SelectStatement") -> QueryResult:
                 nonlocal executed
                 executed = True
-                return database.execute(text, shared=ctx)
+                return database.execute(statement, shared=ctx)
 
             try:
                 if cache is not None:
                     executed = False
-                    outcome = cache.get_or_execute(sql, execute)
+                    outcome = cache.get_or_execute(statement, execute)
                     span.set_attribute(
                         "cache", "miss" if executed else "hit")
                 else:
-                    outcome = execute(sql)
+                    outcome = execute(statement)
             except NullAggregateError:
                 # Aggregate over zero qualifying rows (SQL NULL): report
                 # every member query as missing/zero.  Other
@@ -474,17 +476,14 @@ def plan_scan_counts(plan: "ExecutionPlan", database: Database,
     each *distinct* leaf once.  Used by the serving benchmark to report
     scans per request without instrumenting the hot path.
     """
-    from repro.execution.merging import _with_sample
     legacy = 0
     distinct: set[tuple[str, BooleanExpr]] = set()
     samples = 0
     for group in plan.groups:
-        sql = group.sql
         if sample_fraction is not None and sample_fraction < 1.0:
-            sql = _with_sample(sql, sample_fraction)
             samples += 1
             legacy += 1
-        bound = database.bound_statement(sql)
+        bound = database.bound_statement(group.statement)
         legacy += _count_leaves(bound.where)
         table = bound.statement.table.lower()
         stack: list[BooleanExpr] = (

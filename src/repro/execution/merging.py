@@ -15,6 +15,12 @@ by IN/GROUP BY, queries sharing an ``agg_func``/``agg_column`` template
 merge by multi-aggregate select.  ``pred_column`` templates do not merge
 (their members filter different columns).
 
+Every group carries its statement as a parse tree
+(:class:`~repro.sqldb.parser.SelectStatement`), built by
+:func:`group_statement` — the one builder of merged statements, which
+the line-plot executor shares — and costed, bound, cached and run in
+that form; no SQL text is rendered or parsed on the way.
+
 This module plans; :meth:`ExecutionPlan.run` executes through
 :func:`repro.execution.batch.run_plan`, the one loop over a plan's
 groups, and keeps the batch→per-group rung of the degradation ladder.
@@ -22,8 +28,8 @@ groups, and keeps the batch→per-group rung of the degradation ladder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.errors import ExecutionError, TransientError
 from repro.resilience import (
@@ -37,7 +43,14 @@ if TYPE_CHECKING:  # pragma: no cover - type hints only
     from repro.caching import QueryResultCache
 from repro.nlq.templates import QueryTemplate, templates_of
 from repro.sqldb.database import Database
-from repro.sqldb.expressions import format_literal
+from repro.sqldb.expressions import (
+    BooleanExpr,
+    Comparison,
+    ComparisonOp,
+    InList,
+    conjunction,
+)
+from repro.sqldb.parser import SelectStatement
 from repro.sqldb.query import AggregateQuery
 
 _MERGEABLE_KINDS = ("pred_value", "agg_func", "agg_column")
@@ -47,7 +60,7 @@ _MERGEABLE_KINDS = ("pred_value", "agg_func", "agg_column")
 class MergedGroup:
     """One execution unit: either a merged query or a singleton."""
 
-    sql: str
+    statement: SelectStatement
     queries: tuple[AggregateQuery, ...]
     template: QueryTemplate | None
     estimated_cost: float
@@ -74,11 +87,11 @@ class ExecutionPlan:
 
         A query whose group yields no row for it (e.g. the predicate value
         does not occur in the data) maps to ``0.0`` for COUNT/SUM and
-        ``None`` (SQL NULL) otherwise.  ``sample_fraction`` appends a
+        ``None`` (SQL NULL) otherwise.  ``sample_fraction`` adds a
         ``TABLESAMPLE`` clause to every group for approximate processing.
-        ``cache`` short-circuits group execution on normalised-SQL hits
-        (sampled statements carry their fraction in the SQL text, so exact
-        and approximate runs never share an entry).
+        ``cache`` short-circuits group execution on statement hits
+        (sampled statements carry their fraction, so exact and
+        approximate runs never share an entry).
 
         The groups run through :func:`repro.execution.batch.run_plan`,
         which shares predicate masks and GROUP BY factorisations across
@@ -147,23 +160,15 @@ def plan_execution(database: Database,
     unmerged_total = sum(standalone_cost.values())
     if not merge:
         groups = tuple(
-            MergedGroup(q.to_sql(), (q,), None, standalone_cost[q])
+            MergedGroup(q.to_statement(), (q,), None, standalone_cost[q])
             for q in unique)
         return ExecutionPlan(groups, unmerged_total, unmerged_total)
 
     by_template: dict[QueryTemplate, list[AggregateQuery]] = {}
     for query in unique:
-        columns = [p.column.lower() for p in query.predicates]
         for template in templates_of(query):
-            if template.kind not in _MERGEABLE_KINDS:
-                continue
-            # A member's GROUP BY row is looked up by its (first)
-            # predicate on the anchor, so a query filtering the anchor
-            # column twice cannot be answered from a pred_value group.
-            if template.kind == "pred_value" \
-                    and columns.count(str(template.anchor).lower()) > 1:
-                continue
-            by_template.setdefault(template, []).append(query)
+            if can_merge(template, query):
+                by_template.setdefault(template, []).append(query)
 
     assigned: set[AggregateQuery] = set()
     groups: list[MergedGroup] = []
@@ -174,61 +179,98 @@ def plan_execution(database: Database,
         open_members = [q for q in members if q not in assigned]
         if len(open_members) < 2:
             continue
-        sql = _merged_sql(template, open_members)
-        merged_cost = database.estimated_cost(sql)
+        statement = group_statement(template, open_members)
+        merged_cost = database.estimated_cost(statement)
         separate_cost = sum(standalone_cost[q] for q in open_members)
         if merged_cost >= separate_cost:
             continue  # optimizer says merging does not pay off
-        groups.append(MergedGroup(sql, tuple(open_members), template,
+        groups.append(MergedGroup(statement, tuple(open_members), template,
                                   merged_cost))
         assigned.update(open_members)
     for query in unique:
         if query not in assigned:
-            groups.append(MergedGroup(query.to_sql(), (query,), None,
+            groups.append(MergedGroup(query.to_statement(), (query,), None,
                                       standalone_cost[query]))
     total = sum(group.estimated_cost for group in groups)
     return ExecutionPlan(tuple(groups), total, unmerged_total)
 
 
 # ---------------------------------------------------------------------------
-# SQL construction per template kind
+# Statement construction per template kind
 # ---------------------------------------------------------------------------
 
 
-def _merged_sql(template: QueryTemplate,
-                members: list[AggregateQuery]) -> str:
+def can_merge(template: QueryTemplate, query: AggregateQuery) -> bool:
+    """Whether *query* can be answered from *template*'s merged statement.
+
+    ``pred_column`` templates never merge (their members filter different
+    columns).  A member's GROUP BY row is looked up by its (first)
+    predicate on the anchor, so a query filtering the anchor column twice
+    cannot be answered from a ``pred_value`` group; it runs on its own.
+    """
+    if template.kind != "pred_value":
+        return template.kind in _MERGEABLE_KINDS
+    anchor = str(template.anchor).lower()
+    return sum(p.column.lower() == anchor for p in query.predicates) < 2
+
+
+def group_statement(template: QueryTemplate | None,
+                    members: Sequence[AggregateQuery],
+                    x_column: str | None = None) -> SelectStatement:
+    """The one statement answering every query in *members*.
+
+    Without a template (or with one member) that is the member's own
+    statement; a ``pred_value`` template gives ``anchor IN (...)`` plus
+    ``GROUP BY anchor``; ``agg_func``/``agg_column`` templates give one
+    output aggregate per member over the shared filter.  *x_column*
+    adds a leading grouping column, so line plots get every series'
+    points per x value from the same builder.
+    """
+    extra = () if x_column is None else (x_column,)
+    if template is None or len(members) == 1:
+        statement = members[0].to_statement()
+        if extra:
+            statement = replace(statement, select_columns=extra,
+                                group_by=extra)
+        return statement
+    conditions: list[BooleanExpr] = [
+        Comparison(p.column, ComparisonOp.EQ, p.value)
+        for p in template.fixed_predicates]
     if template.kind == "pred_value":
-        values = sorted({m.predicate_on(str(template.anchor)).value
-                         for m in members}, key=repr)
-        in_list = ", ".join(format_literal(v) for v in values)
-        conditions = [p.to_sql() for p in template.fixed_predicates]
-        conditions.append(f"{template.anchor} IN ({in_list})")
-        assert template.agg_func is not None
-        agg = members[0].aggregate.to_sql()
-        where = " AND ".join(sorted(conditions))
-        return (f"SELECT {template.anchor}, {agg} FROM {template.table} "
-                f"WHERE {where} GROUP BY {template.anchor}")
+        anchor = str(template.anchor)
+        values = sorted({m.predicate_on(anchor).value for m in members},
+                        key=repr)
+        conditions.append(InList(anchor, tuple(values)))
+        columns = extra + (anchor,)
+        return SelectStatement(
+            template.table, (members[0].aggregate,), group_by=columns,
+            where=_in_sql_order(conditions), select_columns=columns)
     # agg_func / agg_column: several aggregates over one shared filter.
-    aggregates = sorted({m.aggregate.to_sql() for m in members})
-    select_list = ", ".join(aggregates)
-    sql = f"SELECT {select_list} FROM {template.table}"
-    if template.fixed_predicates:
-        where = " AND ".join(sorted(p.to_sql()
-                                    for p in template.fixed_predicates))
-        sql += f" WHERE {where}"
-    return sql
+    aggregates = sorted({m.aggregate for m in members},
+                        key=lambda call: call.to_sql())
+    return SelectStatement(
+        template.table, tuple(aggregates), group_by=extra,
+        where=_in_sql_order(conditions), select_columns=extra)
 
 
-def _with_sample(sql: str, fraction: float) -> str:
-    """Insert a TABLESAMPLE clause after the FROM table reference."""
-    upper = sql.upper()
-    from_at = upper.index(" FROM ")
-    rest = sql[from_at + 6:]
-    parts = rest.split(" ", 1)
-    table = parts[0]
-    tail = f" {parts[1]}" if len(parts) > 1 else ""
-    clause = f" TABLESAMPLE BERNOULLI ({fraction * 100:.6f})"
-    return sql[:from_at + 6] + table + clause + tail
+def _in_sql_order(conditions: list[BooleanExpr]) -> BooleanExpr | None:
+    """The conjunction of *conditions*, ordered by their SQL text.
+
+    A canonical order makes a group's statement — and so its cost
+    estimate and TABLESAMPLE draw — independent of member order.
+    """
+    return conjunction(sorted(conditions, key=lambda c: c.to_sql()))
+
+
+def sampled(statement: SelectStatement,
+            fraction: float) -> SelectStatement:
+    """*statement* with ``TABLESAMPLE BERNOULLI`` at *fraction*.
+
+    The percentage is rounded to six decimals, so fractions that differ
+    only below that share one statement (one cache entry, one draw).
+    """
+    return replace(statement,
+                   sample_fraction=float(f"{fraction * 100:.6f}") / 100)
 
 
 def _extract_group_results(group: MergedGroup, outcome,
@@ -254,7 +296,7 @@ def _extract_group_results(group: MergedGroup, outcome,
     # Multi-aggregate select: one row, one column per aggregate.
     if not outcome.rows:
         raise ExecutionError(
-            f"merged query returned no row: {group.sql!r}")
+            f"merged query returned no row: {group.statement.to_sql()!r}")
     row = outcome.rows[0]
     for query in group.queries:
         index = outcome.column_index(query.aggregate.to_sql())

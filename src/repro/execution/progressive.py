@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Iterator
 
 from repro.core.model import Multiplot, Plot
 from repro.errors import ExecutionError
-from repro.execution.merging import plan_execution
+from repro.execution.merging import plan_execution, sampled
 from repro.observability import trace_span
 from repro.sqldb.database import Database
 from repro.sqldb.query import AggregateQuery
@@ -245,11 +245,12 @@ class ApproximateProcessing(ProcessingStrategy):
             cached = self._throughput_cache.get(key)
             if cached is not None:
                 return cached
+            probe = sampled(
+                AggregateQuery.build(table.schema.name, "count",
+                                     None).to_statement(),
+                probe_rows / max(table.num_rows, 1))
             start = time.perf_counter()
-            percent = 100.0 * probe_rows / max(table.num_rows, 1)
-            database.execute(
-                f"SELECT COUNT(*) FROM {table.schema.name} "
-                f"TABLESAMPLE BERNOULLI ({percent:.4f})")
+            database.execute(probe)
             elapsed = max(time.perf_counter() - start, 1e-6)
             throughput = probe_rows / elapsed
             self._throughput_cache[key] = throughput

@@ -1,8 +1,9 @@
 """Result tables: collection, formatting, and persistence.
 
 Every experiment returns an :class:`ExperimentTable`; the benchmark suite
-prints it (reproducing the paper's rows/series) and appends it to
-``benchmarks/results/`` so a full run leaves a reviewable record.
+prints it (reproducing the paper's rows/series) and saves it under the
+git-ignored ``.benchmarks/results/`` so a full run leaves a reviewable
+record (``benchmarks/results/`` holds the committed snapshot).
 """
 
 from __future__ import annotations

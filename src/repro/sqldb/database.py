@@ -12,7 +12,6 @@ import numpy as np
 
 from repro.caching.lru import CacheStats, LruCache
 from repro.caching.selection import SelectionCache
-from repro.caching.sql import normalize_sql
 from repro.errors import CatalogError, ExecutionError
 from repro.observability import trace_span
 from repro.sqldb.executor import (
@@ -58,6 +57,22 @@ class QueryResult:
 
 _database_uids = itertools.count(1)
 
+#: Capacity of the bound-statement cache.
+STATEMENT_CACHE_SIZE = 512
+#: Capacity of the optimizer cost-estimate cache.
+COST_CACHE_SIZE = 4096
+
+
+def _as_statement(query: str | SelectStatement | AggregateQuery,
+                  ) -> SelectStatement:
+    """The parse tree of *query*: text is parsed here, once, and every
+    other form is already a statement or builds one without text."""
+    if isinstance(query, SelectStatement):
+        return query
+    if isinstance(query, AggregateQuery):
+        return query.to_statement()
+    return parse(query)
+
 
 class Database:
     """An in-memory database: catalog, tables, statistics, execution.
@@ -68,7 +83,7 @@ class Database:
     Concurrency: the read path (:meth:`execute`, :meth:`explain`,
     :meth:`statistics`) is safe to call from many threads against one
     instance.  Sampling randomness is derived per statement from the
-    database seed and the SQL text (see
+    database seed and the statement's SQL rendering (see
     :func:`repro.sqldb.sampling.derive_rng`), so results are independent of
     thread interleaving.  DDL and :meth:`insert_rows` are *not* designed to
     race with readers — load data first, then serve.
@@ -76,8 +91,6 @@ class Database:
 
     def __init__(self, seed: int = 0,
                  io_millis_per_page: float = 0.0,
-                 statement_cache_size: int = 512,
-                 cost_cache_size: int = 4096,
                  mask_cache_bytes: int = 64 << 20) -> None:
         """``io_millis_per_page`` > 0 simulates a disk-resident DBMS: every
         query execution sleeps in proportion to the pages its scan reads
@@ -86,9 +99,6 @@ class Database:
         regime, where page I/O dominates per-query cost; the default of 0
         keeps the engine purely in-memory.
 
-        ``statement_cache_size``/``cost_cache_size`` bound the two
-        normalised-SQL caches (parsed-and-bound statements, optimizer cost
-        estimates); 0 disables the respective cache.
         ``mask_cache_bytes`` bounds the leaf-predicate mask cache the
         batch executor keeps across requests (0 disables it)."""
         self.catalog = Catalog()
@@ -97,17 +107,15 @@ class Database:
         self._statistics_lock = threading.Lock()
         self._seed = seed
         self.io_millis_per_page = io_millis_per_page
-        # Normalised SQL text -> BoundStatement.  Candidate workloads ask
-        # the same few dozen statements over and over; a hit skips the
-        # lexer, the parser and expression binding entirely.
-        self._statements = LruCache(statement_cache_size)
-        # Exact-text memo over _statements; see bound_statement().
-        self._raw_statements: dict[str, BoundStatement] = {}
-        self._raw_statement_hits = 0
-        # Normalised SQL text -> total optimizer cost.  The merge planner
-        # costs every candidate (and every tentative merged statement) on
-        # each request; estimates only change when data changes.
-        self._costs = LruCache(cost_cache_size)
+        # SelectStatement -> BoundStatement.  Candidate workloads ask the
+        # same few dozen statements over and over; a hit skips expression
+        # binding.
+        self._statements = LruCache(STATEMENT_CACHE_SIZE)
+        # (indexes enabled, SelectStatement) -> total optimizer cost.  The
+        # merge planner costs every candidate (and every tentative merged
+        # statement) on each request; estimates only change when data
+        # changes.
+        self._costs = LruCache(COST_CACHE_SIZE)
         # (table, bound leaf predicate) -> selection (boolean mask or
         # index postings).  Selections are pure functions of table data,
         # so the batch executor shares them across requests; see
@@ -181,7 +189,6 @@ class Database:
         entries) keeps invalidation trivially correct.
         """
         self._statements.clear()
-        self._raw_statements = {}
         self._costs.clear()
         self._masks.clear()
         if vocabulary_changed:
@@ -268,65 +275,32 @@ class Database:
     # Query execution
     # ------------------------------------------------------------------
 
-    def _coerce_statement(self, query: str | SelectStatement | AggregateQuery,
-                          ) -> SelectStatement:
-        if isinstance(query, SelectStatement):
-            return query
-        if isinstance(query, AggregateQuery):
-            return parse(query.to_sql())
-        return parse(query)
-
     def bound_statement(self, query: str | SelectStatement | AggregateQuery,
                         ) -> BoundStatement:
-        """The parsed-and-bound form of *query*, cached by normalised SQL.
+        """The bound form of *query*, cached by statement.
 
-        A hit skips tokenizing, parsing and expression binding; the cache
-        is invalidated by any DDL or :meth:`insert_rows`.  Statements
-        passed in already-parsed form are bound fresh (they carry no SQL
-        text worth normalising).
-
-        An exact-text front memo sits above the normalised LRU: serving
-        replays the *same* group SQL strings request after request, and
-        normalising the key costs more than everything else on a warm
-        hit.  The memo is a plain dict (GIL-atomic for string keys; a
-        racing double-store is harmless) flushed whenever it outgrows the
-        LRU by 4x.
+        A hit skips expression binding; the cache is invalidated by any
+        DDL or :meth:`insert_rows`.
         """
-        if isinstance(query, SelectStatement):
-            return bind_statement(query, self.table(query.table))
-
-        sql = query.to_sql() if isinstance(query, AggregateQuery) else query
-        cached = self._raw_statements.get(sql)
-        if cached is not None:
-            # Racing increments may drop a count; the stat is advisory.
-            self._raw_statement_hits += 1
-            return cached
-
-        def build() -> BoundStatement:
-            statement = self._coerce_statement(query)
-            return bind_statement(statement, self.table(statement.table))
-
-        bound = self._statements.get_or_compute(normalize_sql(sql), build)
-        if len(self._raw_statements) >= max(1024,
-                                            4 * self._statements.capacity):
-            self._raw_statements = {}
-        self._raw_statements[sql] = bound
-        return bound
+        statement = _as_statement(query)
+        return self._statements.get_or_compute(
+            statement,
+            lambda: bind_statement(statement, self.table(statement.table)))
 
     def execute(self, query: str | SelectStatement | AggregateQuery,
                 rng: np.random.Generator | None = None,
                 shared: SharedWork | None = None) -> QueryResult:
-        """Parse (if needed), execute, and time a query.
+        """Execute and time a query (text is parsed first).
 
         ``rng`` overrides the sampling generator; by default one is derived
-        from the database seed and the statement text, making sampled
-        results reproducible and thread-interleaving-independent.
+        from the database seed and the statement's SQL rendering, making
+        sampled results reproducible and thread-interleaving-independent.
         ``shared`` is the request-shared work of a plan's groups (see
         :func:`~repro.sqldb.executor.execute_bound`); results are
         identical with or without it.
         """
-        bound = self.bound_statement(query)
-        statement = bound.statement
+        statement = _as_statement(query)
+        bound = self.bound_statement(statement)
         table = self.table(statement.table)
         if rng is None and statement.sample_fraction is not None:
             rng = derive_rng(self._seed, statement.to_sql())
@@ -377,18 +351,13 @@ class Database:
     def estimated_cost(self, query: str | SelectStatement | AggregateQuery,
                        ) -> float:
         """Total plan cost in abstract optimizer units (cached by
-        normalised SQL; invalidated with the statement cache)."""
-        if isinstance(query, SelectStatement):
-            sql = query.to_sql()
-        elif isinstance(query, AggregateQuery):
-            sql = query.to_sql()
-        else:
-            sql = query
+        statement; invalidated with the statement cache)."""
+        statement = _as_statement(query)
         # The chosen access path (and hence the estimate) depends on the
         # index flag, which tests toggle at runtime — key on it too.
-        key = f"idx{int(indexes_enabled())}:{normalize_sql(sql)}"
         return self._costs.get_or_compute(
-            key, lambda: self.explain(query).cost.total)
+            (indexes_enabled(), statement),
+            lambda: self.explain(statement).cost.total)
 
     # ------------------------------------------------------------------
     # Cache introspection
@@ -396,17 +365,8 @@ class Database:
 
     @property
     def statement_cache_stats(self) -> CacheStats:
-        """Hit/miss counters of the parsed-and-bound statement cache.
-
-        Hits fold in the exact-text memo sitting above the normalised
-        LRU (a memo hit serves the same bound statement, just cheaper).
-        """
-        stats = self._statements.stats
-        return CacheStats(hits=stats.hits + self._raw_statement_hits,
-                          misses=stats.misses,
-                          evictions=stats.evictions,
-                          size=stats.size,
-                          capacity=stats.capacity)
+        """Hit/miss counters of the bound statement cache."""
+        return self._statements.stats
 
     @property
     def cost_cache_stats(self) -> CacheStats:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -305,6 +305,16 @@ class Not(BooleanExpr):
 
     def to_sql(self) -> str:
         return f"NOT ({self.child.to_sql()})"
+
+
+def conjunction(terms: Sequence[BooleanExpr]) -> BooleanExpr | None:
+    """``t1 AND t2 AND ...`` in the shape the parser produces: no clause
+    for no terms, the term itself for one, one flat :class:`And` else."""
+    if not terms:
+        return None
+    if len(terms) == 1:
+        return terms[0]
+    return And(tuple(terms))
 
 
 def _parenthesize(expr: BooleanExpr) -> str:

@@ -112,8 +112,8 @@ class SelectStatement:
         """Render back to SQL text.
 
         The rendering is canonical: parsing its own output yields an equal
-        statement (``parse(s.to_sql()) == s``), which is what cache keys
-        and the parser round-trip tests rely on.
+        statement (``parse(s.to_sql()) == s``), which TABLESAMPLE seeds
+        (derived from the rendering) and the round-trip tests rely on.
         """
         select_list = [column for column in self.select_columns]
         select_list.extend(agg.to_sql() for agg in self.aggregates)

@@ -4,8 +4,9 @@ The paper's MUVE "currently supports SQL aggregation queries with predicates
 on a single table that produce a single, numerical result".
 :class:`AggregateQuery` is that shape in structured form: one aggregate call
 plus a conjunction of equality predicates.  The rest of the system (candidate
-generation, templates, plots, merging) manipulates these objects and converts
-to SQL text only at the engine boundary.
+generation, templates, plots, merging) manipulates these objects and hands
+them to the engine as parse trees (:meth:`AggregateQuery.to_statement`);
+SQL text is only rendered for people.
 """
 
 from __future__ import annotations
@@ -20,8 +21,10 @@ from repro.sqldb.expressions import (
     BooleanExpr,
     Comparison,
     ComparisonOp,
+    conjunction,
     format_literal,
 )
+from repro.sqldb.parser import SelectStatement
 
 __all__ = [
     "AggregateFunction",
@@ -122,6 +125,15 @@ class AggregateQuery:
             conditions = " AND ".join(p.to_sql() for p in self.predicates)
             sql += f" WHERE {conditions}"
         return sql
+
+    def to_statement(self) -> SelectStatement:
+        """The engine's parse tree of this query, built without text:
+        equal to ``parse(self.to_sql())``."""
+        return SelectStatement(
+            self.table, (self.aggregate,),
+            where=conjunction(tuple(
+                Comparison(p.column, ComparisonOp.EQ, p.value)
+                for p in self.predicates)))
 
     def where_expression(self) -> BooleanExpr:
         """The WHERE clause as an expression tree (TRUE if no predicates)."""

@@ -1,24 +1,27 @@
 """Executing series multiplots with per-plot merged queries.
 
 All series of one plot share a template, so they execute as a *single*
-SQL query (the Section 8.1 idea carried to multi-row results):
+statement (the Section 8.1 idea carried to multi-row results), built by
+:func:`repro.execution.merging.group_statement` with the x axis as an
+extra leading GROUP BY column:
 
 * ``pred_value`` templates — one two-key GROUP BY
-  (``GROUP BY x, anchor``) covering every line's predicate value;
+  (``GROUP BY x, anchor``) covering every line's predicate value; a line
+  whose query filters the anchor column twice runs on its own, as it
+  does for bars (:func:`~repro.execution.merging.can_merge`);
 * ``agg_func`` / ``agg_column`` templates — one GROUP BY over x with one
   output column per aggregate;
-* anything else falls back to one GROUP BY query per series.
+* anything else runs one GROUP BY statement per series.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from repro.execution.merging import _normalize
+from repro.execution.merging import _normalize, can_merge, group_statement
 from repro.sqldb.database import Database
-from repro.sqldb.expressions import format_literal
 from repro.sqldb.query import AggregateQuery
-from repro.timeseries.model import Series, SeriesMultiplot, SeriesPlot
+from repro.timeseries.model import SeriesMultiplot, SeriesPlot
 
 
 def execute_series_multiplot(database: Database,
@@ -32,15 +35,18 @@ def execute_series_multiplot(database: Database,
 
 
 def _execute_plot(database: Database, plot: SeriesPlot) -> SeriesPlot:
-    kind = plot.template.kind
-    if kind == "pred_value" and len(plot.series) > 1:
-        filled = _execute_pred_value_plot(database, plot)
-    elif kind in ("agg_func", "agg_column") and len(plot.series) > 1:
-        filled = _execute_multi_aggregate_plot(database, plot)
-    else:
-        filled = tuple(_execute_single_series(database, plot, line)
-                       for line in plot.series)
-    return SeriesPlot(plot.template, plot.x_column, filled)
+    template = plot.template
+    merged = [line.query for line in plot.series
+              if can_merge(template, line.query)]
+    points = (_execute_merged(database, plot, merged)
+              if len(merged) > 1 else {})
+    filled = []
+    for line in plot.series:
+        if line.query not in points:
+            points[line.query] = _execute_single_series(database, plot,
+                                                        line.query)
+        filled.append(line.with_points(points[line.query]))
+    return SeriesPlot(template, plot.x_column, tuple(filled))
 
 
 def _series_points(pairs: list[tuple[Any, float]],
@@ -49,66 +55,36 @@ def _series_points(pairs: list[tuple[Any, float]],
 
 
 def _execute_single_series(database: Database, plot: SeriesPlot,
-                           line: Series) -> Series:
-    sql = (f"SELECT {plot.x_column}, {line.query.aggregate.to_sql()} "
-           f"FROM {line.query.table}")
-    if line.query.predicates:
-        conditions = " AND ".join(p.to_sql()
-                                  for p in line.query.predicates)
-        sql += f" WHERE {conditions}"
-    sql += f" GROUP BY {plot.x_column}"
-    result = database.execute(sql)
-    pairs = [(row[0], _normalize(line.query, row[1]))
+                           query: AggregateQuery,
+                           ) -> tuple[tuple[Any, float], ...]:
+    result = database.execute(
+        group_statement(None, (query,), plot.x_column))
+    pairs = [(row[0], _normalize(query, row[1]))
              for row in result.rows]
-    pairs = [(x, v) for x, v in pairs if v is not None]
-    return line.with_points(_series_points(pairs))
+    return _series_points([(x, v) for x, v in pairs if v is not None])
 
 
-def _execute_pred_value_plot(database: Database,
-                             plot: SeriesPlot) -> tuple[Series, ...]:
+def _execute_merged(database: Database, plot: SeriesPlot,
+                    queries: list[AggregateQuery],
+                    ) -> dict[AggregateQuery, tuple[tuple[Any, float], ...]]:
+    """Points of every line in *queries* from one shared statement."""
     template = plot.template
-    anchor = str(template.anchor)
-    values = sorted({line.query.predicate_on(anchor).value
-                     for line in plot.series}, key=repr)
-    in_list = ", ".join(format_literal(v) for v in values)
-    conditions = [p.to_sql() for p in template.fixed_predicates]
-    conditions.append(f"{anchor} IN ({in_list})")
-    aggregate = plot.series[0].query.aggregate
-    sql = (f"SELECT {plot.x_column}, {anchor}, {aggregate.to_sql()} "
-           f"FROM {template.table} "
-           f"WHERE {' AND '.join(sorted(conditions))} "
-           f"GROUP BY {plot.x_column}, {anchor}")
-    result = database.execute(sql)
-    by_value: dict[Any, list[tuple[Any, float]]] = {}
-    for row in result.rows:
-        by_value.setdefault(row[1], []).append((row[0], float(row[2])))
-    filled = []
-    for line in plot.series:
-        value = line.query.predicate_on(anchor).value
-        filled.append(line.with_points(
-            _series_points(by_value.get(value, []))))
-    return tuple(filled)
-
-
-def _execute_multi_aggregate_plot(database: Database,
-                                  plot: SeriesPlot) -> tuple[Series, ...]:
-    aggregates = sorted({line.query.aggregate.to_sql()
-                         for line in plot.series})
-    template = plot.template
-    sql = (f"SELECT {plot.x_column}, {', '.join(aggregates)} "
-           f"FROM {template.table}")
-    if template.fixed_predicates:
-        conditions = " AND ".join(sorted(
-            p.to_sql() for p in template.fixed_predicates))
-        sql += f" WHERE {conditions}"
-    sql += f" GROUP BY {plot.x_column}"
-    result = database.execute(sql)
-    filled = []
-    for line in plot.series:
-        index = result.column_index(line.query.aggregate.to_sql())
-        pairs = [(row[0], float(row[index])) for row in result.rows]
-        filled.append(line.with_points(_series_points(pairs)))
-    return tuple(filled)
+    result = database.execute(
+        group_statement(template, queries, plot.x_column))
+    if template.kind == "pred_value":
+        anchor = str(template.anchor)
+        by_value: dict[Any, list[tuple[Any, float]]] = {}
+        for row in result.rows:
+            by_value.setdefault(row[1], []).append((row[0], float(row[2])))
+        return {query: _series_points(
+                    by_value.get(query.predicate_on(anchor).value, []))
+                for query in queries}
+    points = {}
+    for query in queries:
+        index = result.column_index(query.aggregate.to_sql())
+        points[query] = _series_points(
+            [(row[0], float(row[index])) for row in result.rows])
+    return points
 
 
 def lift_results(multiplot: SeriesMultiplot,

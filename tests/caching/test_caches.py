@@ -5,7 +5,9 @@ import pytest
 from repro.caching import PlanCache, QueryResultCache
 from repro.core.model import ScreenGeometry
 from repro.core.problem import MultiplotSelectionProblem
+from repro.execution.merging import sampled
 from repro.nlq.candidates import CandidateQuery
+from repro.sqldb.parser import parse
 from repro.sqldb.query import AggregateQuery
 
 
@@ -22,17 +24,20 @@ def make_problem(probabilities=(0.6, 0.4), geometry=None):
 
 
 class TestQueryResultCache:
+    """The cache is keyed on the statement (the parse tree), so two SQL
+    spellings share an entry exactly when they parse to equal statements."""
+
     def test_hit_skips_execution(self):
         cache = QueryResultCache(capacity=16)
         executed = []
 
-        def execute(sql):
-            executed.append(sql)
-            return ("result-of", sql)
+        def execute(statement):
+            executed.append(statement)
+            return ("result-of", statement)
 
-        sql = "SELECT COUNT(*) FROM nyc311"
-        first = cache.get_or_execute(sql, execute)
-        second = cache.get_or_execute(sql, execute)
+        statement = parse("SELECT COUNT(*) FROM nyc311")
+        first = cache.get_or_execute(statement, execute)
+        second = cache.get_or_execute(statement, execute)
         assert first == second
         assert len(executed) == 1, "second lookup must not re-execute"
         stats = cache.stats
@@ -43,53 +48,67 @@ class TestQueryResultCache:
         cache = QueryResultCache(capacity=16)
         executed = []
 
-        def execute(sql):
-            executed.append(sql)
+        def execute(statement):
+            executed.append(statement)
             return "result"
 
-        cache.get_or_execute("SELECT COUNT(*) FROM t", execute)
-        cache.get_or_execute("select   count(*)  from T", execute)
-        cache.get_or_execute("SELECT COUNT(*) FROM t;", execute)
+        cache.get_or_execute(parse("SELECT COUNT(*) FROM t"), execute)
+        cache.get_or_execute(parse("select   count(*)\n from t"), execute)
+        cache.get_or_execute(parse("SELECT COUNT(*) FROM t;"), execute)
+        cache.get_or_execute(
+            AggregateQuery.build("t", "count", None).to_statement(),
+            execute)
         assert len(executed) == 1
         assert len(cache) == 1
-        assert cache.stats.hits == 2
+        assert cache.stats.hits == 3
 
     def test_literal_case_not_conflated(self):
         cache = QueryResultCache(capacity=16)
         executed = []
 
-        def execute(sql):
-            executed.append(sql)
-            return sql
+        def execute(statement):
+            executed.append(statement)
+            return statement
 
         cache.get_or_execute(
-            "SELECT COUNT(*) FROM t WHERE b = 'Brooklyn'", execute)
+            parse("SELECT COUNT(*) FROM t WHERE b = 'Brooklyn'"), execute)
         cache.get_or_execute(
-            "SELECT COUNT(*) FROM t WHERE b = 'brooklyn'", execute)
+            parse("SELECT COUNT(*) FROM t WHERE b = 'brooklyn'"), execute)
         assert len(executed) == 2
 
     def test_execute_receives_original_sql(self):
         cache = QueryResultCache(capacity=16)
         seen = []
-        original = "SELECT  COUNT(*)  FROM T"
-        cache.get_or_execute(original, lambda sql: seen.append(sql))
-        assert seen == [original]
+        original = parse("SELECT  COUNT(*)  FROM T")
+        cache.get_or_execute(original, lambda statement: seen.append(
+            statement))
+        assert len(seen) == 1 and seen[0] is original
+
+    def test_sampled_statement_is_its_own_entry(self):
+        cache = QueryResultCache(capacity=16)
+        executed = []
+        exact = parse("SELECT COUNT(*) FROM t")
+        for statement in (exact, sampled(exact, 0.25), exact):
+            cache.get_or_execute(statement,
+                                 lambda s: executed.append(s) or "r")
+        assert executed == [exact, sampled(exact, 0.25)]
 
     def test_clear_forces_reexecution(self):
         cache = QueryResultCache(capacity=16)
         executed = []
-        sql = "SELECT COUNT(*) FROM t"
-        cache.get_or_execute(sql, lambda s: executed.append(s))
+        statement = parse("SELECT COUNT(*) FROM t")
+        cache.get_or_execute(statement, lambda s: executed.append(s))
         cache.clear()
-        cache.get_or_execute(sql, lambda s: executed.append(s))
+        cache.get_or_execute(statement, lambda s: executed.append(s))
         assert len(executed) == 2
 
     def test_capacity_zero_never_stores(self):
         cache = QueryResultCache(capacity=0)
         executed = []
-        sql = "SELECT COUNT(*) FROM t"
+        statement = parse("SELECT COUNT(*) FROM t")
         for _ in range(3):
-            cache.get_or_execute(sql, lambda s: executed.append(s) or "r")
+            cache.get_or_execute(statement,
+                                 lambda s: executed.append(s) or "r")
         assert len(executed) == 3
         assert len(cache) == 0
 

@@ -7,7 +7,7 @@ test-side oracle :func:`tests.execution.oracle.run_per_group` — not
 approximately equal: both paths run the same kernels on the same
 filtered arrays, so every float must match bit for bit, NULL/zero-row
 normalisation included, and TABLESAMPLE draws must pick the same rows
-(both derive their generator from the statement text).  Hypothesis
+(both derive their generator from the statement's SQL rendering).  Hypothesis
 generates candidate-style workloads and the tests compare the two paths
 with plain ``==``.
 """
@@ -79,7 +79,7 @@ def test_batch_equals_per_group_exactly(queries, merge):
        st.sampled_from([0.05, 0.25, 0.5, 0.9]))
 @settings(max_examples=25, deadline=None)
 def test_batch_equals_per_group_under_sampling(queries, fraction):
-    """TABLESAMPLE: both paths derive the rng from the statement text, so
+    """TABLESAMPLE: both paths derive the rng from the statement's SQL, so
     they must draw the same rows and report the same sampled results."""
     plan = plan_execution(_DB, queries, merge=True)
     _assert_identical(
@@ -91,7 +91,7 @@ def test_batch_equals_per_group_under_sampling(queries, fraction):
 @settings(max_examples=15, deadline=None)
 def test_batch_and_legacy_share_result_cache_entries(queries):
     """A shared run populates the result cache with entries a later
-    per-group run hits (both key on the same normalised group SQL)."""
+    per-group run hits (both key on the same group statement)."""
     cache = QueryResultCache()
     plan = plan_execution(_DB, queries, merge=True)
     first = plan.run(_DB, cache=cache)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import NullAggregateError
 from repro.execution.merging import _normalize, plan_execution
-from repro.sqldb.expressions import AggregateCall, AggregateFunction
+from repro.sqldb.expressions import AggregateCall, AggregateFunction, InList
 from repro.sqldb.query import AggregateQuery, Predicate
 
 
@@ -20,8 +20,9 @@ class TestPlanning:
         merged = [g for g in plan.groups if g.is_merged]
         assert len(merged) == 1
         assert len(merged[0].queries) == 3
-        assert "IN (" in merged[0].sql
-        assert "GROUP BY dept" in merged[0].sql
+        statement = merged[0].statement
+        assert statement.where == InList("dept", ("eng", "hr", "sales"))
+        assert statement.group_by == ("dept",)
 
     def test_aggregate_variants_merge(self, emp_db):
         queries = [q(f, "salary", {"dept": "eng"})
@@ -29,7 +30,8 @@ class TestPlanning:
         plan = plan_execution(emp_db, queries)
         merged = [g for g in plan.groups if g.is_merged]
         assert len(merged) == 1
-        assert merged[0].sql.count("(salary)") == 3
+        assert [call.column for call in merged[0].statement.aggregates] \
+            == ["salary"] * 3
 
     def test_merge_disabled(self, emp_db):
         queries = [q("count", None, {"dept": d}) for d in ("sales", "eng")]

@@ -1,6 +1,7 @@
 """Property-style round-trip tests: SQL rendering is canonical.
 
-The caching layer keys on SQL text, so the rendering produced by
+Sampled execution seeds its draw from the rendering and the test oracles
+execute rendered SQL, so the rendering produced by
 ``SelectStatement.to_sql`` / ``AggregateQuery.to_sql`` must be a fixed
 point of the parser: ``parse(sql).to_sql() == sql``.  These tests sweep
 every candidate query the generator produces over the seed datasets plus

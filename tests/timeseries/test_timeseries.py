@@ -15,6 +15,9 @@ from repro.timeseries import (
     render_series_text,
     series_candidates,
 )
+from repro.nlq.templates import QueryTemplate
+from repro.sqldb.expressions import AggregateCall, AggregateFunction
+from repro.sqldb.query import Predicate
 from repro.timeseries.model import Series, SeriesMultiplot, SeriesPlot
 
 
@@ -138,6 +141,28 @@ class TestSeriesExecution:
         direct = flights_db.execute(seed_series.to_sql())
         for row in direct.rows:
             assert merged_points[row[0]] == pytest.approx(row[1])
+
+    def test_line_repeating_anchor_runs_alone(self, flights_db):
+        """A line filtering the anchor column twice cannot be read off the
+        merged ``GROUP BY x, anchor`` statement (its row would be looked
+        up by its first anchor predicate); it must show what its own
+        GROUP BY returns — here no rows."""
+        template = QueryTemplate(
+            "pred_value", "flights", AggregateFunction.AVG, "arr_delay",
+            (Predicate("carrier", "Alaska"),), anchor="carrier")
+        lines = tuple(
+            Series(AggregateQuery(
+                "flights", AggregateCall(AggregateFunction.AVG, "arr_delay"),
+                (Predicate("carrier", "Alaska"),
+                 Predicate("carrier", other))), 0.5, other)
+            for other in ("Allegiant", "American"))
+        plot = SeriesPlot(template, "month", lines)
+        filled = execute_series_multiplot(flights_db,
+                                          SeriesMultiplot(((plot,),)))
+        for line in next(filled.plots()).series:
+            direct = flights_db.execute(
+                SeriesQuery(line.query, "month").to_sql())
+            assert line.points == tuple(direct.rows) == ()
 
     def test_structure_preserved(self, flights_db, planned):
         _, solution = planned
