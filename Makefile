@@ -10,7 +10,9 @@ PYTEST := PYTHONPATH=src python -m pytest
 # maintenance == full rebuild, bit for bit), the row-search
 # differential suite (one-row search == uncut MILP optimum), the
 # greedy differential suite (greedy over version summaries == the
-# plot-object oracle, bit for bit) and the statement differential suite
+# plot-object oracle, bit for bit), the digest differential suite (the
+# per-problem digest's templates, widths, pruning and count tuples ==
+# the per-call oracle, bit for bit) and the statement differential suite
 # (merged-group statements == the parsed group SQL of the string
 # oracle, exact and sampled) once more on their own.
 # Test-order randomisation is disabled so failures bisect
@@ -22,6 +24,7 @@ check:
 		tests/sqldb/test_append_differential.py \
 		tests/core/test_rowsearch_differential.py \
 		tests/core/test_greedy_differential.py \
+		tests/core/test_digest_differential.py \
 		tests/execution/test_statement_differential.py
 
 # Fast development loop: everything except the paper-experiment

@@ -98,12 +98,17 @@ class UserCostModel:
         treated as "the correct query is none of the candidates", i.e. a
         guaranteed miss, which penalises empty multiplots correctly.
         """
+        # Each shown query's first bar (what ``multiplot.bar_for`` finds).
+        first_bars = {}
+        for plot in multiplot.plots():
+            for bar in plot.bars:
+                first_bars.setdefault(bar.query, bar)
         r_red = 0.0
         r_visible = 0.0
         total = 0.0
         for candidate in candidates:
             total += candidate.probability
-            bar = multiplot.bar_for(candidate.query)
+            bar = first_bars.get(candidate.query)
             if bar is None:
                 continue
             if bar.highlighted:

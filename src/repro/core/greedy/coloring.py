@@ -7,16 +7,18 @@ prefixes per uncolored plot.
 
 Plot picking only needs each version's width, bar counts and the
 candidates it shows, so :class:`PlotVersions` keeps every version as
-those numbers; :func:`color_plot` builds the :class:`Plot` of a version
-once it has been picked.
+those numbers, numbering templates as the problem's digest does;
+:func:`color_plot` builds the :class:`Plot` of a version once it has
+been picked.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from repro.core.greedy.plot_candidates import UncoloredPlot
 from repro.core.model import Bar, Multiplot, Plot
 from repro.core.problem import MultiplotSelectionProblem
-from repro.nlq.templates import QueryTemplate
 
 
 def color_plot(uncolored: UncoloredPlot, num_highlighted: int) -> Plot:
@@ -37,54 +39,78 @@ def color_plot(uncolored: UncoloredPlot, num_highlighted: int) -> Plot:
     return Plot(template=uncolored.template, bars=bars)
 
 
+class PlotSummary(NamedTuple):
+    """One uncolored plot's versions in :class:`PlotVersions`.
+
+    Versions ``first .. first + count - 1`` highlight its first ``0 ..
+    count - 1`` members.  ``shown`` holds its ``(candidate index,
+    probability)`` pairs in bar order.  ``parent`` is the position (in
+    ``PlotVersions.plots``) of the plot of the same template whose
+    members are these minus the last, or -1 when there is none.
+    """
+
+    template: int
+    first: int
+    count: int
+    units: float
+    shown: tuple[tuple[int, float], ...]
+    parent: int
+
+
 class PlotVersions:
     """All prefix-highlighted versions of all candidate plots, as numbers.
 
     For each uncolored plot with ``n`` bars there is one version per
     highlight count ``0..n`` (optionally capped by ``max_highlighted``),
     numbered in that order.  Version ``v`` is described by parallel
-    lists: ``template[v]`` (an integer id per template), ``units[v]``
-    (its width, ``ScreenGeometry.plot_units`` of its plot), ``bars[v]``,
-    ``highlighted[v]``, and the ``(candidate index, probability)`` pairs
-    of its ``red[v]`` and ``plain[v]`` bars in bar order.  Candidate
-    indices point into ``problem.candidates``.
+    lists: ``template[v]`` (the template's number in the problem's
+    digest), ``units[v]`` (its width, ``ScreenGeometry.plot_units`` of
+    its plot), ``bars[v]``, ``highlighted[v]``, and the ``(candidate
+    index, probability)`` pairs of its ``red[v]`` and ``plain[v]`` bars
+    in bar order.  Candidate indices point into ``problem.candidates``.
+    ``plots`` summarises the versions per uncolored plot, in order.
     """
 
     def __init__(self, problem: MultiplotSelectionProblem,
                  uncolored_plots: list[UncoloredPlot],
                  max_highlighted: int | None = None) -> None:
-        geometry = problem.geometry
-        candidate_ids = {candidate.query: index for index, candidate
-                         in enumerate(problem.candidates)}
-        template_ids: dict[QueryTemplate, int] = {}
-        base_units: list[float] = []
+        digest = problem.digest
+        probabilities = digest.probabilities
         self._sources: list[tuple[UncoloredPlot, int]] = []
+        self.plots: list[PlotSummary] = []
         self.template: list[int] = []
         self.units: list[float] = []
         self.bars: list[int] = []
         self.highlighted: list[int] = []
         self.red: list[tuple[tuple[int, float], ...]] = []
         self.plain: list[tuple[tuple[int, float], ...]] = []
+        previous: UncoloredPlot | None = None
+        shown: tuple[tuple[int, float], ...] = ()
         for uncolored in uncolored_plots:
-            template_id = template_ids.setdefault(uncolored.template,
-                                                  len(template_ids))
-            if template_id == len(base_units):
-                base_units.append(
-                    geometry.plot_base_units(uncolored.template))
-            shown = tuple((candidate_ids[member.query], member.probability)
-                          for member in uncolored.members)
-            units = base_units[template_id] + len(shown)
-            limit = len(shown)
+            template_id = uncolored.template_id
+            indices = uncolored.indices
+            extends = (previous is not None
+                       and previous.template_id == template_id
+                       and indices[:-1] == previous.indices)
+            if extends:
+                shown += ((indices[-1], probabilities[indices[-1]]),)
+            else:
+                shown = tuple((k, probabilities[k]) for k in indices)
+            units = digest.base_units[template_id] + len(shown)
+            count = len(shown) + 1
             if max_highlighted is not None:
-                limit = min(limit, max_highlighted)
-            for k in range(0, limit + 1):
-                self._sources.append((uncolored, k))
-                self.template.append(template_id)
-                self.units.append(units)
-                self.bars.append(len(shown))
-                self.highlighted.append(k)
-                self.red.append(shown[:k])
-                self.plain.append(shown[k:])
+                count = min(count, max_highlighted + 1)
+            self.plots.append(PlotSummary(
+                template_id, len(self.template), count, units, shown,
+                len(self.plots) - 1 if extends else -1))
+            self._sources.extend([(uncolored, k) for k in range(count)])
+            self.template.extend([template_id] * count)
+            self.units.extend([units] * count)
+            self.bars.extend([len(shown)] * count)
+            self.highlighted.extend(range(count))
+            self.red.extend([shown[:k] for k in range(count)])
+            self.plain.extend([shown[k:] for k in range(count)])
+            previous = uncolored
 
     def __len__(self) -> int:
         return len(self.template)

@@ -30,7 +30,7 @@ plot-by-plot evaluation makes.
 from __future__ import annotations
 
 from repro.core.cost_model import UserCostModel
-from repro.core.greedy.coloring import PlotVersions
+from repro.core.greedy.coloring import PlotSummary, PlotVersions
 from repro.core.greedy.submodular import maximize_cardinality
 from repro.core.model import Multiplot
 from repro.core.problem import MultiplotSelectionProblem
@@ -154,95 +154,137 @@ def _exchange_greedy(problem: MultiplotSelectionProblem,
     Running under both addition-scoring rules and keeping the best single
     item mirrors the structure of knapsack-constrained submodular greedy
     guarantees (the density rule alone can be arbitrarily bad without the
-    single-item fallback).
+    single-item fallback).  Both runs start from the empty selection, so
+    they share the move values of every selection they both reach; the
+    empty selection's moves are every fitting version on its own, which
+    also gives the best single item.
     """
     savings = _Savings(problem.cost_model)
-    fitting = _fitting(problem, versions)
-    # Runs of consecutive versions of one template (all of a template's
-    # versions are consecutive) share one slot lookup per step.
-    groups: list[tuple[int, list[tuple]]] = []
-    for version in fitting:
-        template = versions.template[version]
-        if not groups or groups[-1][0] != template:
-            groups.append((template, []))
-        groups[-1][1].append((
-            version, versions.units[version], versions.bars[version],
-            versions.highlighted[version], versions.red[version],
-            versions.plain[version]))
+    moves = _MoveValues(problem, versions, savings)
 
     def savings_of(placed: list[Placement]) -> float:
         return savings.of(versions, [version for version, _ in placed])
 
     candidates = [
-        _exchange_run(problem, versions, groups, savings, max_iterations,
+        _exchange_run(problem, versions, moves, max_iterations,
                       by_density=True),
-        _exchange_run(problem, versions, groups, savings, max_iterations,
+        _exchange_run(problem, versions, moves, max_iterations,
                       by_density=False),
     ]
-    if fitting:
-        # Every row gives a version the same savings, so the first
-        # maximum sits in row 0.
-        best_single = max(fitting, key=lambda v: savings.of(versions, [v]))
-        candidates.append([(best_single, 0)])
+    # Every row gives a version the same savings, so the first maximum
+    # sits in row 0.
+    best_single: tuple[float, int] | None = None
+    for value, version, _, _, _ in moves.of(
+            {}, [0.0] * problem.geometry.num_rows):
+        if best_single is None or value > best_single[0]:
+            best_single = (value, version)
+    if best_single is not None:
+        candidates.append([(best_single[1], 0)])
     return max(candidates, key=savings_of)
 
 
-def _exchange_run(problem: MultiplotSelectionProblem,
-                  versions: PlotVersions, groups: list[tuple[int, list]],
-                  savings: _Savings, max_iterations: int,
-                  by_density: bool) -> list[Placement]:
-    """One greedy pass with add/replace moves over template slots.
+#: A move's (savings, version, row, width, whether it adds a template).
+Move = tuple[float, int, int, float, bool]
 
-    Each step takes the move with the largest score; ties go to the
-    earlier (version, row) item.  A version's savings do not depend on
-    its row, so each version is evaluated once, in the first row where
-    the move is new and fits.  An addition appends the version to the
-    selection, so its sums continue the selection's own; a replacement
-    keeps the slot's position and is summed afresh.
+
+class _MoveValues:
+    """The savings of every move from a selection, computed once per
+    selection (and row load).
+
+    A move adds a version of a template not yet selected, in the first
+    row where it fits, or replaces the selected version of a template,
+    in the first row where the swap is new and fits.  A version's savings
+    do not depend on its row, so each is evaluated once.  Moves come in
+    scan order (templates, then their versions), versions no wider than
+    a row only.
+
+    An addition appends the version to the selection, so its sums
+    continue the selection's own in bar order, skipping candidates
+    already shown.  Version ``k`` of a plot shows its first ``k`` members
+    in red and the rest plain, so its red mass continues version
+    ``k - 1``'s, and a plot whose members are its parent's plus one
+    continues the parent's plain mass at each ``k``: every float is the
+    one a rescan of the selection computes, in O(bars) per plot.  A
+    replacement keeps the slot's position and is summed afresh.
     """
-    geometry = problem.geometry
-    rows = range(geometry.num_rows)
-    limit = geometry.width_units + 1e-9
-    units = versions.units
 
-    slots: dict[int, Placement] = {}
-    row_used = [0.0] * geometry.num_rows
-    current = savings(0.0, 0.0, (0, 0, 0, 0))
-    for _ in range(max_iterations):
+    def __init__(self, problem: MultiplotSelectionProblem,
+                 versions: PlotVersions, savings: _Savings) -> None:
+        geometry = problem.geometry
+        width = geometry.width_units
+        self.versions = versions
+        self.savings = savings
+        self.rows = range(geometry.num_rows)
+        self.limit = width + 1e-9
+        # Each template's plots (a template's plots are consecutive),
+        # with their positions in ``versions.plots``.
+        self.groups: list[tuple[int, list[tuple[int, PlotSummary]]]] = []
+        for index, plot in enumerate(versions.plots):
+            if plot.units > width:
+                continue
+            if not self.groups or self.groups[-1][0] != plot.template:
+                self.groups.append((plot.template, []))
+            self.groups[-1][1].append((index, plot))
+        self._memo: dict[tuple, list[Move]] = {}
+
+    def of(self, slots: dict[int, Placement],
+           row_used: list[float]) -> list[Move]:
+        """The moves from the selection *slots* (template -> placement,
+        in selection order) with rows loaded to *row_used*."""
+        key = (tuple(slots.values()), tuple(row_used))
+        moves = self._memo.get(key)
+        if moves is None:
+            moves = self._memo[key] = self._scan(slots, row_used)
+        return moves
+
+    def _scan(self, slots: dict[int, Placement],
+              row_used: list[float]) -> list[Move]:
+        versions = self.versions
+        savings = self.savings
+        rows = self.rows
+        limit = self.limit
         selection = [version for version, _ in slots.values()]
         r_red, r_visible, seen = _tally(versions, selection)
         bars, red_bars, plots, red_plots = _counts(versions, selection)
-        best_move: Placement | None = None
-        best_delta = 0.0
-        best_score = 0.0
-        for template, group in groups:
+        moves: list[Move] = []
+        for template, group in self.groups:
             slot = slots.get(template)
-            if slot is not None:
-                old, old_row = slot
-                old_width = units[old]
-                kept_bars = bars - versions.bars[old]
-                kept_red_bars = red_bars - versions.highlighted[old]
-                kept_red_plots = red_plots - (versions.highlighted[old] > 0)
-            for version, width, num_bars, highlighted, red_bars_of, \
-                    plain_bars_of in group:
-                if slot is None:
+            if slot is None:
+                summed = -1  # the plot ``reds``/``plains`` are of
+                reds = [r_red]
+                plains = [r_visible]
+                for index, (_, first, count, width, shown, parent) in group:
                     for row in rows:
                         if not row_used[row] + width > limit:
                             break
                     else:
                         continue
-                    red = r_red
-                    for candidate, probability in red_bars_of:
-                        if candidate not in seen:
-                            red += probability
-                    visible = r_visible
-                    for candidate, probability in plain_bars_of:
-                        if candidate not in seen:
-                            visible += probability
-                    value = savings(red, visible, (
-                        bars + num_bars, red_bars + highlighted, plots + 1,
-                        red_plots + (highlighted > 0)))
-                else:
+                    if parent != summed:
+                        reds = [r_red]
+                        plains = [r_visible]
+                    for candidate, probability in shown[len(reds) - 1:]:
+                        if candidate in seen:
+                            reds.append(reds[-1])
+                        else:
+                            reds.append(reds[-1] + probability)
+                            plains = [mass + probability for mass in plains]
+                        plains.append(r_visible)
+                    summed = index
+                    num_bars = bars + len(shown)
+                    for k in range(count):
+                        moves.append((savings(reds[k], plains[k], (
+                            num_bars, red_bars + k, plots + 1,
+                            red_plots + (k > 0))), first + k, row, width,
+                            True))
+                continue
+            old, old_row = slot
+            old_width = versions.units[old]
+            kept_bars = bars - versions.bars[old]
+            kept_red_bars = red_bars - versions.highlighted[old]
+            kept_red_plots = red_plots - (versions.highlighted[old] > 0)
+            for _, (_, first, count, width, shown, _) in group:
+                num_bars = kept_bars + len(shown)
+                for version in range(first, first + count):
                     for row in rows:
                         if row == old_row:
                             if version != old and not (
@@ -256,23 +298,43 @@ def _exchange_run(problem: MultiplotSelectionProblem,
                     red, visible, _ = _tally(
                         versions, [version if v == old else v
                                    for v in selection])
-                    value = savings(red, visible, (
-                        kept_bars + num_bars, kept_red_bars + highlighted,
-                        plots, kept_red_plots + (highlighted > 0)))
-                delta = value - current
-                if delta <= 1e-9:
-                    continue
-                # Replacements always compete on raw gain (their width
-                # delta can be zero or negative); additions per the
-                # scoring rule.
-                if slot is None and by_density:
-                    score = delta / max(width, 1e-9)
-                else:
-                    score = delta
-                if best_move is None or score > best_score:
-                    best_move = (version, row)
-                    best_delta = delta
-                    best_score = score
+                    k = version - first
+                    moves.append((savings(red, visible, (
+                        num_bars, kept_red_bars + k, plots,
+                        kept_red_plots + (k > 0))), version, row, width,
+                        False))
+        return moves
+
+
+def _exchange_run(problem: MultiplotSelectionProblem,
+                  versions: PlotVersions, moves: _MoveValues,
+                  max_iterations: int, by_density: bool) -> list[Placement]:
+    """One greedy pass with add/replace moves over template slots.
+
+    Each step takes the move with the largest score; ties go to the
+    earlier move in scan order.  Additions score their gain in savings,
+    per unit of width when *by_density*; replacements always compete on
+    raw gain (their width delta can be zero or negative).
+    """
+    units = versions.units
+    slots: dict[int, Placement] = {}
+    row_used = [0.0] * problem.geometry.num_rows
+    current = moves.savings(0.0, 0.0, (0, 0, 0, 0))
+    for _ in range(max_iterations):
+        best_move: Placement | None = None
+        best_delta = 0.0
+        best_score = 0.0
+        for value, version, row, width, addition in moves.of(slots,
+                                                             row_used):
+            delta = value - current
+            if delta <= 1e-9:
+                continue
+            score = (delta / max(width, 1e-9) if addition and by_density
+                     else delta)
+            if best_move is None or score > best_score:
+                best_move = (version, row)
+                best_delta = delta
+                best_score = score
         if best_move is None:
             break
         version, row = best_move

@@ -1,7 +1,8 @@
 """Algorithm 2: generate uncolored plot candidates.
 
-Queries are grouped by template; for each template we emit one candidate
-plot per *probability prefix* of its query group (the most likely query,
+Queries are grouped by template (the problem's digest holds the
+grouping); for each template we emit one candidate plot per
+*probability prefix* of its query group (the most likely query,
 the two most likely, ...), up to the largest prefix that could ever fit on
 the screen.  Preferring more likely queries under space pressure is the
 paper's stated heuristic ("we prefer adding more likely queries").
@@ -9,21 +10,26 @@ paper's stated heuristic ("we prefer adding more likely queries").
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from repro.core.model import ScreenGeometry
 from repro.core.problem import MultiplotSelectionProblem
 from repro.nlq.candidates import CandidateQuery
 from repro.nlq.templates import QueryTemplate
 
 
-@dataclass(frozen=True)
-class UncoloredPlot:
+class UncoloredPlot(NamedTuple):
     """A candidate plot before highlighting decisions: a template plus the
-    probability-ordered queries it shows."""
+    probability-ordered queries it shows.
+
+    ``template_id`` and ``indices`` number the template and the members
+    as the problem's digest does (members by their index in
+    ``problem.candidates``).
+    """
 
     template: QueryTemplate
     members: tuple[CandidateQuery, ...]
+    template_id: int
+    indices: tuple[int, ...]
 
     @property
     def probability_mass(self) -> float:
@@ -39,16 +45,19 @@ def plot_candidates(problem: MultiplotSelectionProblem,
     template (an extra knob beyond the paper, useful to bound work for very
     wide screens).
     """
-    geometry: ScreenGeometry = problem.geometry
-    candidates: list[UncoloredPlot] = []
-    for template, members in problem.queries_by_template().items():
-        capacity = geometry.max_bars(template)
+    digest = problem.digest
+    candidates = problem.candidates
+    plots: list[UncoloredPlot] = []
+    for template_id, template in enumerate(digest.templates):
+        capacity = digest.capacity[template_id]
         if capacity <= 0:
             continue  # the title alone exceeds the screen width
-        limit = min(len(members), capacity)
+        indices = digest.members[template_id]
+        limit = min(len(indices), capacity)
         if max_plots_per_template is not None:
             limit = min(limit, max_plots_per_template)
+        members = tuple(candidates[k] for k in indices[:limit])
         for prefix in range(1, limit + 1):
-            candidates.append(
-                UncoloredPlot(template, tuple(members[:prefix])))
-    return candidates
+            plots.append(UncoloredPlot(template, members[:prefix],
+                                       template_id, indices[:prefix]))
+    return plots

@@ -20,31 +20,22 @@ def polish(problem: MultiplotSelectionProblem,
     keep = _choose_occurrences(multiplot)
     displayed: set[AggregateQuery] = set(keep)
 
-    groups = problem.queries_by_template()
+    position = 0
     new_rows: list[tuple[Plot, ...]] = []
     for row in multiplot.rows:
         new_row: list[Plot] = []
-        for plot_index, plot in enumerate(row):
+        for plot in row:
             kept_bars = [bar for bar in plot.bars
-                         if keep.get(bar.query) == _position(multiplot,
-                                                             plot)]
+                         if keep.get(bar.query) == position]
+            position += 1
             removed = plot.num_bars - len(kept_bars)
             if removed:
                 kept_bars.extend(
-                    _refill(problem, plot, kept_bars, removed, displayed,
-                            groups))
+                    _refill(problem, plot, removed, displayed))
             if kept_bars:
                 new_row.append(Plot(plot.template, tuple(kept_bars)))
         new_rows.append(tuple(new_row))
     return Multiplot(tuple(new_rows))
-
-
-def _position(multiplot: Multiplot, plot: Plot) -> int:
-    """Row-major index of *plot* within *multiplot*."""
-    for index, candidate in enumerate(multiplot.plots()):
-        if candidate is plot:
-            return index
-    raise ValueError("plot not part of multiplot")
 
 
 def _choose_occurrences(multiplot: Multiplot) -> dict[AggregateQuery, int]:
@@ -59,15 +50,18 @@ def _choose_occurrences(multiplot: Multiplot) -> dict[AggregateQuery, int]:
     return {query: rank[1] for query, rank in best.items()}
 
 
-def _refill(problem: MultiplotSelectionProblem, plot: Plot,
-            kept_bars: list[Bar], slots: int,
-            displayed: set[AggregateQuery], groups) -> list[Bar]:
-    """Up to *slots* new bars for *plot* from undisplayed candidates."""
-    members = groups.get(plot.template, [])
+def _refill(problem: MultiplotSelectionProblem, plot: Plot, slots: int,
+            displayed: set[AggregateQuery]) -> list[Bar]:
+    """Up to *slots* new bars for *plot* from undisplayed candidates,
+    most probable first."""
+    digest = problem.digest
+    template_id = digest.template_ids.get(plot.template)
+    members = () if template_id is None else digest.members[template_id]
     additions: list[Bar] = []
-    for member in members:
+    for k in members:
         if len(additions) == slots:
             break
+        member = problem.candidates[k]
         if member.query in displayed:
             continue
         additions.append(Bar(

@@ -46,12 +46,16 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.core.digest import top_mass
 from repro.core.model import Bar, Multiplot, Plot
 from repro.core.problem import MultiplotSelectionProblem
-from repro.nlq.templates import QueryTemplate
+
+if TYPE_CHECKING:  # pragma: no cover - type hints only
+    from repro.core.ilp.translate import CountTuples
 
 #: Array cells one chunk of a level may allocate (its sets times their
 #: widest per-set arrays), so memory stays a few MB however many sets a
@@ -86,87 +90,72 @@ class RowSearch:
 class _Tuples:
     """Count-tuple fields as arrays, with the per-bar worths."""
 
-    def __init__(self, tuples, d_m: float) -> None:
-        self.plots = np.array([t.plots for t in tuples], dtype=np.int64)
-        self.red_plots = np.array([t.red_plots for t in tuples],
-                                  dtype=np.int64)
-        self.bars = np.array([t.bars for t in tuples], dtype=np.int64)
-        self.red_bars = np.array([t.red_bars for t in tuples],
-                                 dtype=np.int64)
-        self.w_red = d_m - np.array([t.d_red for t in tuples])
-        self.w_plain = d_m - np.array([t.d_visible for t in tuples])
-        self.bound = np.array([t.bound for t in tuples])
+    def __init__(self, tuples: CountTuples, d_m: float) -> None:
+        self.plots = tuples.plots
+        self.red_plots = tuples.red_plots
+        self.bars = tuples.bars
+        self.red_bars = tuples.red_bars
+        self.w_red = d_m - tuples.d_red
+        self.w_plain = d_m - tuples.d_visible
+        self.bound = tuples.bound
 
 
 def search_row(problem: MultiplotSelectionProblem,
-               templates: list[QueryTemplate],
-               members: list[list[int]],
-               bases: list[float],
-               tuples: list,
+               template_ids: list[int],
+               tuples: CountTuples,
                cutoff: float,
                rel_gap: float,
                deadline: float | None) -> RowSearch:
     """The cheapest one-row multiplot costing below *cutoff*.
 
-    *templates*, their *members* (candidate indices) and *bases* (base
-    widths) are the plots a multiplot may use, *tuples* the count tuples
-    whose bound is below *cutoff*.  *deadline* is a
-    ``time.perf_counter()`` instant.
+    *template_ids* (numbers in ``problem.digest``) are the plots a
+    multiplot may use, *tuples* the count tuples whose bound is below
+    *cutoff*.  *deadline* is a ``time.perf_counter()`` instant.
     """
-    return _RowSearch(problem, templates, members, bases, tuples, cutoff,
-                      rel_gap, deadline).run()
-
-
-def _top_mass(values: np.ndarray) -> np.ndarray:
-    """Per row, the prefix sums of its values in descending order (with a
-    leading zero): ``out[:, j]`` is the mass of the ``j`` largest."""
-    ordered = -np.sort(-values, axis=1)
-    out = np.zeros((values.shape[0], values.shape[1] + 1))
-    np.cumsum(ordered, axis=1, out=out[:, 1:])
-    return out
+    return _RowSearch(problem, template_ids, tuples, cutoff, rel_gap,
+                      deadline).run()
 
 
 class _RowSearch:
-    """One search: the candidates ranked by probability, template
-    membership and widths as arrays, and the best plan so far."""
+    """One search: the digest's candidate ranking, membership and widths
+    of the usable templates, and the best plan so far."""
 
-    def __init__(self, problem, templates, members, bases, tuples, cutoff,
-                 rel_gap, deadline) -> None:
+    def __init__(self, problem, template_ids, tuples, cutoff, rel_gap,
+                 deadline) -> None:
+        digest = problem.digest
         self.problem = problem
-        self.templates = templates
+        self.templates = [digest.templates[t] for t in template_ids]
         self.rel_gap = rel_gap
         self.deadline = deadline
         d_m = problem.cost_model.miss_cost
-        probabilities = np.array([c.probability for c in problem.candidates])
-        total = float(probabilities.sum())
+        total = float(np.array(digest.probabilities).sum())
         # The empty multiplot's cost: every candidate and the residual
         # mass missed.
         self.miss_all = d_m * (total + max(0.0, 1.0 - total))
         # Candidates ranked by probability, so a union's most probable
         # members come first.
-        self.order = np.argsort(-probabilities, kind="stable")
-        rank = np.empty_like(self.order)
-        rank[self.order] = np.arange(len(self.order))
-        self.p = probabilities[self.order]
-        n = len(self.p)
-        self.member = np.zeros((len(templates), n), dtype=bool)
-        for i, indices in enumerate(members):
-            self.member[i, rank[indices]] = True
-        self.base = np.array(bases, dtype=float)
+        self.order = digest.order
+        self.p = digest.sorted_probabilities
+        self.member = digest.member[template_ids]
+        self.base = np.array(digest.base_units)[template_ids]
         self.width = problem.geometry.width_units + 1e-9
-        self.single = _top_mass(self.member * self.p)
+        self.single = digest.template_top_mass[template_ids]
         self.tuples = _Tuples(tuples, d_m)
         # Least base width of m templates after template j, and the
         # union of the templates after j.
         max_plots = int(self.tuples.plots.max(initial=0))
-        self.cheapest_extra = np.full((len(templates), max_plots + 1),
-                                      np.inf)
+        count = len(template_ids)
+        index = np.arange(count)
+        later = np.sort(np.where(index[None, :] > index[:, None],
+                                 self.base[None, :], np.inf), axis=1)
+        extra = min(count, max_plots)
+        self.cheapest_extra = np.full((count, max_plots + 1), np.inf)
+        self.cheapest_extra[:, 0] = 0.0
+        np.cumsum(later[:, :extra], axis=1,
+                  out=self.cheapest_extra[:, 1:extra + 1])
         self.later_union = np.zeros_like(self.member)
-        for j in range(len(templates)):
-            later = np.sort(self.base[j + 1:])[:max_plots]
-            self.cheapest_extra[j, :len(later) + 1] = np.concatenate(
-                [[0.0], np.cumsum(later)])
-            self.later_union[j] = self.member[j + 1:].any(axis=0)
+        self.later_union[:-1] = np.logical_or.accumulate(
+            self.member[:0:-1], axis=0)[::-1]
         self.best_cost = cutoff
         self.best: tuple | None = None
         self.pairs = 0
@@ -218,9 +207,9 @@ class _RowSearch:
         # Mass each later template adds to the union, the largest first.
         gains = np.where(self._later_fits(last, widths, level),
                          (~unions * self.p) @ self.member.T, 0.0)
-        gains = _top_mass(gains)[:, np.minimum(t.plots[index] - level,
+        gains = top_mass(gains)[:, np.minimum(t.plots[index] - level,
                                                gains.shape[1])]
-        reach = _top_mass((unions | self.later_union[last]) * self.p)
+        reach = top_mass((unions | self.later_union[last]) * self.p)
         shown = np.minimum(union_top[:, t.bars[index]] + gains,
                            reach[:, t.bars[index]])
         red = reach[:, t.red_bars[index]]
@@ -292,7 +281,7 @@ class _RowSearch:
             if self._expired():
                 return None
             bounds = self._pair_bounds(
-                sets[chunk], widths[chunk], _top_mass(unions[chunk] * self.p),
+                sets[chunk], widths[chunk], top_mass(unions[chunk] * self.p),
                 unions[chunk].sum(axis=1), index)
             rows, cols = np.nonzero(bounds < cutoff)
             found.append((bounds[rows, cols], rows + chunk.start,
@@ -315,7 +304,7 @@ class _RowSearch:
                 return None
             keep = self._extension_bounds(
                 sets[chunk], widths[chunk], unions[chunk],
-                _top_mass(unions[chunk] * self.p), index, level) < cutoff
+                top_mass(unions[chunk] * self.p), index, level) < cutoff
             kept_sets = sets[chunk][keep]
             kept_widths = widths[chunk][keep]
             rows, cols = np.nonzero(

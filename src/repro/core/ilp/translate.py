@@ -48,6 +48,9 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
+from typing import Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from repro.core.greedy import GreedySolver
 from repro.core.ilp.bnb import solve_with_bnb
@@ -57,7 +60,6 @@ from repro.core.ilp.rowsearch import search_row
 from repro.core.model import Bar, Multiplot, Plot
 from repro.core.problem import MultiplotSelectionProblem
 from repro.errors import ModelInfeasible, SolverError
-from repro.nlq.templates import QueryTemplate
 
 _BACKENDS = {
     "highs": solve_with_highs,
@@ -175,11 +177,10 @@ class IlpSolver:
         if incumbent is None:
             incumbent = GreedySolver().solve(problem).multiplot
         cutoff = problem.evaluate(incumbent)
-        templates, members, shapes, tuples = _templates_and_tuples(
+        template_ids, tuples = _templates_and_tuples(
             problem, self.prune_templates, cutoff)
         found = search_row(
-            problem, templates, members, [base for base, _, _ in shapes],
-            tuples, cutoff, _REL_GAP,
+            problem, template_ids, tuples, cutoff, _REL_GAP,
             None if timeout is None else start + timeout)
         better = found.multiplot is not None
         return IlpSolution(
@@ -227,7 +228,8 @@ class IlpSolver:
 
         tuples_left = len(formulation.tuples)
         # The MILP reports no dual bound; the least tuple bound is one.
-        least_bound = min((t.bound for t in formulation.tuples), default=0.0)
+        least_bound = (float(formulation.tuples.bound.min())
+                       if tuples_left else 0.0)
 
         def keep_incumbent(optimal: bool) -> IlpSolution:
             return IlpSolution(
@@ -278,8 +280,7 @@ class IlpSolver:
         )
 
 
-@dataclass(frozen=True)
-class CountTuple:
+class CountTuple(NamedTuple):
     """One combination of the counts the reading costs depend on.
 
     ``red_mass``/``shown_mass`` cap the probability a multiplot with
@@ -298,11 +299,35 @@ class CountTuple:
     bound: float
 
 
+@dataclass(frozen=True)
+class CountTuples:
+    """Count tuples as parallel arrays, one entry per tuple (the fields
+    of :class:`CountTuple`); iterating yields the tuples."""
+
+    plots: np.ndarray
+    red_plots: np.ndarray
+    bars: np.ndarray
+    red_bars: np.ndarray
+    d_red: np.ndarray
+    d_visible: np.ndarray
+    red_mass: np.ndarray
+    shown_mass: np.ndarray
+    bound: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.bound)
+
+    def __iter__(self) -> Iterator[CountTuple]:
+        return map(CountTuple._make, zip(*(
+            getattr(self, name).tolist() for name in CountTuple._fields)))
+
+
 def count_tuples(problem: MultiplotSelectionProblem,
-                 plot_shapes: list[tuple[float, int, list[float]]],
-                 ) -> list[CountTuple]:
-    """Every count tuple a multiplot can have, given each template's
-    base width, bar capacity and member probabilities (descending).
+                 template_ids: Sequence[int],
+                 cutoff: float | None = None) -> CountTuples:
+    """Every count tuple a multiplot over templates *template_ids* can
+    have whose bound is below ``cutoff * (1 - 1e-6)`` (all of them
+    without a *cutoff*), ordered by plots, bars, red plots, red bars.
 
     Each plot has a bar; a plot with a red bar needs one, one without
     needs a plain bar; a row holds at most as many plots as its
@@ -315,113 +340,78 @@ def count_tuples(problem: MultiplotSelectionProblem,
     members).  A tuple's bound shows that much mass in red and plain,
     where that lowers the cost.
     """
+    digest = problem.digest
     geometry = problem.geometry
     cost_model = problem.cost_model
     d_m = cost_model.miss_cost
     num_rows = geometry.num_rows
     width = geometry.width_units
-    top = [0.0, *itertools.accumulate(sorted(
-        (c.probability for c in problem.candidates), reverse=True))]
-    chunks = sorted((sum(members[c * capacity:(c + 1) * capacity])
-                     for _, capacity, members in plot_shapes
-                     for c in range(num_rows)), reverse=True)
-    plot_mass = [0.0, *itertools.accumulate(chunks)]
-    widths = sorted(base for base, _, _ in plot_shapes)
+    n = len(problem.candidates)
+    top = digest.top_mass
+    chunks = []
+    for t in template_ids:
+        capacity = digest.capacity[t]
+        chunks.append(float(digest.template_top_mass[t, min(capacity, n)]))
+        if num_rows > 1:
+            members = digest.sorted_probabilities[digest.member[t]].tolist()
+            chunks.extend(sum(members[c * capacity:(c + 1) * capacity])
+                          for c in range(1, num_rows))
+    chunks.sort(reverse=True)
+    plot_mass = np.array([0.0, *itertools.accumulate(chunks)])
+    widths = sorted(digest.base_units[t] for t in template_ids)
     per_row = sum(1 for used in itertools.accumulate(
         w + 1.0 for w in widths) if used <= width + 1e-9)
     widths = sorted(widths * num_rows)[:per_row * num_rows]
-    tuples = [CountTuple(0, 0, 0, 0, 0.0, 0.0, 0.0, 0.0, d_m)]
+    # (plots, bars) pairs, the empty multiplot's first.
+    pairs = [(0, 0)]
     base = 0.0
     for plots, plot_width in enumerate(widths, start=1):
         base += plot_width
-        max_bars = min(len(problem.candidates),
-                       int(num_rows * width - base + 1e-9))
+        max_bars = min(n, int(num_rows * width - base + 1e-9))
         if max_bars < plots:
             break
-        for bars in range(plots, max_bars + 1):
-            shown_mass = min(top[bars], plot_mass[plots])
-            for red_plots in range(plots + 1):
-                red_bars_range = (
-                    range(red_plots, bars - (plots - red_plots) + 1)
-                    if red_plots else range(1))
-                for red_bars in red_bars_range:
-                    red_mass = min(top[red_bars], plot_mass[red_plots])
-                    d_red = cost_model.d_red(red_bars, red_plots)
-                    d_visible = cost_model.d_visible(bars, red_bars, plots,
-                                                     red_plots)
-                    bound = (d_m + min(d_red - d_m, 0.0) * red_mass
-                             + min(d_visible - d_m, 0.0)
-                             * (shown_mass - red_mass))
-                    tuples.append(CountTuple(
-                        plots, red_plots, bars, red_bars, d_red, d_visible,
-                        red_mass, shown_mass, bound))
-    return tuples
-
-
-def prune_dominated_templates(
-        problem: MultiplotSelectionProblem,
-) -> list[tuple[QueryTemplate, list[int]]]:
-    """Templates with their member candidate indices, dominated ones removed.
-
-    Template B dominates A when B's member set is a superset of A's and
-    B's base width does not exceed A's: every plot over A can be rebuilt
-    over B at equal cost-model value within equal space.
-    """
-    geometry = problem.geometry
-    candidate_index = {c.query: i for i, c in enumerate(problem.candidates)}
-    entries: list[tuple[QueryTemplate, frozenset[int], float]] = []
-    for template, members in problem.queries_by_template().items():
-        if geometry.max_bars(template) <= 0:
-            continue
-        indices = frozenset(candidate_index[m.query] for m in members)
-        entries.append((template, indices,
-                        geometry.plot_base_units(template)))
-    # Deterministic order: larger member sets and narrower widths first.
-    entries.sort(key=lambda e: (-len(e[1]), e[2], e[0].title()))
-    kept: list[tuple[QueryTemplate, frozenset[int], float]] = []
-    for template, members, width in entries:
-        dominated = any(members <= k_members and k_width <= width
-                        for _, k_members, k_width in kept)
-        if not dominated:
-            kept.append((template, members, width))
-    ordered_members = []
-    probabilities = [c.probability for c in problem.candidates]
-    for template, members, _ in kept:
-        ordered = sorted(members,
-                         key=lambda k: (-probabilities[k], k))
-        ordered_members.append((template, ordered))
-    return ordered_members
+        pairs.extend((plots, bars) for bars in range(plots, max_bars + 1))
+    # Per pair, one tuple without red plots, then for each red-plot
+    # count r >= 1 the red-bar counts r .. bars - plots + r.
+    pair_plots, pair_bars = np.array(pairs, dtype=np.int64).T
+    spans = pair_bars - pair_plots + 1
+    sizes = 1 + pair_plots * spans
+    plots = np.repeat(pair_plots, sizes)
+    bars = np.repeat(pair_bars, sizes)
+    span = np.repeat(spans, sizes)
+    offset = np.arange(len(plots)) - np.repeat(np.cumsum(sizes) - sizes,
+                                               sizes) - 1
+    red_plots = 1 + offset // span
+    red_bars = np.where(red_plots > 0, red_plots + offset % span, 0)
+    shown_mass = np.minimum(top[bars], plot_mass[plots])
+    red_mass = np.minimum(top[red_bars], plot_mass[red_plots])
+    d_red = cost_model.d_red(red_bars, red_plots)
+    d_visible = cost_model.d_visible(bars, red_bars, plots, red_plots)
+    bound = (d_m + np.minimum(d_red - d_m, 0.0) * red_mass
+             + np.minimum(d_visible - d_m, 0.0) * (shown_mass - red_mass))
+    if cutoff is None:
+        keep = slice(None)
+    else:
+        keep = np.flatnonzero(bound < cutoff * (1 - _REL_GAP))
+    return CountTuples(plots[keep], red_plots[keep], bars[keep],
+                       red_bars[keep], d_red[keep], d_visible[keep],
+                       red_mass[keep], shown_mass[keep], bound[keep])
 
 
 def _templates_and_tuples(
         problem: MultiplotSelectionProblem, prune_templates: bool,
         cutoff: float | None,
-) -> tuple[list[QueryTemplate], list[list[int]],
-           list[tuple[float, int, list[float]]], list[CountTuple]]:
+) -> tuple[list[int], CountTuples]:
     """The templates a plot may use (every one that fits a bar, or with
-    *prune_templates* the undominated ones), their member candidate
-    indices (most probable first), their shapes as :func:`count_tuples`
-    takes them, and the count tuples whose bound beats *cutoff* (all of
-    them without one)."""
-    geometry = problem.geometry
+    *prune_templates* the undominated ones), as digest numbers, and the
+    count tuples whose bound beats *cutoff* (all of them without one)."""
+    digest = problem.digest
     if prune_templates:
-        pairs = prune_dominated_templates(problem)
+        template_ids = list(digest.undominated)
     else:
-        candidate_index = {c.query: i
-                           for i, c in enumerate(problem.candidates)}
-        pairs = [(template, [candidate_index[m.query] for m in members])
-                 for template, members
-                 in problem.queries_by_template().items()
-                 if geometry.max_bars(template) > 0]
-    probabilities = [c.probability for c in problem.candidates]
-    shapes = [(geometry.plot_base_units(template),
-               geometry.max_bars(template),
-               [probabilities[k] for k in members])
-              for template, members in pairs]
-    tuples = [t for t in count_tuples(problem, shapes)
-              if cutoff is None or t.bound < cutoff * (1 - _REL_GAP)]
-    return ([template for template, _ in pairs],
-            [members for _, members in pairs], shapes, tuples)
+        template_ids = [t for t in range(len(digest))
+                        if digest.capacity[t] > 0]
+    return template_ids, count_tuples(problem, template_ids, cutoff)
 
 
 class _Formulation:
@@ -447,9 +437,17 @@ class _Formulation:
         self.h_any: list[Variable] = []
         self.d_any: list[Variable] = []
         self.g_vars: list[Variable] = []
-        self.templates, self.members, shapes, self.tuples = \
-            _templates_and_tuples(problem, prune_templates, cutoff)
-        self.capacities = [capacity for _, capacity, _ in shapes]
+        digest = problem.digest
+        self.template_ids, self.tuples = _templates_and_tuples(
+            problem, prune_templates, cutoff)
+        self.templates = [digest.templates[t] for t in self.template_ids]
+        # Bars are numbered by probability, ties by candidate index for
+        # the undominated templates and by SQL text for the others.
+        self.members = [digest.columns(t) if prune_templates
+                        else list(digest.members[t])
+                        for t in self.template_ids]
+        self.capacities = [digest.capacity[t] for t in self.template_ids]
+        self.base_units = [digest.base_units[t] for t in self.template_ids]
         if self.tuples:
             self._build(processing_weight)
 
@@ -535,9 +533,8 @@ class _Formulation:
         row_exprs: list[LinExpr] = []
         for r in range(num_rows):
             row_width = LinExpr(constant=-width)
-            for i, template in enumerate(self.templates):
-                row_width.add_term(self.p_vars[i, r],
-                                   geometry.plot_base_units(template))
+            for i, base_units in enumerate(self.base_units):
+                row_width.add_term(self.p_vars[i, r], base_units)
             for (k, i, rr), q_var in self.q_vars.items():
                 if rr == r:
                     row_width.add_term(q_var, 1.0)

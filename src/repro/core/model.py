@@ -170,7 +170,12 @@ class ScreenGeometry:
 
     def plot_base_units(self, template: QueryTemplate) -> float:
         """W_i: the plot's width before any bars, in bar-width units."""
-        title_pixels = len(template.title()) * self.char_width_pixels
+        return self.title_units(template.title())
+
+    def title_units(self, title: str) -> float:
+        """W_i of a plot titled *title* (what :meth:`plot_base_units`
+        computes once the title is rendered)."""
+        title_pixels = len(title) * self.char_width_pixels
         base_pixels = max(title_pixels, self.bar_width_pixels)
         return (base_pixels + self.plot_padding_pixels) / self.bar_width_pixels
 
@@ -180,8 +185,11 @@ class ScreenGeometry:
 
     def max_bars(self, template: QueryTemplate) -> int:
         """How many bars a single plot of this template could ever hold."""
-        return max(0, int(self.width_units
-                          - self.plot_base_units(template)))
+        return self.bar_capacity(self.plot_base_units(template))
+
+    def bar_capacity(self, base_units: float) -> int:
+        """How many bars fit in one row beside a base of *base_units*."""
+        return max(0, int(self.width_units - base_units))
 
     def row_units_used(self, row: tuple[Plot, ...]) -> float:
         return sum(self.plot_units(plot) for plot in row)

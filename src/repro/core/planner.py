@@ -36,9 +36,12 @@ class PlannerResult:
     """A planned multiplot plus solver metadata.
 
     ``greedy_cost`` / ``ilp_cost`` carry the expected cost of each
-    solver when it ran for this plan (the "best" strategy runs both), so
-    quality telemetry can report the live greedy-vs-ILP optimality gap;
-    ``None`` means that solver was not consulted.
+    solver when it ran for this plan (the "best" strategy runs both);
+    ``None`` means that solver was not consulted.  ``open_bound`` is the
+    exact solver's lowest cost bound left unsearched (0 once the plan is
+    proven optimal; ``None`` when no exact solver ran), so quality
+    telemetry can report how far the served plan may sit above the
+    optimum.
     """
 
     multiplot: Multiplot
@@ -49,6 +52,7 @@ class PlannerResult:
     timed_out: bool
     greedy_cost: float | None = None
     ilp_cost: float | None = None
+    open_bound: float | None = None
 
 
 class VisualizationPlanner:
@@ -217,9 +221,11 @@ class VisualizationPlanner:
                 detail=f"ilp budget {budget * 1000:.0f} ms < "
                        f"{self.timeout_seconds * 1000:.0f} ms")
         # Both solvers ran: whichever wins, the result carries both
-        # costs so telemetry can report the live optimality gap.
+        # costs and the exact solver's open bound, so telemetry can
+        # report the live optimality gap.
         both = {"greedy_cost": greedy_result.expected_cost,
-                "ilp_cost": ilp_result.expected_cost}
+                "ilp_cost": ilp_result.expected_cost,
+                "open_bound": ilp_result.open_bound}
         if from_greedy:
             # The ILP handed greedy's plan back: proven optimal, or
             # nothing better found within the budget.
@@ -284,4 +290,5 @@ class VisualizationPlanner:
                 optimal=solution.optimal,
                 timed_out=solution.timed_out,
                 ilp_cost=solution.expected_cost,
+                open_bound=solution.open_bound,
             ), solution.from_incumbent

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.core.cost_model import UserCostModel
+from repro.core.digest import ProblemDigest
 from repro.core.model import Multiplot, ScreenGeometry
 from repro.errors import PlanningError
 from repro.nlq.candidates import CandidateQuery
@@ -52,37 +54,17 @@ class MultiplotSelectionProblem:
 
     # ------------------------------------------------------------------
 
+    @cached_property
+    def digest(self) -> ProblemDigest:
+        """The ranked candidates and their templates (the grouping step
+        of Algorithm 2), built on first use and shared by every planner
+        that reads this problem."""
+        return ProblemDigest(self.candidates, self.geometry, templates_of)
+
     def templates(self) -> list[QueryTemplate]:
         """All templates instantiated by at least one candidate, in a
         deterministic order (these are the candidate plots' shapes)."""
-        ordered: list[QueryTemplate] = []
-        seen: set[QueryTemplate] = set()
-        for candidate in self.candidates:
-            for template in templates_of(candidate.query):
-                if template not in seen:
-                    seen.add(template)
-                    ordered.append(template)
-        return ordered
-
-    def queries_by_template(self) -> dict[QueryTemplate,
-                                          list[CandidateQuery]]:
-        """Template -> candidates instantiating it, most probable first.
-
-        This is the grouping step of Algorithm 2.
-        """
-        # One (probability, SQL) rank per candidate, not one per
-        # (candidate, template) pair: rendering SQL is the costly part.
-        ranked = sorted(self.candidates,
-                        key=lambda c: (-c.probability, c.query.to_sql()))
-        rank = {candidate.query: index
-                for index, candidate in enumerate(ranked)}
-        groups: dict[QueryTemplate, list[CandidateQuery]] = {}
-        for candidate in self.candidates:
-            for template in templates_of(candidate.query):
-                groups.setdefault(template, []).append(candidate)
-        for members in groups.values():
-            members.sort(key=lambda c: rank[c.query])
-        return groups
+        return list(self.digest.templates)
 
     def evaluate(self, multiplot: Multiplot) -> float:
         """Expected disambiguation cost of *multiplot* for this instance."""

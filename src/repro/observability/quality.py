@@ -69,7 +69,8 @@ COST_BUCKETS_MS: tuple[float, ...] = (
 DRIFT_BUCKETS_MS: tuple[float, ...] = (
     -1000.0, -100.0, 0.0, 100.0, 1000.0, 5000.0, 15000.0, 30000.0)
 
-#: Relative greedy-vs-ILP gap buckets (0 = greedy matched the optimum).
+#: Relative optimality-gap buckets (0 = the served plan is proven
+#: optimal).
 GAP_BUCKETS: tuple[float, ...] = (
     0.001, 0.005, 0.01, 0.05, 0.1, 0.25, 0.5, 1.0)
 
@@ -138,11 +139,17 @@ def _intended_outcome(multiplot, candidates,
 
 
 def _optimality_gap(planning) -> float | None:
-    greedy = getattr(planning, "greedy_cost", None)
-    ilp = getattr(planning, "ilp_cost", None)
-    if greedy is None or ilp is None or ilp <= 0.0:
+    """How far above the optimum the served plan may cost, as a share of
+    its cost: 0 when the exact solver proved it optimal, otherwise the
+    distance to the lowest cost bound the solver left open.  ``None``
+    when no exact solver ran."""
+    open_bound = getattr(planning, "open_bound", None)
+    if getattr(planning, "ilp_cost", None) is None or open_bound is None:
         return None
-    return (greedy - ilp) / ilp
+    served = planning.expected_cost
+    if planning.optimal or served <= 0.0:
+        return 0.0
+    return max(0.0, served - open_bound) / served
 
 
 def assess_response(response,

@@ -15,6 +15,10 @@ from repro.sqldb.types import DataType
 #: see :meth:`Table.dictionary`.
 Dictionary = tuple[np.ndarray, np.ndarray, dict[Any, int]]
 
+#: Rows whose average string length stands for a TEXT column's in
+#: :meth:`Table.estimated_bytes` (the first ones).
+_LENGTH_SAMPLE = 256
+
 
 class Table:
     """A table: a schema plus the data of each column.
@@ -37,6 +41,9 @@ class Table:
         self._buffers: dict[str, np.ndarray] = {}
         self._lock = threading.Lock()
         self._indexes = None
+        # TEXT column -> (rows sampled, their average string length); see
+        # estimated_bytes().
+        self._text_lengths: dict[str, tuple[int, float]] = {}
         lengths = set()
         for column in schema.columns:
             if columns is None:
@@ -144,17 +151,29 @@ class Table:
 
     def estimated_bytes(self) -> int:
         """Approximate in-memory footprint of the rows as Python values,
-        used by the cost model as a stand-in for on-disk page counts."""
+        used by the cost model as a stand-in for on-disk page counts.
+
+        A TEXT column counts a pointer per row plus the average length of
+        its first 256 values per row.  Appends never change those values
+        once a column has 256 rows, so their average is summed once and
+        kept; a shorter column's is summed again whenever it grows.
+        """
+        dictionaries = self._dictionaries
         total = 0
         for column in self.schema.columns:
             if column.dtype == DataType.TEXT:
                 # object arrays: pointer + rough average string payload
-                uniques, codes, _ = self._dictionaries[column.name]
+                uniques, codes, _ = dictionaries[column.name]
                 total += codes.size * 8
                 if codes.size:
-                    sample = uniques[codes[: min(256, codes.size)]]
-                    avg = sum(len(s) for s in sample) / len(sample)
-                    total += int(avg * codes.size)
+                    sampled = min(_LENGTH_SAMPLE, codes.size)
+                    kept = self._text_lengths.get(column.name)
+                    if kept is None or kept[0] != sampled:
+                        sample = uniques[codes[:sampled]]
+                        kept = (sampled,
+                                sum(len(s) for s in sample) / sampled)
+                        self._text_lengths[column.name] = kept
+                    total += int(kept[1] * codes.size)
             else:
                 total += self._columns[column.name].nbytes
         return total

@@ -21,10 +21,12 @@ import pytest
 
 from repro.core.cost_model import UserCostModel
 from repro.core.ilp import IlpSolver, ProcessingGroup
-from repro.core.ilp.rowsearch import _RowSearch, _top_mass
+from repro.core.digest import top_mass
+from repro.core.ilp.rowsearch import _RowSearch
 from repro.core.ilp.translate import _Formulation, _templates_and_tuples
 from repro.core.model import Bar, Multiplot, Plot, ScreenGeometry
 from repro.core.problem import MultiplotSelectionProblem
+from tests.core.digest_oracle import queries_by_template
 from tests.core.helpers import candidate
 
 
@@ -33,7 +35,7 @@ def enumerate_multiplots(problem: MultiplotSelectionProblem,
     """Yield every feasible multiplot with ``<= max_plots`` plots in any
     rows, any query subset per plot, any highlight pattern."""
     geometry = problem.geometry
-    groups = problem.queries_by_template()
+    groups = queries_by_template(problem)
 
     all_plots: list[Plot] = []
     for template, members in groups.items():
@@ -109,7 +111,7 @@ def brute_force(num_rows: int, width: int, seed: int):
 def weak_incumbent(problem: MultiplotSelectionProblem) -> Multiplot:
     """A feasible but poor plan: the least likely candidate alone."""
     least = min(problem.candidates, key=lambda c: c.probability)
-    template = next(t for t, members in problem.queries_by_template().items()
+    template = next(t for t, members in queries_by_template(problem).items()
                     if any(m.query == least.query for m in members)
                     and problem.geometry.max_bars(t) > 0)
     bar = Bar(query=least.query, probability=least.probability,
@@ -187,13 +189,13 @@ def test_subset_bounds_hold_for_every_multiplot(seed):
     count tuple) pair, and at least the extension bound of each prefix
     of its template set: what makes the search's cuts sound."""
     problem, _, _ = brute_force(1, 620, seed)
-    templates, members, shapes, tuples = _templates_and_tuples(
+    template_ids, tuples = _templates_and_tuples(
         problem, prune_templates=False, cutoff=None)
+    templates = [problem.digest.templates[t] for t in template_ids]
     tuple_index = {(t.plots, t.red_plots, t.bars, t.red_bars): k
                    for k, t in enumerate(tuples)}
-    search = _RowSearch(problem, templates, members,
-                        [base for base, _, _ in shapes], tuples,
-                        cutoff=math.inf, rel_gap=0.0, deadline=None)
+    search = _RowSearch(problem, template_ids, tuples, cutoff=math.inf,
+                        rel_gap=0.0, deadline=None)
     checked = 0
     for multiplot in enumerate_multiplots(problem):
         plots = sorted(templates.index(plot.template)
@@ -208,7 +210,7 @@ def test_subset_bounds_hold_for_every_multiplot(seed):
             sets = np.array([plots[:level]])
             widths = search.base[sets].sum(axis=1)
             unions = search.member[sets].any(axis=1)
-            top = _top_mass(unions * search.p)
+            top = top_mass(unions * search.p)
             if level == len(plots):
                 bound = search._pair_bounds(sets, widths, top,
                                             unions.sum(axis=1), index)[0, 0]
@@ -224,15 +226,14 @@ def interrupted_search(problem: MultiplotSelectionProblem,
                        stop_after: int):
     """The one-row search from the empty multiplot's cost, its deadline
     passing once *stop_after* assignments are solved."""
-    templates, members, shapes, tuples = _templates_and_tuples(
+    template_ids, tuples = _templates_and_tuples(
         problem, prune_templates=True, cutoff=None)
 
     class Interrupted(_RowSearch):
         def _expired(self) -> bool:
             return self.assignments >= stop_after
 
-    return Interrupted(problem, templates, members,
-                       [base for base, _, _ in shapes], tuples,
+    return Interrupted(problem, template_ids, tuples,
                        cutoff=problem.evaluate(Multiplot.empty(1)),
                        rel_gap=1e-6, deadline=None).run()
 

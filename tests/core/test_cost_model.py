@@ -53,6 +53,16 @@ class TestExpectedCost:
         expected = 0.5 * d_r + 0.3 * d_v + 0.2 * MODEL.miss_cost
         assert MODEL.expected_cost(mp, candidates) == pytest.approx(expected)
 
+    def test_query_shown_twice_counts_at_its_first_bar(self):
+        """A duplicate (before polishing) counts where ``bar_for`` finds
+        it: the first plot in row-major order, here plain."""
+        candidates = [candidate(0, 0.5), candidate(1, 0.3)]
+        mp = multiplot([[plot([0, 1])], [plot([1], {1})]])
+        breakdown = MODEL.breakdown(mp, candidates)
+        assert not mp.bar_for(candidates[1].query).highlighted
+        assert breakdown.r_red == 0.0
+        assert breakdown.r_visible == 0.5 + 0.3
+
     def test_residual_probability_counts_as_miss(self):
         candidates = [candidate(0, 0.5)]  # half the mass is unexplained
         mp = multiplot([[plot([0], {0})]])

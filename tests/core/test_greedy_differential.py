@@ -130,6 +130,23 @@ def test_knapsack_matches_oracle(problem, max_highlighted):
     assert_same_plans(problem, max_highlighted=max_highlighted)
 
 
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(problem=problems(), data=st.data())
+def test_plots_in_any_order_match_oracle(problem, data):
+    """Plot lists whose plots of one template do not grow a prefix at a
+    time (here each template's plots shuffled) still pick the oracle's
+    plots: sums continue a plot only from its parent."""
+    uncolored = plot_candidates(problem)
+    shuffled = []
+    for _, group in itertools.groupby(uncolored, lambda u: u.template_id):
+        shuffled.extend(data.draw(st.permutations(list(group))))
+    versions = PlotVersions(problem, shuffled)
+    colored = greedy_oracle.add_colors(shuffled)
+    assert pick_plots(problem, versions) == greedy_oracle.pick_plots(
+        problem, colored)
+
+
 @settings(max_examples=15, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(problem=problems())

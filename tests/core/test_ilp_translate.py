@@ -7,7 +7,6 @@ from repro.core.ilp.translate import (
     IlpSolver,
     ProcessingGroup,
     _Formulation,
-    prune_dominated_templates,
 )
 from repro.core.model import ScreenGeometry
 from repro.core.problem import MultiplotSelectionProblem
@@ -28,22 +27,23 @@ def small_instance(num_candidates=5, width=700, rows=1,
 
 class TestTemplatePruning:
     def test_dominated_templates_removed(self, small_problem):
-        pruned = prune_dominated_templates(small_problem)
-        full = small_problem.queries_by_template()
-        assert 0 < len(pruned) < len(full)
+        digest = small_problem.digest
+        assert 0 < len(digest.undominated) < len(digest)
 
     def test_pruning_preserves_query_coverage(self, small_problem):
-        pruned = prune_dominated_templates(small_problem)
+        digest = small_problem.digest
         covered = set()
-        for _, members in pruned:
-            covered.update(members)
+        for t in digest.undominated:
+            covered.update(digest.members[t])
         assert covered == set(range(len(small_problem.candidates)))
 
     def test_members_sorted_by_probability(self, small_problem):
+        digest = small_problem.digest
         probabilities = [c.probability for c in small_problem.candidates]
-        for _, members in prune_dominated_templates(small_problem):
-            member_probs = [probabilities[k] for k in members]
-            assert member_probs == sorted(member_probs, reverse=True)
+        for t in digest.undominated:
+            for members in (digest.members[t], digest.columns(t)):
+                member_probs = [probabilities[k] for k in members]
+                assert member_probs == sorted(member_probs, reverse=True)
 
 
 class TestIlpSolutions:

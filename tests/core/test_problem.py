@@ -51,23 +51,30 @@ class TestValidation:
         assert problem.processing_budget == 4.0
 
 
+def grouped(problem):
+    """Template -> its candidates, as the problem's digest groups them."""
+    digest = problem.digest
+    return {template: [problem.candidates[k] for k in members]
+            for template, members in zip(digest.templates, digest.members)}
+
+
 class TestTemplates:
     def test_templates_cover_all_candidates(self):
         problem = make_problem()
-        groups = problem.queries_by_template()
+        groups = grouped(problem)
         covered = {c.query for members in groups.values()
                    for c in members}
         assert covered == {c.query for c in problem.candidates}
 
     def test_queries_by_template_sorted_by_probability(self):
         problem = make_problem()
-        for members in problem.queries_by_template().values():
+        for members in grouped(problem).values():
             probs = [m.probability for m in members]
             assert probs == sorted(probs, reverse=True)
 
     def test_shared_template_groups_queries(self):
         problem = make_problem()
-        groups = problem.queries_by_template()
+        groups = grouped(problem)
         assert any(len(members) == 3 for members in groups.values())
 
     def test_templates_deterministic_order(self):

@@ -76,10 +76,51 @@ class TestAssessResponse:
         response = muve.ask(
             "average resolution hours where borough brooklyn")
         gap = response.quality.optimality_gap
-        # The default planner runs both solvers, so the gap is known
-        # (greedy can beat the timed-out ILP, so it may be negative).
+        # The default planner runs the exact search, so the gap is known
+        # (a proven bound: never negative).
         assert gap is not None
         assert gap >= -1.0
+
+    def test_proven_plan_reports_zero_gap(self, muve):
+        # One row: the exact search finishes, so the plan is proven.
+        response = muve.ask(
+            "average resolution hours where borough brooklyn")
+        assert response.planning.optimal
+        assert response.planning.open_bound == 0.0
+        assert response.quality.optimality_gap == 0.0
+
+    def test_timed_out_milp_gap_comes_from_least_tuple_bound(
+            self, small_problem, monkeypatch):
+        """Two rows take the MILP; a backend out of time before any
+        incumbent keeps greedy's plan, and the gap is its distance to
+        the least bound of the tuples that could still beat it."""
+        from dataclasses import replace
+
+        from repro.core.greedy import GreedySolver
+        from repro.core.ilp import translate
+        from repro.core.model import ScreenGeometry
+        from repro.core.planner import VisualizationPlanner
+        from repro.errors import SolverError
+        from repro.observability.quality import _optimality_gap
+
+        def out_of_time(model, timeout):
+            raise SolverError("time limit before any incumbent")
+
+        monkeypatch.setitem(translate._BACKENDS, "highs", out_of_time)
+        problem = replace(small_problem,
+                          geometry=ScreenGeometry(num_rows=2))
+        planning = VisualizationPlanner(strategy="best").plan(problem)
+        greedy_cost = GreedySolver().solve(problem).expected_cost
+        template_ids, tuples = translate._templates_and_tuples(
+            problem, prune_templates=True, cutoff=greedy_cost)
+        assert len(tuples) > 0
+        least = float(tuples.bound.min())
+        assert not planning.optimal
+        assert planning.expected_cost == greedy_cost
+        assert planning.open_bound == least
+        gap = _optimality_gap(planning)
+        assert gap == max(0.0, greedy_cost - least) / greedy_cost
+        assert gap >= 0.0
 
     def test_assess_matches_attached_record(self, muve):
         intended = intended_query()

@@ -153,6 +153,36 @@ class TestTable:
         large = Table.from_rows(make_schema(), [("a", 1.0, 1)] * 1000)
         assert large.estimated_bytes() > small.estimated_bytes()
 
+    def test_estimated_bytes_after_appends_match_from_scratch(self):
+        """The kept string-length sample gives the bytes a fresh count
+        gives, before and after the table passes 256 rows."""
+
+        def from_scratch(table: Table) -> int:
+            total = 0
+            for column in table.schema.columns:
+                values = table.column(column.name)
+                if column.dtype == DataType.TEXT:
+                    total += len(values) * 8
+                    if len(values):
+                        sample = values[:min(256, len(values))]
+                        total += int(sum(len(v) for v in sample)
+                                     / len(sample) * len(values))
+                else:
+                    total += values.nbytes
+            return total
+
+        rng = np.random.default_rng(7)
+        words = ["a", "bb", "Queens", "Staten Island", "x" * 40]
+        table = Table(make_schema())
+        assert table.estimated_bytes() == from_scratch(table) == 0
+        for size in (1, 3, 100, 151, 2, 500, 1):
+            table.append_rows(
+                (str(rng.choice(words)), float(i), i) for i in range(size))
+            assert table.estimated_bytes() == from_scratch(table)
+            # The kept sample answers a second call the same way.
+            assert table.estimated_bytes() == from_scratch(table)
+        assert table.num_rows > 256
+
     def test_column_case_insensitive(self):
         table = Table.from_rows(make_schema(), [("a", 1.0, 1)])
         assert table.column("SCORE")[0] == 1.0
