@@ -12,9 +12,11 @@ PYTEST := PYTHONPATH=src python -m pytest
 # greedy differential suite (greedy over version summaries == the
 # plot-object oracle, bit for bit), the digest differential suite (the
 # per-problem digest's templates, widths, pruning and count tuples ==
-# the per-call oracle, bit for bit) and the statement differential suite
+# the per-call oracle, bit for bit), the statement differential suite
 # (merged-group statements == the parsed group SQL of the string
-# oracle, exact and sampled) once more on their own.
+# oracle, exact and sampled) and the text-to-SQL differential suite
+# (index lookups == the linear-scan oracle, same query or same error)
+# once more on their own.
 # Test-order randomisation is disabled so failures bisect
 # deterministically.
 check:
@@ -25,7 +27,8 @@ check:
 		tests/core/test_rowsearch_differential.py \
 		tests/core/test_greedy_differential.py \
 		tests/core/test_digest_differential.py \
-		tests/execution/test_statement_differential.py
+		tests/execution/test_statement_differential.py \
+		tests/nlq/test_text_to_sql_differential.py
 
 # Fast development loop: everything except the paper-experiment
 # regeneration suite (marked `slow`).

@@ -70,16 +70,16 @@ class _Alternative:
 
 
 @dataclass(frozen=True)
-class _IndexBundle:
+class IndexBundle:
     """The phonetic indexes for one (database, table, vocabulary) state.
 
     Built once per distinct ``Database.vocabulary_version`` and shared by
-    every :class:`CandidateGenerator` over the same table — index
-    construction is the expensive part of generator construction, and the
-    indexes are immutable once built (DDL, and inserts that add a
-    distinct text value, bump the version, which keys a *new* bundle
-    instead of mutating this one; other inserts leave the vocabulary,
-    and so the bundle, as it is).
+    every :class:`CandidateGenerator` and :class:`TextToSql` over the
+    same table — index construction is the expensive part of generator
+    construction, and the indexes are immutable once built (DDL, and
+    inserts that add a distinct text value, bump the version, which keys
+    a *new* bundle instead of mutating this one; other inserts leave the
+    vocabulary, and so the bundle, as it is).
     """
 
     numeric_index: PhoneticIndex
@@ -87,7 +87,7 @@ class _IndexBundle:
     value_indexes: Mapping[str, PhoneticIndex]
 
 
-#: (database.uid, table, vocabulary_version) -> _IndexBundle, shared
+#: (database.uid, table, vocabulary_version) -> IndexBundle, shared
 #: process-wide with single-flight construction.  Sized for a handful of
 #: live (database, table) pairs; superseded versions age out via LRU.
 _index_bundles = LruCache(16)
@@ -103,7 +103,7 @@ def reset_index_bundles() -> None:
     _index_bundles.clear()
 
 
-def _build_bundle(database: Database, table_name: str) -> _IndexBundle:
+def _build_bundle(database: Database, table_name: str) -> IndexBundle:
     table = database.table(table_name)
     numeric_index = PhoneticIndex(
         c.name for c in table.schema.numeric_columns())
@@ -113,12 +113,12 @@ def _build_bundle(database: Database, table_name: str) -> _IndexBundle:
     for column in table.schema.text_columns():
         value_indexes[column.name] = PhoneticIndex(
             table.sorted_values(column.name))
-    return _IndexBundle(numeric_index=numeric_index,
-                        text_column_index=text_column_index,
-                        value_indexes=MappingProxyType(value_indexes))
+    return IndexBundle(numeric_index=numeric_index,
+                       text_column_index=text_column_index,
+                       value_indexes=MappingProxyType(value_indexes))
 
 
-def _index_bundle(database: Database, table_name: str) -> _IndexBundle:
+def index_bundle(database: Database, table_name: str) -> IndexBundle:
     key = (database.uid, table_name.lower(), database.vocabulary_version)
     return _index_bundles.get_or_compute(
         key, lambda: _build_bundle(database, table_name))
@@ -164,7 +164,7 @@ class CandidateGenerator:
         # first candidates() call is not the one paying construction.
         self._bundle()
 
-    def _bundle(self) -> _IndexBundle:
+    def _bundle(self) -> IndexBundle:
         """The index bundle for the database's *current* vocabulary.
 
         Resolved per call: a vocabulary change bumps
@@ -172,7 +172,7 @@ class CandidateGenerator:
         (or picks up) fresh indexes instead of serving rankings over a
         stale vocabulary.
         """
-        return _index_bundle(self._database, self._table_name)
+        return index_bundle(self._database, self._table_name)
 
     # ------------------------------------------------------------------
 

@@ -13,17 +13,21 @@ plus equality predicates on one table) with a transparent algorithm:
    ``<column phrase> [is] <value phrase>`` pairs against text columns and
    their distinct values.
 
-All fuzzy matching uses the same phonetic similarity as candidate
-generation, so a noisy transcript still resolves to a plausible seed query.
+All fuzzy matching is one lookup, ``most_similar(phrase, 1)``, on a
+:class:`PhoneticIndex` — the matcher candidate generation uses — so a noisy
+transcript still resolves to a plausible seed query.  Values are looked up
+in the shared per-vocabulary-version :class:`IndexBundle`, column names in
+small indexes over their spoken forms, and misheard aggregate keywords in
+one index over the keyword list.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from repro.errors import CandidateGenerationError
-from repro.phonetics.index import phonetic_similarity
+from repro.nlq.candidates import index_bundle
+from repro.phonetics.index import PhoneticIndex, ScoredTerm
 from repro.sqldb.database import Database
 from repro.sqldb.expressions import AggregateCall, AggregateFunction
 from repro.sqldb.query import AggregateQuery, Predicate
@@ -46,6 +50,7 @@ _AGG_KEYWORDS = {
     "lowest": AggregateFunction.MIN,
     "smallest": AggregateFunction.MIN,
 }
+_KEYWORD_INDEX = PhoneticIndex(_AGG_KEYWORDS)
 
 _CLAUSE_SPLITTERS = ("for", "where", "with", "when")
 _NOISE_WORDS = frozenset({
@@ -55,45 +60,35 @@ _NOISE_WORDS = frozenset({
 _EQUALS_WORDS = frozenset({"is", "equals", "equal", "being", "of"})
 
 _MIN_MATCH_SIMILARITY = 0.55
+_MIN_KEYWORD_SIMILARITY = 0.85
 
 
-@dataclass(frozen=True)
-class _Match:
-    """A fuzzy match of a token span against a vocabulary entry."""
+class _Columns:
+    """Column names, matched by their spoken form (underscores become
+    spaces, so spoken "resolution hours" hits ``resolution_hours``)."""
 
-    target: str
-    score: float
+    def __init__(self, names: list[str]) -> None:
+        self.names = names
+        self._by_spoken = {name.replace("_", " ").lower(): name
+                           for name in names}
+        self._index = PhoneticIndex(self._by_spoken)
+
+    def match(self, phrase: str) -> ScoredTerm | None:
+        best = _most_similar(self._index, phrase)
+        return best and ScoredTerm(best.score, self._by_spoken[best.term])
 
 
 class TextToSql:
     """Translates one natural-language request into one AggregateQuery."""
 
-    def __init__(self, database: Database, table_name: str,
-                 max_values_per_column: int = 2000) -> None:
+    def __init__(self, database: Database, table_name: str) -> None:
         self._database = database
-        self._table_name = database.table(table_name).schema.name
         table = database.table(table_name)
-        self._numeric_columns = [c.name
-                                 for c in table.schema.numeric_columns()]
-        self._text_columns = [c.name for c in table.schema.text_columns()]
-        self._max_values_per_column = max_values_per_column
-        # (vocabulary_version, text column -> sorted distinct values).
-        self._values: tuple[int, dict[str, list[str]]] | None = None
-
-    @property
-    def _values_by_column(self) -> dict[str, list[str]]:
-        """Each text column's distinct values, ascending, re-read from
-        the table's dictionaries whenever the vocabulary version moves —
-        so values added by an insert are matched like the others."""
-        version = self._database.vocabulary_version
-        values = self._values
-        if values is None or values[0] != version:
-            table = self._database.table(self._table_name)
-            values = (version, {
-                name: table.sorted_values(name)[:self._max_values_per_column]
-                for name in self._text_columns})
-            self._values = values
-        return values[1]
+        self._table_name = table.schema.name
+        self._numeric = _Columns([c.name
+                                  for c in table.schema.numeric_columns()])
+        self._text = _Columns([c.name for c in table.schema.text_columns()])
+        self._all = _Columns(self._text.names + self._numeric.names)
 
     # ------------------------------------------------------------------
 
@@ -115,14 +110,13 @@ class TextToSql:
             raise CandidateGenerationError(
                 "trend questions need a trailing 'by <column>' phrase")
         group_phrase = " ".join(tokens[split_at + 1:])
-        all_columns = self._text_columns + self._numeric_columns
-        match = _best_match(group_phrase, all_columns)
+        match = self._match_column(group_phrase, self._all)
         if match is None or match.score < _MIN_MATCH_SIMILARITY:
             raise CandidateGenerationError(
                 f"cannot resolve grouping phrase {group_phrase!r} to a "
                 "column")
         head_text = " ".join(tokens[:split_at])
-        return self.translate(head_text), match.target
+        return self.translate(head_text), match.term
 
     def translate(self, text: str) -> AggregateQuery:
         """Translate *text*; raises CandidateGenerationError if hopeless."""
@@ -131,22 +125,39 @@ class TextToSql:
             raise CandidateGenerationError("empty input text")
 
         func, func_index = self._find_aggregate(tokens)
-        head, clauses = _split_clauses(tokens)
+        split_at, clauses = _split_clauses(tokens)
 
         column: str | None = None
         if func != AggregateFunction.COUNT:
-            column = self._find_aggregate_column(head, func_index)
+            # The aggregation column is named after the keyword, before
+            # the first clause; a keyword elsewhere leaves the whole head.
+            start = func_index + 1 if 0 <= func_index < split_at else 0
+            column = self._find_aggregate_column(tokens[start:split_at])
             if column is None:
-                if not self._numeric_columns:
+                if not self._numeric.names:
                     raise CandidateGenerationError(
                         f"table {self._table_name!r} has no numeric column "
                         f"to aggregate")
-                column = self._numeric_columns[0]
+                column = self._numeric.names[0]
 
         predicates = tuple(self._parse_clause(clause) for clause in clauses)
         predicates = tuple(p for p in predicates if p is not None)
         return AggregateQuery(self._table_name,
                               AggregateCall(func, column), predicates)
+
+    # -- matching: the phonetically most similar column, value, keyword --
+
+    def _match_column(self, phrase: str,
+                      columns: _Columns) -> ScoredTerm | None:
+        return columns.match(phrase)
+
+    def _match_value(self, phrase: str, column: str) -> ScoredTerm | None:
+        bundle = index_bundle(self._database, self._table_name)
+        values = bundle.value_indexes.get(column)
+        return None if values is None else _most_similar(values, phrase)
+
+    def _match_keyword(self, token: str) -> ScoredTerm | None:
+        return _most_similar(_KEYWORD_INDEX, token)
 
     # ------------------------------------------------------------------
 
@@ -155,30 +166,27 @@ class TextToSql:
         for index, token in enumerate(tokens):
             if token in _AGG_KEYWORDS:
                 return _AGG_KEYWORDS[token], index
-        # No keyword: fuzzy-match each token against the keyword list.
-        best: tuple[float, AggregateFunction, int] | None = None
+        # No keyword: the token that sounds most like one, if any does.
+        best: tuple[ScoredTerm, int] | None = None
         for index, token in enumerate(tokens):
-            for keyword, func in _AGG_KEYWORDS.items():
-                score = phonetic_similarity(token, keyword)
-                if score >= 0.85 and (best is None or score > best[0]):
-                    best = (score, func, index)
+            match = self._match_keyword(token)
+            if (match and match.score >= _MIN_KEYWORD_SIMILARITY
+                    and (best is None or match.score > best[0].score)):
+                best = (match, index)
         if best is not None:
-            return best[1], best[2]
+            return _AGG_KEYWORDS[best[0].term], best[1]
         return AggregateFunction.COUNT, -1
 
-    def _find_aggregate_column(self, head_tokens: list[str],
-                               func_index: int) -> str | None:
-        """Match spans after the aggregate keyword to numeric columns."""
-        start = func_index + 1 if 0 <= func_index < len(head_tokens) else 0
-        candidates = [t for t in head_tokens[start:]
-                      if t not in _NOISE_WORDS]
-        best: _Match | None = None
+    def _find_aggregate_column(self, tokens: list[str]) -> str | None:
+        """Match spans of *tokens* to numeric columns."""
+        candidates = [t for t in tokens if t not in _NOISE_WORDS]
+        best: ScoredTerm | None = None
         for span in _spans(candidates, max_len=3):
-            match = _best_match(span, self._numeric_columns)
+            match = self._match_column(span, self._numeric)
             if match and (best is None or match.score > best.score):
                 best = match
         if best and best.score >= _MIN_MATCH_SIMILARITY:
-            return best.target
+            return best.term
         return None
 
     def _parse_clause(self, clause: list[str]) -> Predicate | None:
@@ -194,12 +202,12 @@ class TextToSql:
                 value_tokens = value_tokens[1:]
             if not value_tokens:
                 continue
-            column_match = _best_match(" ".join(column_tokens),
-                                       self._text_columns)
+            column_match = self._match_column(" ".join(column_tokens),
+                                              self._text)
             if column_match is None:
                 continue
-            values = self._values_by_column[column_match.target]
-            value_match = _best_match(" ".join(value_tokens), values)
+            value_match = self._match_value(" ".join(value_tokens),
+                                            column_match.term)
             if value_match is None:
                 continue
             score = column_match.score * value_match.score
@@ -207,18 +215,18 @@ class TextToSql:
                     and value_match.score >= _MIN_MATCH_SIMILARITY
                     and (best is None or score > best[0])):
                 best = (score,
-                        Predicate(column_match.target, value_match.target))
+                        Predicate(column_match.term, value_match.term))
         if best is not None:
             return best[1]
         # Value-only clause ("for Brooklyn"): find the column by value.
         best_value: tuple[float, Predicate] | None = None
         phrase = " ".join(t for t in tokens if t not in _EQUALS_WORDS)
-        for column, values in self._values_by_column.items():
-            match = _best_match(phrase, values)
+        for column in self._text.names:
+            match = self._match_value(phrase, column)
             if match and match.score >= _MIN_MATCH_SIMILARITY:
                 if best_value is None or match.score > best_value[0]:
                     best_value = (match.score,
-                                  Predicate(column, match.target))
+                                  Predicate(column, match.term))
         return best_value[1] if best_value else None
 
 
@@ -229,18 +237,16 @@ def _tokenize(text: str) -> list[str]:
     return [t for t in re.split(r"[^a-z0-9_]+", text.lower()) if t]
 
 
-def _split_clauses(tokens: list[str]) -> tuple[list[str], list[list[str]]]:
-    """Split into the head (aggregate part) and predicate clauses."""
+def _split_clauses(tokens: list[str]) -> tuple[int, list[list[str]]]:
+    """Where the head (aggregate part) ends, and the predicate clauses."""
     split_at = len(tokens)
     for index, token in enumerate(tokens):
         if token in _CLAUSE_SPLITTERS:
             split_at = index
             break
-    head = [t for t in tokens[:split_at] if t not in _NOISE_WORDS]
-    rest = tokens[split_at + 1:] if split_at < len(tokens) else []
     clauses: list[list[str]] = []
     current: list[str] = []
-    for token in rest:
+    for token in tokens[split_at + 1:]:
         if token == "and" or token in _CLAUSE_SPLITTERS:
             if current:
                 clauses.append(current)
@@ -249,7 +255,7 @@ def _split_clauses(tokens: list[str]) -> tuple[list[str], list[list[str]]]:
             current.append(token)
     if current:
         clauses.append(current)
-    return head, clauses
+    return split_at, clauses
 
 
 def _spans(tokens: list[str], max_len: int) -> list[str]:
@@ -261,22 +267,8 @@ def _spans(tokens: list[str], max_len: int) -> list[str]:
     return spans
 
 
-def _best_match(phrase: str, vocabulary: list[str]) -> _Match | None:
-    """Best phonetic match of *phrase* against *vocabulary* entries.
-
-    Column names are normalised (underscores become spaces) before
-    comparison so spoken "resolution hours" hits ``resolution_hours``.
-    """
-    if not phrase or not vocabulary:
-        return None
-    best_target: str | None = None
-    best_score = -1.0
-    for entry in vocabulary:
-        normalised = str(entry).replace("_", " ").lower()
-        score = phonetic_similarity(phrase, normalised)
-        if score > best_score:
-            best_score = score
-            best_target = entry
-    if best_target is None:
-        return None
-    return _Match(target=best_target, score=best_score)
+def _most_similar(index: PhoneticIndex, phrase: str) -> ScoredTerm | None:
+    """The entry of *index* that sounds most like *phrase* (ties go to
+    the first in term order)."""
+    ranked = index.most_similar(phrase, 1) if phrase else []
+    return ranked[0] if ranked else None

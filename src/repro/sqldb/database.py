@@ -260,8 +260,11 @@ class Database:
                    max_values_per_column: int = 1000) -> list[str]:
         """All schema element names plus distinct text constants.
 
-        This is what gets loaded into the :class:`PhoneticIndex` — the
-        strings that a voice query could plausibly have meant.
+        The words the speech simulator confuses a spoken word with — the
+        strings a voice query could plausibly have meant.  Text-to-SQL
+        and candidate generation look phrases up in the per-vocabulary
+        index bundle instead (``repro.nlq.candidates.index_bundle``),
+        which covers every distinct value.
         """
         table = self.table(table_name)
         terms: list[str] = [table_name]

@@ -98,6 +98,14 @@ class TestTextToSql:
         assert query.aggregate.func == AggregateFunction.SUM
         assert query.aggregate.column == "num_calls"
 
+    @pytest.mark.parametrize("text", ["total num calls",
+                                      "show me total num calls",
+                                      "what is the total num calls"])
+    def test_aggregate_column_after_noise_words(self, translator, text):
+        query = translator.translate(text)
+        assert query.aggregate.func == AggregateFunction.SUM
+        assert query.aggregate.column == "num_calls"
+
     def test_no_aggregate_defaults_to_count(self, translator):
         query = translator.translate("requests for borough Bronx")
         assert query.aggregate.func == AggregateFunction.COUNT

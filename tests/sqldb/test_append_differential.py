@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ReproError
-from repro.nlq.candidates import _index_bundle
+from repro.nlq.candidates import index_bundle
 from repro.sqldb.database import Database
 from repro.sqldb.index import InvertedIndex, set_indexes_enabled
 from repro.sqldb.schema import ColumnSchema, TableSchema
@@ -165,7 +165,7 @@ def check_against_rebuild(database: Database, all_rows: list) -> None:
     assert database.statistics("t").num_rows == len(all_rows)
 
     assert database.vocabulary("t") == reference_vocabulary(fresh_table)
-    bundle = _index_bundle(database, "t")
+    bundle = index_bundle(database, "t")
     for name in TEXT_COLUMNS:
         assert list(bundle.value_indexes[name]) \
             == np.unique(fresh_table.column(name)).tolist()
