@@ -14,9 +14,11 @@ PYTEST := PYTHONPATH=src python -m pytest
 # per-problem digest's templates, widths, pruning and count tuples ==
 # the per-call oracle, bit for bit), the statement differential suite
 # (merged-group statements == the parsed group SQL of the string
-# oracle, exact and sampled) and the text-to-SQL differential suite
+# oracle, exact and sampled), the text-to-SQL differential suite
 # (index lookups == the linear-scan oracle, same query or same error)
-# once more on their own.
+# and the two phonetic differential suites (the pruned walk and the
+# small-vocabulary walk == the per-term scan oracle, bit for bit) once
+# more on their own.
 # Test-order randomisation is disabled so failures bisect
 # deterministically.
 check:
@@ -28,7 +30,9 @@ check:
 		tests/core/test_greedy_differential.py \
 		tests/core/test_digest_differential.py \
 		tests/execution/test_statement_differential.py \
-		tests/nlq/test_text_to_sql_differential.py
+		tests/nlq/test_text_to_sql_differential.py \
+		tests/phonetics/test_pruned_differential.py \
+		tests/phonetics/test_small_vocabulary_differential.py
 
 # Fast development loop: everything except the paper-experiment
 # regeneration suite (marked `slow`).
@@ -98,9 +102,9 @@ bench-serve:
 bench-index:
 	PYTHONPATH=src python scripts/check_index_speedup.py
 
-# Phonetic retrieval benchmark: pruned exact top-k vs the exhaustive
-# scan on synthetic 10k/100k (1M with --full) vocabularies;
-# writes BENCH_phonetics.json.
+# Phonetic retrieval benchmark: pruned exact top-k vs the per-term scan
+# oracle (tests/phonetics/scan_oracle.py) on synthetic 10k/100k (1M with
+# --full) vocabularies; writes BENCH_phonetics.json.
 bench-phonetics:
 	PYTHONPATH=src python scripts/bench_phonetics.py
 

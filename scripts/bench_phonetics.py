@@ -1,10 +1,12 @@
 """Phonetic retrieval benchmark (``make bench-phonetics``).
 
 Builds synthetic vocabularies (10k and 100k terms by default, 1M with
-``--full``), probes each with pruned exact
-top-k retrieval and the exhaustive oracle, verifies the rankings are
+``--full``), probes each with pruned exact top-k retrieval and with the
+per-term scan oracle (``tests/phonetics/scan_oracle.py``, which scores
+every term with ``phonetic_similarity``), verifies the rankings are
 identical, and writes ``BENCH_phonetics.json`` with per-probe latency
-percentiles and the pruned-over-exhaustive speedup.
+percentiles and the pruned-over-exhaustive speedup.  Run it from the
+repository root with ``PYTHONPATH=src`` (``make bench-phonetics``).
 
 The synthetic vocabulary is deliberately hostile: syllable soup is far
 denser in near-homophones than real categorical data (thousands of codes
@@ -15,12 +17,18 @@ measured here is a lower bound on real vocabularies.
 from __future__ import annotations
 
 import json
+import os
 import random
 import statistics
 import sys
 import time
 
 from repro.phonetics.index import PhoneticIndex
+
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))))
+
+from tests.phonetics.scan_oracle import exhaustive_scan
 
 PROBES = 20
 #: rounds, best kept
@@ -98,7 +106,7 @@ def measure_exhaustive(index: PhoneticIndex, probes: list[str],
     mismatches = 0
     for probe in probes:
         begin = time.perf_counter()
-        expected = index._exhaustive_scan(probe, k)
+        expected = exhaustive_scan(index, probe, k)
         latencies.append((time.perf_counter() - begin) * 1000.0)
         if index.most_similar(probe, k=k) != expected:
             mismatches += 1

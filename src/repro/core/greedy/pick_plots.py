@@ -29,6 +29,8 @@ plot-by-plot evaluation makes.
 
 from __future__ import annotations
 
+from collections.abc import Set as AbstractSet
+
 from repro.core.cost_model import UserCostModel
 from repro.core.greedy.coloring import PlotSummary, PlotVersions
 from repro.core.greedy.submodular import maximize_cardinality
@@ -54,11 +56,13 @@ def selection_savings(versions: PlotVersions, selection: list[int],
 
 
 def _tally(versions: PlotVersions, selection: list[int],
+           start: tuple[float, float, AbstractSet[int]] = (
+               0.0, 0.0, frozenset()),
            ) -> tuple[float, float, set[int]]:
-    """(red mass, plain mass, candidates shown) of *selection*."""
-    r_red = 0.0
-    r_visible = 0.0
-    seen: set[int] = set()
+    """(red mass, plain mass, candidates shown) of *selection*, continued
+    from the tally *start* of the versions before it (left unchanged)."""
+    r_red, r_visible, shown = start
+    seen = set(shown)
     for version in selection:
         for candidate, probability in versions.red[version]:
             if candidate in seen:
@@ -205,7 +209,9 @@ class _MoveValues:
     ``k - 1``'s, and a plot whose members are its parent's plus one
     continues the parent's plain mass at each ``k``: every float is the
     one a rescan of the selection computes, in O(bars) per plot.  A
-    replacement keeps the slot's position and is summed afresh.
+    replacement keeps the slot's position: the selection before the slot
+    is summed once per template, and each version continues that sum
+    with itself and the rest of the selection, in the rescan's order.
     """
 
     def __init__(self, problem: MultiplotSelectionProblem,
@@ -278,6 +284,11 @@ class _MoveValues:
                             True))
                 continue
             old, old_row = slot
+            # Every version of the template takes the slot's position, so
+            # the selection before it is tallied once for all of them.
+            position = selection.index(old)
+            head = _tally(versions, selection[:position])
+            tail = selection[position + 1:]
             old_width = versions.units[old]
             kept_bars = bars - versions.bars[old]
             kept_red_bars = red_bars - versions.highlighted[old]
@@ -295,9 +306,8 @@ class _MoveValues:
                             break
                     else:
                         continue
-                    red, visible, _ = _tally(
-                        versions, [version if v == old else v
-                                   for v in selection])
+                    red, visible, _ = _tally(versions, [version, *tail],
+                                             head)
                     k = version - first
                     moves.append((savings(red, visible, (
                         num_bars, kept_red_bars + k, plots,

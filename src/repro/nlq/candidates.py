@@ -45,6 +45,13 @@ _SPOKEN_AGG = {
     AggregateFunction.MAX: "maximum",
 }
 
+#: Phonetic similarity between the spoken forms of every two functions.
+_AGG_SIMILARITY = {
+    (func, other): phonetic_similarity(spoken, spoken_other)
+    for func, spoken in _SPOKEN_AGG.items()
+    for other, spoken_other in _SPOKEN_AGG.items() if other != func
+}
+
 
 @dataclass(frozen=True)
 class CandidateQuery:
@@ -260,17 +267,15 @@ class CandidateGenerator:
         if not self._vary_aggregate_function:
             return []
         current = seed.aggregate.func
-        spoken = _SPOKEN_AGG[current]
         alternatives = []
-        for func, spoken_alt in _SPOKEN_AGG.items():
+        for func in _SPOKEN_AGG:
             if func == current:
                 continue
             if seed.aggregate.column is None and func != AggregateFunction.COUNT:
                 continue  # SUM(*) etc. is invalid
             if func.requires_numeric and seed.aggregate.column is None:
                 continue
-            similarity = phonetic_similarity(spoken, spoken_alt)
-            weight = self._weight(similarity)
+            weight = self._weight(_AGG_SIMILARITY[current, func])
             if weight > 0.0:
                 alternatives.append(
                     _Alternative(element_index, func.value, weight))

@@ -7,23 +7,30 @@ Metaphone and ranked by Jaro-Winkler similarity of the encodings (falling
 back to a small surface-form component to break ties between terms with
 identical codes), exactly the similarity notion of Section 3 of the paper.
 
-``most_similar`` is **exact, pruned top-k retrieval** rather than an
-exhaustive scan:
+``most_similar`` is **exact top-k retrieval by one best-first walk**: the
+probe is encoded once, terms are visited in descending order of a bound on
+their phonetic part, and a term's surface form is scored only while
+``(1 - w) * bound + w`` (a perfect surface match) can still reach the
+current k-th best score.  The comparison is a strict ``<``, so an exact tie
+is still scored and can win on term order.  Every score is computed with
+:func:`phonetic_similarity`'s combining expression, so the ranking is
+**bit-identical** to scoring every term with it — same terms, same scores,
+same tie order.  The vocabulary is grouped by distinct Double Metaphone
+code, so each code's phonetic similarity is computed at most once and fans
+out to every term sharing it (categorical vocabularies are dense in
+homophones — that is the whole premise of the paper).  Only the bound
+differs with the vocabulary's size:
 
-* The vocabulary is grouped by distinct Double Metaphone code, so each
-  code's phonetic similarity is computed once and fans out to every term
-  sharing it (categorical vocabularies are dense in homophones — that is
-  the whole premise of the paper).
-* A vectorized bound pass (:mod:`repro.phonetics.vectorized`) assigns every
-  distinct code an admissible Jaro-Winkler upper bound from character
-  multiset intersection, lengths, and the exact shared prefix.
-* Codes are visited best-bound-first; the search stops as soon as the best
-  remaining bound (plus the maximum surface-component contribution) cannot
-  beat the current k-th best exact score.  Because the bounds are
-  admissible, the result is **bit-identical** to the exhaustive ranking —
-  same terms, same scores, same tie order — which the differential tests
-  in ``tests/phonetics`` pin against the private :meth:`_exhaustive_scan`
-  oracle.
+* At most ``max(64, k)`` terms, and for codeless probes, every distinct
+  code is scored exactly and the exact scores are the bounds.
+* Past that, a vectorized bound pass (:mod:`repro.phonetics.vectorized`)
+  assigns every distinct code an admissible Jaro-Winkler upper bound from
+  character multiset intersection, lengths, and the exact shared prefix;
+  codes are exact-scored best-bound-first, and the walk stops as soon as
+  the best remaining bound cannot rank.
+
+The per-term :func:`phonetic_similarity` scan both are pinned against is
+the test oracle in ``tests/phonetics/scan_oracle.py``.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ import itertools
 import threading
 import time
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -55,8 +63,8 @@ __all__ = [
     "reset_phonetic_stats",
 ]
 
-#: Vocabularies at or below this size are answered by the plain scan: the
-#: packing/bound machinery cannot beat a few dozen scalar comparisons.
+#: Vocabularies at or below this size are walked with exact code scores:
+#: the packing/bound machinery cannot beat a few dozen scalar comparisons.
 _SMALL_VOCABULARY = 64
 
 #: Shortlists at or above this size are scored with the vectorized batch
@@ -78,7 +86,13 @@ _PHASE2_CHUNK = 1024
 
 
 class _PhoneticStats:
-    """Thread-safe counters describing retrieval effectiveness."""
+    """Thread-safe counters describing retrieval effectiveness.
+
+    ``exhaustive_probes`` counts the probes walked with exact code scores
+    (small vocabularies and codeless probes), which score every distinct
+    code; ``terms_scored`` counts the terms whose surface similarity was
+    computed, on either walk.
+    """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -290,27 +304,28 @@ class PhoneticIndex:
         string match of the probe from the ranking, which is what candidate
         generation wants when proposing *alternatives* for a query element.
 
-        Always exact: the pruned search provably returns the same ranking
-        an exhaustive scan would (same terms, scores and tie order).
+        Always exact: the walk provably returns the same ranking scoring
+        every term with :func:`phonetic_similarity` would (same terms,
+        scores and tie order).
         """
         if k <= 0:
             raise ValueError("k must be positive")
         begin = time.perf_counter()
         probe_codes = tuple(code for code in metaphone_codes(probe) if code)
         vocabulary_size = len(self._codes)
+        top = _TopK(probe, k, include_self, self._surface_weight)
         if not probe_codes or vocabulary_size <= max(_SMALL_VOCABULARY, k):
-            ranked = self._exhaustive_scan(probe, k,
-                                           include_self=include_self)
+            codes_scored = self._exact_walk(top, probe_codes)
             _STATS.record(exhaustive=True,
                           codes_total=len(self._groups),
-                          codes_scored=len(self._groups),
-                          terms_scored=vocabulary_size,
+                          codes_scored=codes_scored,
+                          terms_scored=len(top.results),
                           terms_total=vocabulary_size,
                           elapsed_ms=(time.perf_counter() - begin) * 1e3)
-            return ranked
+            return top.ranking()
         with trace_span("phonetics.most_similar") as span:
-            ranked, codes_scored, terms_scored = self._pruned_scan(
-                probe, probe_codes, k, include_self)
+            codes_scored = self._pruned_walk(top, probe_codes)
+            terms_scored = len(top.results)
             elapsed_ms = (time.perf_counter() - begin) * 1000.0
             span.set_attribute("vocabulary", vocabulary_size)
             span.set_attribute("codes_scored", codes_scored)
@@ -320,38 +335,48 @@ class PhoneticIndex:
                       codes_scored=codes_scored,
                       terms_scored=terms_scored,
                       terms_total=vocabulary_size, elapsed_ms=elapsed_ms)
-        return ranked
+        return top.ranking()
 
     # ------------------------------------------------------------------
 
-    def _exhaustive_scan(self, probe: str, k: int, *,
-                         include_self: bool = True) -> list[ScoredTerm]:
-        """Score every term — the O(vocabulary) oracle the pruned search
-        is differential-tested against (and the path for tiny vocabularies
-        and codeless probes)."""
-        scored = []
-        for term in list(self._codes):
-            if not include_self and term == probe:
-                continue
-            scored.append(ScoredTerm(self.similarity(probe, term), term))
-        scored.sort(key=lambda st: (-st.score, st.term))
-        return scored[:k]
+    def _exact_walk(self, top: _TopK, probe_codes: tuple[str, ...]) -> int:
+        """Best-first walk with exact phonetic scores standing in for
+        bounds (small vocabularies and codeless probes).  Returns the
+        number of codes scored."""
+        groups = list(self._groups.items())
+        codeless = list(self._codeless)
+        if probe_codes:
+            # A term's phonetic part is the max over its codes, so in
+            # descending code order each term is first met at its own
+            # score, and every later term scores no higher.
+            tiers = sorted(
+                ((max(jaro_winkler(pc, code) for pc in probe_codes), terms)
+                 for code, terms in groups),
+                key=itemgetter(0), reverse=True)
+            tiers.append((0.0, codeless))
+        else:
+            tiers = [(1.0, codeless)]
+            tiers += [(0.0, terms) for _, terms in groups]
+        codes_scored = len(groups) if probe_codes else 0
+        for phonetic, terms in tiers:
+            for term in terms:
+                if top.hopeless(phonetic):
+                    return codes_scored
+                if top.claim(term):
+                    top.score(term, phonetic)
+        return codes_scored
 
-    def _pruned_scan(self, probe: str, probe_codes: tuple[str, ...],
-                     k: int, include_self: bool,
-                     ) -> tuple[list[ScoredTerm], int, int]:
-        """Best-bound-first exact top-k (see the module docstring)."""
+    def _pruned_walk(self, top: _TopK, probe_codes: tuple[str, ...]) -> int:
+        """Best-bound-first exact top-k (see the module docstring).
+        Returns the number of codes scored."""
         with self._lock:
             arrays = self._packed.snapshot()
-        weight = self._surface_weight
-        phonetic_share = 1.0 - weight
         probe_ids = [arrays.encode(code) for code in probe_codes]
         bounds = jaro_winkler_upper_bounds(probe_ids[0], arrays)
         for ids in probe_ids[1:]:
             np.maximum(bounds, jaro_winkler_upper_bounds(ids, arrays),
                        out=bounds)
 
-        surface_probe = probe.lower()
         #: per-row refinement of ``bounds``: overwritten with the exact
         #: score once a row has been batch-scored (still admissible —
         #: the exact value is its own tightest upper bound).
@@ -373,66 +398,40 @@ class PhoneticIndex:
                 code_scores[code] = score
             return score
 
-        results: list[ScoredTerm] = []
-        threshold: list[float] = []  # min-heap of the current top-k scores
-        seen: set[str] = set()
         codes_scored = 0
-        terms_scored = 0
 
-        def score_terms(terms: list[str], phonetic_default: float | None,
-                        ) -> None:
-            nonlocal terms_scored
+        def score_terms(terms: list[str]) -> None:
             for term in terms:
-                if term in seen:
+                if not top.claim(term):
                     continue
-                seen.add(term)
-                if not include_self and term == probe:
-                    continue
-                filled = len(threshold) == k
-                cutoff = threshold[0] if filled else 0.0
-                if phonetic_default is None:
-                    term_codes = [code for code in self._codes[term]
-                                  if code]
-                    if filled:
-                        # Admissible per-term prefilter: exact scores
-                        # where known, vectorized bounds otherwise, and
-                        # the full surface component.  Strict <, so an
-                        # exact tie is still scored (term-order ties).
-                        upper = 0.0
-                        for code in term_codes:
-                            known = code_scores.get(code)
-                            if known is None:
-                                row = arrays.rows.get(code)
-                                known = float(upper_bounds[row]) \
-                                    if row is not None else 1.0
-                            if known > upper:
-                                upper = known
-                        if phonetic_share * upper + weight < cutoff:
-                            continue
-                    phonetic = max(code_score(code)
-                                   for code in term_codes)
-                    if filled and (phonetic_share * phonetic + weight
-                                   < cutoff):
+                term_codes = [code for code in self._codes[term] if code]
+                if top.filled:
+                    # Admissible per-term prefilter: exact scores where
+                    # known, vectorized bounds otherwise.
+                    upper = 0.0
+                    for code in term_codes:
+                        known = code_scores.get(code)
+                        if known is None:
+                            row = arrays.rows.get(code)
+                            known = float(upper_bounds[row]) \
+                                if row is not None else 1.0
+                        if known > upper:
+                            upper = known
+                    if top.hopeless(upper):
                         continue
-                else:
-                    phonetic = phonetic_default
-                surface = jaro_winkler(surface_probe, term.lower())
-                # Mirrors phonetic_similarity()'s combining expression
-                # exactly, so pruned scores are bit-identical.
-                total = phonetic_share * phonetic + weight * surface
-                terms_scored += 1
-                results.append(ScoredTerm(total, term))
-                if len(threshold) < k:
-                    heapq.heappush(threshold, total)
-                elif total > threshold[0]:
-                    heapq.heapreplace(threshold, total)
+                # Each member term takes the max over *all* its codes
+                # (the alternate may score higher than the code that
+                # surfaced the group).
+                phonetic = max(code_score(code) for code in term_codes)
+                if not top.hopeless(phonetic):
+                    top.score(term, phonetic)
 
         # Phase 1 — seed the cutoff: walk the globally best-bound codes
         # with scalar scoring.  Each code contributes at least one term
         # and each term carries at most two codes, so 2k + 2 rows are
         # guaranteed to fill the k-slot threshold (modulo include_self).
         count = len(bounds)
-        seed_size = min(count, max(2 * k + 2, _SEED_CODES))
+        seed_size = min(count, max(2 * top.k + 2, _SEED_CODES))
         if seed_size < count:
             part = np.argpartition(-bounds, seed_size - 1)[:seed_size]
         else:
@@ -440,21 +439,14 @@ class PhoneticIndex:
         seed = part[np.argsort(-bounds[part], kind="stable")]
         done = False
         for row in seed:
-            # A term's total score is at most its best code bound plus
-            # the full surface component; once that cannot beat the k-th
-            # best exact score, no unseen term can either.  Strict <, so
-            # equal-score lexicographic ties are never pruned.  The seed
-            # holds the global best bounds in descending order, so
-            # stopping here completes the whole search.
-            if len(threshold) == k and (phonetic_share * bounds[row]
-                                        + weight < threshold[0]):
+            # The seed holds the global best bounds in descending order,
+            # so once one cannot rank, no unseen term can either and the
+            # whole search is complete.
+            if top.hopeless(bounds[row]):
                 done = True
                 break
             codes_scored += 1
-            # phonetic_default=None: each member term takes the max over
-            # *all* its codes (the alternate may score higher than the
-            # code that surfaced the group).
-            score_terms(self._groups[arrays.codes[row]], None)
+            score_terms(self._groups[arrays.codes[row]])
 
         if not done:
             # Phase 2 — exact-score the codes whose bound can still beat
@@ -464,15 +456,15 @@ class PhoneticIndex:
             # without ever batch-scoring it).  Every excluded code failed
             # an admissible filter at some point, and the cutoff only
             # grows, so exclusion is final; within a chunk, walking in
-            # descending exact order means the first score below the
-            # cutoff ends the chunk.
+            # descending exact order means the first hopeless score ends
+            # the chunk.
             walked = np.zeros(count, dtype=bool)
             walked[seed] = True
             pool = np.flatnonzero(~walked)
             while len(pool):
-                if len(threshold) == k:
-                    pool = pool[phonetic_share * bounds[pool] + weight
-                                >= threshold[0]]
+                if top.filled:
+                    pool = pool[top.share * bounds[pool] + top.weight
+                                >= top.heap[0]]
                     if not len(pool):
                         break
                 take = min(len(pool), _PHASE2_CHUNK)
@@ -500,18 +492,80 @@ class PhoneticIndex:
                 upper_bounds[chunk] = exact
                 exact_known[chunk] = True
                 for position in np.argsort(-exact, kind="stable"):
-                    if len(threshold) == k and (
-                            phonetic_share * float(exact[position])
-                            + weight < threshold[0]):
+                    if top.hopeless(float(exact[position])):
                         break
                     codes_scored += 1
-                    code = arrays.codes[chunk[position]]
-                    score_terms(self._groups[code], None)
+                    score_terms(self._groups[arrays.codes[chunk[position]]])
 
-        # Terms with no phonetic encoding score weight * surface at most;
-        # <= keeps ties exact (a tying term can still win on term order).
-        if len(threshold) < k or threshold[0] <= weight:
-            score_terms(list(self._codeless), 0.0)
+        # Terms with no phonetic encoding score weight * surface at most.
+        for term in list(self._codeless):
+            if top.hopeless(0.0):
+                break
+            if top.claim(term):
+                top.score(term, 0.0)
+        return codes_scored
 
-        results.sort(key=lambda st: (-st.score, st.term))
-        return results[:k], codes_scored, terms_scored
+
+def _rank_key(scored: ScoredTerm) -> tuple[float, str]:
+    """Best-first ranking order: score descending, then term."""
+    return -scored.score, scored.term
+
+
+class _TopK:
+    """The running top-*k* of one probe: every term scored so far, a
+    min-heap of the best *k* scores, and the terms already visited.
+
+    A term's score mirrors :func:`phonetic_similarity`'s combining
+    expression exactly, so walked rankings are bit-identical to scoring
+    every term with it.
+    """
+
+    __slots__ = ("probe", "surface_probe", "k", "include_self", "weight",
+                 "share", "heap", "results", "seen")
+
+    def __init__(self, probe: str, k: int, include_self: bool,
+                 weight: float) -> None:
+        self.probe = probe
+        self.surface_probe = probe.lower()
+        self.k = k
+        self.include_self = include_self
+        self.weight = weight
+        self.share = 1.0 - weight
+        #: min-heap of the current top-k scores; ``heap[0]`` is the
+        #: cutoff once it holds k of them.
+        self.heap: list[float] = []
+        #: terms whose surface similarity was computed, with their scores.
+        self.results: list[ScoredTerm] = []
+        self.seen: set[str] = set()
+
+    @property
+    def filled(self) -> bool:
+        return len(self.heap) == self.k
+
+    def hopeless(self, phonetic: float) -> bool:
+        """Whether no term whose phonetic part is at most *phonetic* can
+        still rank: even a perfect surface match stays below the k-th
+        best score.  Strict ``<``, so an exact tie is still scored (it can
+        win on term order)."""
+        return (len(self.heap) == self.k
+                and self.share * phonetic + self.weight < self.heap[0])
+
+    def claim(self, term: str) -> bool:
+        """Mark *term* visited; False if it was already, or is the probe
+        itself and ``include_self`` is off."""
+        if term in self.seen:
+            return False
+        self.seen.add(term)
+        return self.include_self or term != self.probe
+
+    def score(self, term: str, phonetic: float) -> None:
+        surface = jaro_winkler(self.surface_probe, term.lower())
+        total = self.share * phonetic + self.weight * surface
+        self.results.append(ScoredTerm(total, term))
+        if len(self.heap) < self.k:
+            heapq.heappush(self.heap, total)
+        elif total > self.heap[0]:
+            heapq.heapreplace(self.heap, total)
+
+    def ranking(self) -> list[ScoredTerm]:
+        return heapq.nsmallest(self.k, self.results, key=_rank_key)

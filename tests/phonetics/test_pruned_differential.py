@@ -3,10 +3,11 @@
 The pruned best-first search in ``PhoneticIndex.most_similar`` must be
 **bit-identical** to the exhaustive ranking — same terms, same float
 scores, same lexicographic tie order — for every probe, vocabulary and
-k.  These tests pin that against the private ``_exhaustive_scan`` oracle
-with hypothesis-generated and fixed-seed random vocabularies (both past
-the small-vocabulary fallback threshold, so the pruned path really
-runs).
+k.  These tests pin that against the per-term scan in
+``tests/phonetics/scan_oracle.py`` with hypothesis-generated and
+fixed-seed random vocabularies (both past the small-vocabulary
+threshold, so the pruned path really runs; the small-vocabulary walk has
+its own suite, ``test_small_vocabulary_differential.py``).
 """
 
 import random
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.phonetics.index import PhoneticIndex, phonetic_stats
+from tests.phonetics.scan_oracle import exhaustive_scan
 
 _SYLLABLES = ["ba", "be", "bo", "ka", "ko", "da", "do", "fa", "ga",
               "la", "lo", "ma", "mo", "na", "no", "ra", "ro", "sa",
@@ -43,8 +45,8 @@ def _assert_identical(index: PhoneticIndex, probe: str, k: int) -> None:
     for include_self in (True, False):
         pruned = index.most_similar(probe, k=k,
                                     include_self=include_self)
-        oracle = index._exhaustive_scan(probe, k,
-                                        include_self=include_self)
+        oracle = exhaustive_scan(index, probe, k,
+                                 include_self=include_self)
         assert pruned == oracle, (
             f"probe={probe!r} k={k} include_self={include_self}")
 
@@ -89,7 +91,7 @@ class TestRetrievalStats:
         index = PhoneticIndex(_random_terms(random.Random(3), 40))
         before = phonetic_stats()["exhaustive_probes"]
         assert index.most_similar("bakoda", k=10) == \
-            index._exhaustive_scan("bakoda", 10)
+            exhaustive_scan(index, "bakoda", 10)
         assert phonetic_stats()["exhaustive_probes"] == before + 1
 
     def test_pruned_probe_scans_a_fraction(self):

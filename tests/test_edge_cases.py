@@ -129,11 +129,12 @@ class TestRenderersOnEmptyInput:
 class TestPhoneticIndexPruned:
     def test_pruned_lookup_still_ranks(self):
         from repro.phonetics.index import PhoneticIndex
+        from tests.phonetics.scan_oracle import exhaustive_scan
         terms = [f"term{i:03d}" for i in range(200)] + ["brooklyn"]
         index = PhoneticIndex(terms)
         top = index.most_similar("bruklin", k=3)
         assert top[0].term == "brooklyn"
-        assert top == index._exhaustive_scan("bruklin", 3)
+        assert top == exhaustive_scan(index, "bruklin", 3)
 
     def test_exhaustive_flag_is_gone(self):
         from repro.phonetics.index import PhoneticIndex
