@@ -1,12 +1,13 @@
 PYTEST := PYTHONPATH=src python -m pytest
 
-.PHONY: check fast concurrency bench bench-serve bench-index \
-	bench-phonetics bench-quality sentinel profile chaos lint lockdep \
-	paper-shapes
+.PHONY: check fast concurrency bench bench-index bench-quality \
+	sentinel profile chaos lint lockdep paper-shapes
 
 # The gating suite: the full test tree (tier 1), then the concurrency
-# and caching suites plus the index differential suite (indexed ==
-# scan, bit for bit), the append differential suite (delta
+# and caching suites plus the index differential suite (indexed == the
+# full-scan oracle, bit for bit), the batch and parallel differential
+# suites (shared plan execution == the per-group oracle, bit for bit,
+# on the index and the scan path), the append differential suite (delta
 # maintenance == full rebuild, bit for bit), the row-search
 # differential suite (one-row search == uncut MILP optimum), the
 # greedy differential suite (greedy over version summaries == the
@@ -26,6 +27,8 @@ check:
 	$(PYTEST) -q -p no:randomly tests/test_concurrency.py tests/caching \
 		tests/sqldb/test_index_differential.py \
 		tests/sqldb/test_append_differential.py \
+		tests/execution/test_batch_differential.py \
+		tests/execution/test_parallel_differential.py \
 		tests/core/test_rowsearch_differential.py \
 		tests/core/test_greedy_differential.py \
 		tests/core/test_digest_differential.py \
@@ -91,22 +94,10 @@ paper-shapes:
 		benchmarks/test_fig8_processing_bound.py \
 		benchmarks/test_ablation_bnb_vs_highs.py
 
-# Serving benchmark: shared vs per-group-rung execution over the
-# Figure 7 merged-candidate workload; writes BENCH_serving.json.
-bench-serve:
-	PYTHONPATH=src python scripts/bench_serving.py
-
-# Secondary-index benchmark: the grouped-equality workload alone
-# (indexed vs full scans at 1M rows); the full 20k/200k/1M row-scaling
-# sweep is written by bench-serve.
+# Secondary-index benchmark: the grouped-equality workload (indexed vs
+# the full-scan oracle at 1M rows), also a gate of `make profile`.
 bench-index:
 	PYTHONPATH=src python scripts/check_index_speedup.py
-
-# Phonetic retrieval benchmark: pruned exact top-k vs the per-term scan
-# oracle (tests/phonetics/scan_oracle.py) on synthetic 10k/100k (1M with
-# --full) vocabularies; writes BENCH_phonetics.json.
-bench-phonetics:
-	PYTHONPATH=src python scripts/bench_phonetics.py
 
 # Performance gates (each bound is a constant at the top of its
 # script): (1) tracing, and an armed deadline, must each cost under 5%

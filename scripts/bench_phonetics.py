@@ -1,12 +1,14 @@
-"""Phonetic retrieval benchmark (``make bench-phonetics``).
+"""Phonetic retrieval measurements shared by the gate and the tests.
 
-Builds synthetic vocabularies (10k and 100k terms by default, 1M with
-``--full``), probes each with pruned exact top-k retrieval and with the
-per-term scan oracle (``tests/phonetics/scan_oracle.py``, which scores
-every term with ``phonetic_similarity``), verifies the rankings are
-identical, and writes ``BENCH_phonetics.json`` with per-probe latency
-percentiles and the pruned-over-exhaustive speedup.  Run it from the
-repository root with ``PYTHONPATH=src`` (``make bench-phonetics``).
+Builds synthetic vocabularies, probes them with pruned exact top-k
+retrieval and with the per-term scan oracle
+(``tests/phonetics/scan_oracle.py``, which scores every term with
+``phonetic_similarity``), verifies the rankings are identical, and
+reports per-probe latency percentiles and the pruned-over-exhaustive
+speedup (:func:`bench_scale`).  ``scripts/check_phonetics_speedup.py``
+(``make profile``) gates on it; ``tests/phonetics/test_large_scale.py``
+and ``tests/nlq/test_text_to_sql_vocabulary.py`` reuse the vocabulary
+generator.
 
 The synthetic vocabulary is deliberately hostile: syllable soup is far
 denser in near-homophones than real categorical data (thousands of codes
@@ -16,7 +18,6 @@ measured here is a lower bound on real vocabularies.
 
 from __future__ import annotations
 
-import json
 import os
 import random
 import statistics
@@ -29,13 +30,6 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))))
 
 from tests.phonetics.scan_oracle import exhaustive_scan
-
-PROBES = 20
-#: rounds, best kept
-ROUNDS = 3
-#: probes per scale timed against the exhaustive oracle
-EXHAUSTIVE_PROBES = 5
-OUTPUT = "BENCH_phonetics.json"
 
 _SYLLABLES = [
     "ba", "be", "bo", "ka", "ke", "ko", "da", "de", "do", "fa", "fe",
@@ -137,36 +131,3 @@ def bench_scale(size: int, probes: int, rounds: int,
         "speedup_mean": round(
             exhaustive["mean_ms"] / max(pruned["mean_ms"], 1e-9), 1),
     }
-
-
-def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    scales = [10_000, 100_000] + ([1_000_000] if "--full" in argv else [])
-    report: dict = {"scales": {}}
-    for size in scales:
-        # The 1M oracle costs a minute per probe; sample it thinner.
-        oracle = EXHAUSTIVE_PROBES if size <= 100_000 \
-            else max(1, EXHAUSTIVE_PROBES // 2)
-        entry = bench_scale(size, PROBES, ROUNDS, oracle)
-        report["scales"][str(size)] = entry
-        print(f"{size:>9} terms ({entry['distinct_codes']} codes, "
-              f"built in {entry['build_seconds']:.1f}s): "
-              f"pruned p50 {entry['pruned']['p50_ms']:.2f} ms / "
-              f"p95 {entry['pruned']['p95_ms']:.2f} ms, "
-              f"exhaustive {entry['exhaustive']['mean_ms']:.1f} ms, "
-              f"speedup {entry['speedup_mean']}x, "
-              f"mismatches {entry['exhaustive']['mismatches']}")
-        if entry["exhaustive"]["mismatches"]:
-            print("FAIL: pruned ranking differs from the exhaustive "
-                  "oracle", file=sys.stderr)
-            return 1
-
-    with open(OUTPUT, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2)
-        handle.write("\n")
-    print(f"wrote {OUTPUT}")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

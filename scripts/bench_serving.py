@@ -1,32 +1,22 @@
-"""Serving benchmark: batch vs per-group execution (``make bench-serve``).
+"""Serving-path measurements shared by the execution gates and tests.
 
-Replays the Figure 7 microbenchmark workload — random target queries,
-each expanded to its phonetically-similar candidate set and planned with
-cost-based merging — through both execution paths and writes
-``BENCH_serving.json`` with per-request latency percentiles, throughput,
-and table scans per request for each mode.
+:func:`build_requests` replays the Figure 7 microbenchmark workload —
+random target queries, each expanded to its phonetically-similar
+candidate set and planned with cost-based merging — and :func:`measure`
+times a set of plans through the shared path (``ExecutionPlan.run``),
+the per-group rung (``run_plan`` without a request context) or the
+full-scan oracle (``tests/sqldb/scan_oracle.py``).
+``scripts/check_batch_speedup.py`` gates shared against per-group on it.
 
-A "scan" is one full pass over a base-table column to build a boolean
-mask (a leaf predicate or a TABLESAMPLE draw); the per-group path pays
-one per leaf per group, the batch path one per *distinct* leaf per
-request (see :func:`repro.execution.batch.plan_scan_counts`).
-
-The report also carries a ``candidate_generation`` section: end-to-end
-:meth:`CandidateGenerator.candidates` latency over a large synthetic
-vocabulary (pruned phonetic retrieval is the dominant cost there), both
-cold (probe cache cleared per round) and warm.
-
-The ``row_scaling`` section replays a dedicated grouped-equality
-candidate workload — the shape secondary indexes target — across a
-``--rows`` sweep (default 20k/200k/1M), once with index access paths and
-once with full scans (``set_indexes_enabled(False)``), so scan-bound
-O(rows) cost is visible instead of hidden by a small table.
+:func:`measure_row_scaling` replays a grouped-equality candidate
+workload — the shape secondary indexes target — at given table sizes,
+once through the index access paths and once through the scan oracle,
+after asserting both give identical results.
+``scripts/check_index_speedup.py`` gates on it at 1M rows.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import statistics
 import sys
@@ -34,29 +24,21 @@ import time
 
 import numpy as np
 
-from repro.caching.phonetic import phonetic_probe_cache
 from repro.datasets.generators import DATASET_GENERATORS
 from repro.datasets.workload import WorkloadGenerator
-from repro.execution.batch import plan_scan_counts, run_plan
+from repro.execution.batch import run_plan
 from repro.execution.merging import plan_execution
 from repro.nlq.candidates import CandidateGenerator
 from repro.sqldb.database import Database
-from repro.sqldb.index import set_indexes_enabled
 from repro.sqldb.query import AggregateQuery
 from repro.sqldb.schema import ColumnSchema, TableSchema
 from repro.sqldb.table import Table
 from repro.sqldb.types import DataType
 
-REQUESTS = 30
-ROWS = 20000
-CANDIDATES = 50
-#: measurement rounds, best kept
-ROUNDS = 5
-#: vocabulary size of the candidate-generation section
-VOCABULARY = 50000
-#: requests per row-scaling sweep point
-SCALING_REQUESTS = 8
-OUTPUT = "BENCH_serving.json"
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))))
+
+from tests.sqldb.scan_oracle import ScanContext
 
 
 def build_requests(rows: int, count: int, candidates: int, seed: int = 0):
@@ -77,12 +59,13 @@ def build_requests(rows: int, count: int, candidates: int, seed: int = 0):
 
 
 def measure(database: Database, plans, rounds: int,
-            per_group: bool = False) -> dict:
+            per_group: bool = False, scan: bool = False) -> dict:
     """Latency/throughput over all requests in one mode.
 
     ``per_group`` times the per-group rung (:func:`run_plan` without a
     request context: every group alone through ``Database.execute``)
-    instead of the shared path, :meth:`ExecutionPlan.run`.
+    and ``scan`` the shared path through the full-scan oracle, instead
+    of the shared path, :meth:`ExecutionPlan.run`.
 
     An untimed warmup pass first: both modes then run with warm
     statement/cost caches and touched table columns, so the timed pass
@@ -94,6 +77,8 @@ def measure(database: Database, plans, rounds: int,
     def run(plan):
         if per_group:
             return run_plan(plan, database)
+        if scan:
+            return plan.run(database, request_ctx=ScanContext(database))
         return plan.run(database)
 
     for plan in plans:
@@ -172,26 +157,23 @@ def build_grouped_equality_requests(rows: int, count: int,
 
 def measure_row_scaling(rows_list, requests: int, candidates: int,
                         rounds: int, seed: int = 0) -> list[dict]:
-    """Indexed vs forced-scan latency per table size.
+    """Indexed vs scan-oracle latency per table size.
 
-    Both modes run the batch executor over identical plans; only the
-    index flag differs, so the comparison isolates probe-vs-scan data
-    access.  Results are asserted identical before timing — the scan
-    path stays the differential oracle even in the benchmark.
+    Both modes run the batch executor over identical plans; the scan
+    mode only hands each request the scan oracle as its context, so the
+    comparison isolates probe-vs-scan data access.  Results are asserted
+    identical before timing — the scan path stays the differential
+    oracle even in the benchmark.
     """
     entries = []
     for rows in rows_list:
         database, plans = build_grouped_equality_requests(
             rows, requests, candidates, seed)
-        reference = [plan.run(database) for plan in plans]
-        set_indexes_enabled(False)
-        try:
-            for plan, expected in zip(plans, reference):
-                assert plan.run(database) == expected, \
-                    "indexed and scan results diverged"
-            scan = measure(database, plans, rounds=rounds)
-        finally:
-            set_indexes_enabled(True)
+        for plan in plans:
+            assert plan.run(database) == plan.run(
+                database, request_ctx=ScanContext(database)), \
+                "indexed and scan results diverged"
+        scan = measure(database, plans, rounds=rounds, scan=True)
         indexed = measure(database, plans, rounds=rounds)
         entries.append({
             "rows": rows,
@@ -201,148 +183,3 @@ def measure_row_scaling(rows_list, requests: int, candidates: int,
                 scan["p50_ms"] / max(indexed["p50_ms"], 1e-9), 2),
         })
     return entries
-
-
-def measure_candidate_generation(vocabulary_size: int, requests: int,
-                                 rounds: int, k: int = 20,
-                                 seed: int = 0) -> dict:
-    """End-to-end candidate-generation latency on a large vocabulary.
-
-    Builds a table whose predicate column holds *vocabulary_size*
-    distinct text values, so every request's alternatives come from
-    pruned top-k retrieval over a vocabulary far past the point where
-    the old exhaustive scan was interactive.  "Cold" clears the probe
-    cache each round (every lookup runs the pruned search); "warm"
-    repeats the same requests with the cache intact.
-    """
-    sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-    from bench_phonetics import synthetic_vocabulary
-    terms = synthetic_vocabulary(vocabulary_size)
-    database = Database(seed=seed)
-    database.create_table("bigvocab", [("term", "text"),
-                                       ("value", "double")])
-    database.insert_rows(
-        "bigvocab",
-        [(term, float(position % 97))
-         for position, term in enumerate(terms)])
-    begin = time.perf_counter()
-    generator = CandidateGenerator(database, "bigvocab", k=k,
-                                   max_simultaneous=1)
-    build_seconds = time.perf_counter() - begin
-    workload = WorkloadGenerator(database.table("bigvocab"), seed=seed)
-    targets = [workload.random_query(max_predicates=1)
-               for _ in range(requests)]
-
-    def run(clear_cache: bool) -> dict:
-        best = [float("inf")] * len(targets)
-        for _ in range(rounds):
-            if clear_cache:
-                phonetic_probe_cache().clear()
-            for position, target in enumerate(targets):
-                start = time.perf_counter()
-                generator.candidates(target, k)
-                best[position] = min(
-                    best[position],
-                    (time.perf_counter() - start) * 1000.0)
-        latencies = sorted(best)
-        return {
-            "p50_ms": round(statistics.median(latencies), 4),
-            "p95_ms": round(
-                latencies[int(0.95 * (len(latencies) - 1))], 4),
-            "mean_ms": round(statistics.fmean(latencies), 4),
-        }
-
-    cold = run(clear_cache=True)
-    warm = run(clear_cache=False)
-    return {
-        "vocabulary_terms": len(terms),
-        "requests": len(targets),
-        "k": k,
-        "index_build_seconds": round(build_seconds, 3),
-        "cold": cold,
-        "warm": warm,
-    }
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--rows", default="20000,200000,1000000",
-        help="comma-separated table sizes for the row_scaling sweep "
-             "(grouped-equality workload, indexed vs full scans)")
-    args = parser.parse_args(argv)
-    sweep = [int(token) for token in str(args.rows).split(",") if token]
-
-    database, plans = build_requests(ROWS, REQUESTS, CANDIDATES)
-    legacy_scans = []
-    batch_scans = []
-    for plan in plans:
-        legacy, batch = plan_scan_counts(plan, database)
-        legacy_scans.append(legacy)
-        batch_scans.append(batch)
-
-    legacy = measure(database, plans, rounds=ROUNDS, per_group=True)
-    legacy["scans_per_request"] = round(statistics.fmean(legacy_scans), 2)
-    batched = measure(database, plans, rounds=ROUNDS)
-    batched["scans_per_request"] = round(statistics.fmean(batch_scans), 2)
-
-    report = {
-        "workload": {
-            "dataset": "nyc311",
-            "rows": ROWS,
-            "requests": REQUESTS,
-            "candidates_per_request": CANDIDATES,
-            "groups_per_request": round(statistics.fmean(
-                len(plan.groups) for plan in plans), 2),
-        },
-        "batch": batched,
-        "legacy": legacy,
-        "speedup_p50": round(legacy["p50_ms"] / batched["p50_ms"], 2),
-        "scan_reduction": round(
-            legacy["scans_per_request"]
-            / max(batched["scans_per_request"], 1e-9), 2),
-        "candidate_generation": measure_candidate_generation(
-            VOCABULARY, REQUESTS, max(2, ROUNDS - 2)),
-        "row_scaling": {
-            "workload": {
-                "dataset": "events",
-                "requests": SCALING_REQUESTS,
-                "candidates_per_request": CANDIDATES,
-            },
-            "sweep": measure_row_scaling(sweep, SCALING_REQUESTS,
-                                         CANDIDATES,
-                                         max(2, ROUNDS - 2)),
-        },
-    }
-    with open(OUTPUT, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2)
-        handle.write("\n")
-
-    print(f"wrote {OUTPUT}")
-    print(f"  workload: {REQUESTS} requests x {CANDIDATES} candidates "
-          f"on {ROWS} rows "
-          f"({report['workload']['groups_per_request']} groups/request)")
-    for mode in ("legacy", "batch"):
-        entry = report[mode]
-        print(f"  {mode:>6}: p50 {entry['p50_ms']:.2f} ms, "
-              f"p95 {entry['p95_ms']:.2f} ms, "
-              f"{entry['queries_per_second']:.0f} req/s, "
-              f"{entry['scans_per_request']:.1f} scans/request")
-    print(f"  speedup p50: {report['speedup_p50']}x, "
-          f"scan reduction: {report['scan_reduction']}x")
-    generation = report["candidate_generation"]
-    print(f"  candidate generation over "
-          f"{generation['vocabulary_terms']} terms: "
-          f"cold p50 {generation['cold']['p50_ms']:.2f} ms, "
-          f"warm p50 {generation['warm']['p50_ms']:.2f} ms")
-    print("  row scaling (grouped-equality, indexed vs scan):")
-    for entry in report["row_scaling"]["sweep"]:
-        print(f"    {entry['rows']:>9} rows: "
-              f"indexed p50 {entry['indexed']['p50_ms']:.3f} ms, "
-              f"scan p50 {entry['scan']['p50_ms']:.3f} ms "
-              f"({entry['speedup_p50']}x)")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

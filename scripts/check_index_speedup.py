@@ -3,8 +3,9 @@
 Replays the grouped-equality candidate workload — *requests* per round,
 each a merged ``WHERE cat IN (...) GROUP BY cat`` statement over the
 synthetic events table — once through the secondary-index access paths
-and once with full scans (``set_indexes_enabled(False)``), and fails
-(exit 1) if the indexed p50 per-request latency is not at least
+and once through the full-scan oracle (``tests/sqldb/scan_oracle.py``,
+a request context that resolves no index selection), and fails (exit 1)
+if the indexed p50 per-request latency is not at least
 ``SPEEDUP_FACTOR`` (5) times faster at ``ROWS`` (1M) rows.
 
 Results are asserted bit-identical between the two modes before any

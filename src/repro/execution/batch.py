@@ -13,12 +13,13 @@ statement executor; what this module adds is the work the groups share
   and resolves through the database's bound-statement cache (keyed on
   the statement), so a repeated statement is bound once; no SQL text is
   rendered or parsed.
-* **Mask cache** — leaf predicates (``borough = 'Brooklyn'``,
-  ``agency IN (...)``) are evaluated once per request and reused across
-  every group that references them; AND/OR/NOT combine the cached leaf
-  masks.  Since candidates share their fixed predicates, a request that
-  would scan the table once per group instead computes each distinct
-  column comparison exactly once.
+* **Leaf selections** — leaf predicates (``borough = 'Brooklyn'``,
+  ``agency IN (...)``) are probed or scanned once and kept in the
+  database's selection cache, the one memo for them: every later group
+  and request that references a leaf takes it from there until the data
+  changes.  AND/OR/NOT combine the cached leaves.  Since candidates
+  share their fixed predicates, a request that would build a leaf once
+  per group instead builds each distinct column comparison once.
 * **Shared factorisation** — numeric GROUP BY columns are factorised once
   per request (``np.unique(..., return_inverse=True)`` over the full
   column) and the codes are gathered per group; TEXT columns already
@@ -31,7 +32,7 @@ context runs every group through plain ``Database.execute``.
 
 Execution is single-threaded: a plan's groups run in order on the
 calling thread, and one request context is only ever used by the thread
-serving its request, so the memos below are plain dicts.
+serving its request, so its numeric factorisations are a plain dict.
 
 Observability: each shared plan runs inside an ``executor.batch`` span
 carrying mask-reuse and scans-saved attributes, with one
@@ -41,8 +42,10 @@ path, and process-wide counters are exposed through :func:`batch_stats`
 
 A **scan** here is one full pass over a base-table column to build a
 boolean mask (a leaf predicate or a TABLESAMPLE draw).  The per-group
-rung performs one per leaf per group; the shared path one per *distinct*
-leaf per request — the difference is the ``scans_saved`` metric.
+rung performs one per leaf of every statement that takes the mask path;
+the shared path only the leaves the selection cache does not already
+hold — the difference is the ``scans_saved`` metric.  A statement the
+indexes answer scans nothing on either path and saves nothing.
 """
 
 from __future__ import annotations
@@ -148,20 +151,19 @@ def register_batch_metrics(registry) -> None:
 class _RequestContext:
     """Work shared across all groups of one request.
 
-    Holds the leaf-predicate mask cache, index-selection cache and the
-    numeric GROUP BY factorisations; all are keyed on bound
-    (schema-canonical) objects so textual variations of the same
-    predicate share one entry, and each distinct leaf is scanned at
-    most once per context.  One context may serve several ``run_plan``
-    calls of the same request (the progressive strategies execute one
-    plan per emitted update) — create it with :func:`request_context`.
+    Leaf masks and index selections go straight to the database's
+    selection cache (:meth:`Database.cached_mask`/``store_mask``), keyed
+    on bound (schema-canonical) predicates, so textual variations of the
+    same predicate share one entry and each distinct leaf is scanned or
+    probed once until the data changes.  The context itself keeps only
+    the numeric GROUP BY factorisations and the effectiveness counters.
+    One context may serve several ``run_plan`` calls of the same request
+    (the progressive strategies execute one plan per emitted update) —
+    create it with :func:`request_context`.
     """
 
     def __init__(self, database: Database) -> None:
         self.database = database
-        self._masks: dict[tuple[str, BooleanExpr], np.ndarray] = {}
-        self._selections: dict[
-            tuple[str, str, BooleanExpr], np.ndarray | None] = {}
         self._numeric_factors: dict[
             tuple[str, str], tuple[np.ndarray, np.ndarray]] = {}
         self.masks_computed = 0
@@ -169,16 +171,18 @@ class _RequestContext:
         self.sample_masks = 0
         self.legacy_scans = 0  # masks the per-group rung would have built
         self.index_statements = 0
-        self._leaf_counts: dict[int, int] = {}
 
     # -- counters --------------------------------------------------------
 
     def record_statement(self, where: BooleanExpr | None, sampled: bool,
                          indexed: bool) -> None:
         """Charge one executed statement: the full-column scans the
-        per-group rung would pay for it (one per leaf, plus the
+        per-group rung would pay for it (one per leaf, unless the index
+        answered it — the rung probes the same index — plus the
         TABLESAMPLE draw), the draw itself, and an index answer."""
-        self.legacy_scans += self.leaf_count(where) + int(sampled)
+        if not indexed:
+            self.legacy_scans += _count_leaves(where)
+        self.legacy_scans += int(sampled)
         self.sample_masks += int(sampled)
         self.index_statements += int(indexed)
 
@@ -194,35 +198,22 @@ class _RequestContext:
             "index_statements": self.index_statements,
         }
 
-    def leaf_count(self, where: BooleanExpr | None) -> int:
-        """Leaf predicates of a bound WHERE tree, memoised by identity
-        (bound statements are cached, so trees recur across requests)."""
-        if where is None:
-            return 0
-        key = id(where)
-        count = self._leaf_counts.get(key)
-        if count is None:
-            count = _count_leaves(where)
-            self._leaf_counts[key] = count
-        return count
-
     # -- predicate masks -------------------------------------------------
 
     def mask(self, expr: BooleanExpr, table: Table) -> np.ndarray:
-        """The boolean mask of *expr*, memoised per request.
+        """The boolean mask of *expr*, its leaves from the selection
+        cache.
 
         Only *leaf* predicates are cached: they are what candidate
         workloads share across groups, their keys are cheap to hash, and
         combinator results almost never recur once identical WHERE
         clauses have been merged away (hashing whole subtrees per lookup
-        cost more than it saved).  The cache has two levels — this
-        request's dict, then the database's cross-request mask cache
-        (leaf masks are pure functions of table data; the database drops
-        them on any mutation).  Combinators replicate the engine's
-        evaluation (including its short-circuiting) exactly.  Returned
-        arrays may be cache-owned — callers must not mutate them in
-        place (all call sites combine with ``&``/``~``/fancy indexing,
-        which allocate).
+        cost more than it saved).  Leaf masks are pure functions of
+        table data; the database drops them on any mutation.
+        Combinators replicate the engine's evaluation (including its
+        short-circuiting) exactly.  Returned arrays may be cache-owned —
+        callers must not mutate them in place (all call sites combine
+        with ``&``/``~``/fancy indexing, which allocate).
         """
         return self._mask(expr, table, table.schema.name.lower())
 
@@ -249,19 +240,13 @@ class _RequestContext:
         if isinstance(expr, Not):
             return ~self._mask(expr.child, table, table_key)
         key = (table_key, expr)
-        mask = self._masks.get(key)
+        mask = self.database.cached_mask(key)
         if mask is not None:
             self.masks_reused += 1
             return mask
-        mask = self.database.cached_mask(key)
-        if mask is not None:
-            # Warm from an earlier request: the leaf was never scanned.
-            self.masks_reused += 1
-        else:
-            mask = expr.evaluate(table)
-            self.masks_computed += 1
-            self.database.store_mask(key, mask)
-        self._masks[key] = mask
+        mask = expr.evaluate(table)
+        self.masks_computed += 1
+        self.database.store_mask(key, mask)
         return mask
 
     # -- index selections ------------------------------------------------
@@ -270,31 +255,23 @@ class _RequestContext:
                   table: Table) -> np.ndarray | None:
         """Index-resolved selection of a bound WHERE tree, or None.
 
-        Leaf selections (postings, range positions/masks) share the same
-        two-level memoisation as boolean leaf masks — this request's
-        dict, then the database's cross-request cache (dropped on any
-        data mutation) — under ``("idx", table, expr)`` keys so they
-        never collide with scan masks for the same predicate.  A leaf
-        with no index path memoises ``None`` for the request, which
-        makes the whole tree fall back to the mask path.
+        Leaf selections (postings, range positions/masks) live in the
+        same selection cache as boolean leaf masks, under
+        ``("idx", table, expr)`` keys so they never collide with scan
+        masks for the same predicate.  A leaf with no index path makes
+        the whole tree fall back to the mask path.
         """
         table_key = table.schema.name.lower()
 
         def leaf(expr: BooleanExpr, leaf_table: Table):
             key = ("idx", table_key, expr)
-            if key in self._selections:
-                value = self._selections[key]
-                if value is not None:
-                    self.masks_reused += 1
-                return value
             value = self.database.cached_mask(key)
             if value is not None:
                 self.masks_reused += 1
-            else:
-                value = resolve_leaf(expr, leaf_table)
-                if value is not None:
-                    self.database.store_mask(key, value)
-            self._selections[key] = value
+                return value
+            value = resolve_leaf(expr, leaf_table)
+            if value is not None:
+                self.database.store_mask(key, value)
             return value
 
         return resolve_selection(where, table, leaf_cache=leaf)
@@ -323,7 +300,7 @@ def request_context(database: Database) -> _RequestContext:
 
     The progressive strategies create one context per request and pass
     it through every ``run_plan`` call they make, so all emitted updates
-    share one mask cache.
+    share one set of numeric factorisations and counters.
     """
     return _RequestContext(database)
 
@@ -353,9 +330,9 @@ def run_plan(plan: "ExecutionPlan", database: Database,
 
     With a request context *ctx* (from :func:`request_context`) each
     group statement runs through ``Database.execute`` with *ctx* as its
-    shared work, so every distinct predicate mask and GROUP BY
-    factorisation is computed once per context instead of once per
-    group.  Effectiveness counters are recorded as per-plan deltas, so
+    shared work: every distinct leaf selection comes from the database's
+    selection cache and every numeric GROUP BY factorisation is computed
+    once per context, instead of once per group.  Effectiveness counters are recorded as per-plan deltas, so
     one context may serve several plans of a request.
 
     ``ctx=None`` is the per-group rung of the degradation ladder: every

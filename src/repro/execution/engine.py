@@ -104,8 +104,8 @@ class MuveExecutor:
             updates: list[VisualizationUpdate] = []
             cache: dict[AggregateQuery, float | None] = {}
             # All per-step plans of one incremental solve share one
-            # request context (one mask cache): successive steps
-            # mostly re-select queries over the same predicates.
+            # request context: successive steps mostly re-select
+            # queries over the same predicates and GROUP BY columns.
             ctx = request_context(self._database)
             steps = list(incremental_solve(
                 problem, solver=solver, initial_timeout=initial_timeout,

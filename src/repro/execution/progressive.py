@@ -151,8 +151,9 @@ class IncrementalPlotting(ProcessingStrategy):
         results: dict[AggregateQuery, float | None] = {}
         shown: set[int] = set()
         # One request context for every per-plot plan: plots of one
-        # multiplot share fixed predicates, so later plots reuse the
-        # leaf masks (and factorisations) the first plot scanned.
+        # multiplot share fixed predicates and GROUP BY columns, so
+        # later plots reuse the factorisations the first plot built
+        # (its leaf selections are in the database's selection cache).
         ctx = request_context(database)
         for step, (index, plot) in enumerate(plots):
             with trace_span("executor.update",
@@ -270,9 +271,9 @@ class ApproximateProcessing(ProcessingStrategy):
         else:
             fraction = self.fraction
 
-        # The sampled and the precise pass share one request context:
-        # the WHERE masks are identical (sampling ANDs a Bernoulli draw
-        # on top), so the refinement pass reuses every leaf scan.
+        # The sampled and the precise pass share one request context,
+        # so the refinement pass reuses the sampled pass's numeric
+        # GROUP BY factorisations.
         ctx = request_context(database)
         if fraction < 1.0:
             with trace_span("executor.update", approximate=True) as span:

@@ -20,7 +20,7 @@ from repro.sqldb.executor import (
     bind_statement,
     execute_bound,
 )
-from repro.sqldb.index import index_eligible, indexes_enabled
+from repro.sqldb.index import index_eligible
 from repro.sqldb.parser import SelectStatement, parse
 from repro.sqldb.planner import PlanNode, plan_select
 from repro.sqldb.query import AggregateQuery
@@ -99,8 +99,10 @@ class Database:
         regime, where page I/O dominates per-query cost; the default of 0
         keeps the engine purely in-memory.
 
-        ``mask_cache_bytes`` bounds the leaf-predicate mask cache the
-        batch executor keeps across requests (0 disables it)."""
+        ``mask_cache_bytes`` bounds the leaf-selection cache, the one
+        memo the batch executor keeps for leaf predicates, within and
+        across requests (0 disables it: every leaf is then rebuilt for
+        every statement)."""
         self.catalog = Catalog()
         self._tables: dict[str, Table] = {}
         self._statistics: dict[str, TableStatistics] = {}
@@ -111,15 +113,14 @@ class Database:
         # same few dozen statements over and over; a hit skips expression
         # binding.
         self._statements = LruCache(STATEMENT_CACHE_SIZE)
-        # (indexes enabled, SelectStatement) -> total optimizer cost.  The
-        # merge planner costs every candidate (and every tentative merged
-        # statement) on each request; estimates only change when data
-        # changes.
+        # SelectStatement -> total optimizer cost.  The merge planner
+        # costs every candidate (and every tentative merged statement) on
+        # each request; estimates only change when data changes.
         self._costs = LruCache(COST_CACHE_SIZE)
         # (table, bound leaf predicate) -> selection (boolean mask or
         # index postings).  Selections are pure functions of table data,
-        # so the batch executor shares them across requests; see
-        # cached_mask()/store_mask().
+        # so the batch executor shares them across a request's groups and
+        # across requests; see cached_mask()/store_mask().
         self._masks = SelectionCache(mask_cache_bytes)
         # Monotone counter bumped by every DDL and by every insert that
         # adds a distinct TEXT value; phonetic index bundles and probe
@@ -195,11 +196,11 @@ class Database:
             self._vocabulary_version += 1
 
     # ------------------------------------------------------------------
-    # Predicate mask cache (used by repro.execution.batch)
+    # Leaf-selection cache (used by repro.execution.batch)
     # ------------------------------------------------------------------
 
     def cached_mask(self, key: Hashable) -> np.ndarray | None:
-        """A leaf selection stored by a previous request, or None.
+        """A leaf selection stored by an earlier statement, or None.
 
         Returned arrays are shared across threads and requests — callers
         must treat them as immutable.
@@ -207,13 +208,9 @@ class Database:
         return self._masks.get(key)
 
     def store_mask(self, key: Hashable, mask: np.ndarray) -> None:
-        """Retain a leaf selection for later requests, within the byte
+        """Retain a leaf selection for later statements, within the byte
         budget (see :class:`~repro.caching.selection.SelectionCache`)."""
         self._masks.store(key, mask)
-
-    def selection_cache_stats(self) -> dict[str, float]:
-        """Occupancy/hit counters of the cross-request selection cache."""
-        return self._masks.stats()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -335,8 +332,7 @@ class Database:
         statement = bound.statement
         pages = max(1.0, table.estimated_bytes() / PAGE_SIZE_BYTES)
         fraction = statement.sample_fraction or 1.0
-        if statement.sample_fraction is None and indexes_enabled() \
-                and bound.where is not None \
+        if statement.sample_fraction is None and bound.where is not None \
                 and index_eligible(bound.where, table.schema):
             selectivity = self.statistics(
                 statement.table).selectivity(bound.where)
@@ -356,11 +352,8 @@ class Database:
         """Total plan cost in abstract optimizer units (cached by
         statement; invalidated with the statement cache)."""
         statement = _as_statement(query)
-        # The chosen access path (and hence the estimate) depends on the
-        # index flag, which tests toggle at runtime — key on it too.
         return self._costs.get_or_compute(
-            (indexes_enabled(), statement),
-            lambda: self.explain(statement).cost.total)
+            statement, lambda: self.explain(statement).cost.total)
 
     # ------------------------------------------------------------------
     # Cache introspection

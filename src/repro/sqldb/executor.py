@@ -28,7 +28,6 @@ from repro.sqldb.expressions import (
 )
 from repro.sqldb.index import (
     ZONE_BLOCK_ROWS,
-    indexes_enabled,
     record_index_fallback,
     record_index_statement,
     resolve_selection,
@@ -38,11 +37,14 @@ from repro.sqldb.parser import SelectStatement
 from repro.sqldb.table import Table
 from repro.sqldb.types import DataType
 
-#: Rows per chunk of the order-sensitive SUM/AVG kernel below — 8
-#: zone-map blocks.  Float addition is not associative, so the fixed
-#: chunking defines the SUM/AVG values: chunk boundaries depend only on
-#: the row count.  Tests may monkeypatch this to a small value to
-#: exercise chunk-boundary behaviour on small tables.
+#: Rows per chunk of the SUM/AVG kernel below — 8 zone-map blocks.  The
+#: chunking holds the kernel's float64 weights and intp group-id
+#: temporaries to one chunk instead of the whole selection, so peak
+#: memory does not grow with the rows a grouped SUM/AVG reads.  Float
+#: addition is not associative, so the chunking also fixes the SUM/AVG
+#: values: chunk boundaries depend only on the row count.  Tests may
+#: monkeypatch this to a small value to exercise chunk boundaries on
+#: small tables.
 MORSEL_ROWS = 8 * ZONE_BLOCK_ROWS
 
 
@@ -93,11 +95,12 @@ class SharedWork(Protocol):
     """Work shared by the statements of one request.
 
     Implemented by the request context of :mod:`repro.execution.batch`
-    (:func:`~repro.execution.batch.request_context`), which memoises
-    leaf masks and index selections (backed by the database's
-    cross-request selection cache) and factorises numeric GROUP BY
-    columns once over the full table.  Every method returns exactly what
-    the plain evaluation would, so results stay bit-identical.
+    (:func:`~repro.execution.batch.request_context`), which looks leaf
+    masks and index selections up in the database's selection cache and
+    factorises numeric GROUP BY columns once over the full table.  Every
+    method returns exactly what the plain evaluation would, so results
+    stay bit-identical.  ``selection`` may return None for any tree; the
+    statement then builds its mask with ``mask`` (the full-scan path).
     """
 
     def mask(self, expr: BooleanExpr, table: Table) -> np.ndarray: ...
@@ -148,17 +151,15 @@ def execute_bound(bound: BoundStatement, table: Table,
         if bound_where is not None:
             selection = selection & mask(bound_where)
     elif bound_where is not None:
-        if indexes_enabled():
-            selection = (resolve_selection(bound_where, table)
-                         if shared is None
-                         else shared.selection(bound_where, table))
+        selection = (resolve_selection(bound_where, table)
+                     if shared is None
+                     else shared.selection(bound_where, table))
         if selection is not None:
             access_path = "index"
             record_index_statement(selection_size(selection),
                                    table.num_rows)
         else:
-            if indexes_enabled():
-                record_index_fallback()
+            record_index_fallback()
             selection = mask(bound_where)
     if shared is not None:
         shared.record_statement(bound_where, sampled,
@@ -392,10 +393,10 @@ def _chunked_weighted_bincount(row_groups: np.ndarray, array: np.ndarray,
     """``np.bincount(row_groups, weights=array.astype(float))`` computed
     in fixed :data:`MORSEL_ROWS` chunks, partials summed in chunk order.
 
-    Float addition is not associative, so the chunking *is* the
-    semantics: the per-chunk partial sums are always added in the same
-    fixed order.  Inputs of at most one chunk degenerate to the
-    single-pass kernel.
+    The temporaries (weights as float64, group ids widened to intp) live
+    for one chunk at a time, and the per-chunk partial sums are always
+    added in the same fixed order.  Inputs of at most one chunk
+    degenerate to the single-pass kernel.
     """
     n_rows = len(row_groups)
     totals = np.bincount(row_groups[:MORSEL_ROWS],

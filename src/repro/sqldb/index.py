@@ -34,9 +34,12 @@ every DDL/data mutation clears it.
 **Bit-identity contract:** for any resolvable predicate tree,
 :func:`resolve_selection` returns a selection — int64 row positions in
 ascending order, or a boolean mask — that selects *exactly* the rows of
-``expr.evaluate(table)``.  The scan path is retained as the differential
-oracle (:func:`set_indexes_enabled`, a test seam); the Hypothesis suite
-in ``tests/sqldb/test_index_differential.py`` pins the equivalence.
+``expr.evaluate(table)``.  Production has one access path: every
+resolvable tree goes through the indexes.  The full-scan reference
+lives in the tests: ``tests/sqldb/scan_oracle.py`` is a request context
+that resolves no selection, so the executor builds every mask by
+scanning, and the Hypothesis suite in
+``tests/sqldb/test_index_differential.py`` compares the two.
 
 Observability: builds run inside ``index.build`` spans, and process-wide
 counters surface as ``index_*`` gauges (``/api/metrics``) and the
@@ -77,37 +80,12 @@ __all__ = [
     "index_eligible",
     "index_leaf_columns",
     "index_stats",
-    "indexes_enabled",
     "or_selections",
     "register_index_metrics",
     "reset_index_stats",
     "resolve_selection",
     "selection_size",
-    "set_indexes_enabled",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Scan-oracle seam
-# ---------------------------------------------------------------------------
-
-_enabled = True
-
-
-def indexes_enabled() -> bool:
-    """Whether execution resolves predicates through secondary indexes."""
-    return _enabled
-
-
-def set_indexes_enabled(enabled: bool) -> None:
-    """Globally enable/disable index access paths.
-
-    Off answers every predicate with full scans (identical results): the
-    reference arm of the index differential suites and of
-    ``scripts/check_index_speedup.py``.
-    """
-    global _enabled
-    _enabled = bool(enabled)
 
 
 # ---------------------------------------------------------------------------
@@ -609,8 +587,8 @@ def resolve_selection(
 
     ``leaf_cache`` is an optional callable ``(expr, table) -> selection
     | None`` used for leaves instead of :func:`resolve_leaf` — the batch
-    executor passes its request/database-level memo so shared candidate
-    predicates probe once per request.
+    executor passes the database's selection cache, so shared candidate
+    predicates probe once until the data changes.
     """
     if isinstance(expr, And):
         if not expr.children:

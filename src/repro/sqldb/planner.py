@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import math
 
 from repro.sqldb.expressions import And, Between, BooleanExpr, InList
-from repro.sqldb.index import index_leaf_columns, indexes_enabled
+from repro.sqldb.index import index_leaf_columns
 from repro.sqldb.parser import SelectStatement
 from repro.sqldb.statistics import TableStatistics
 from repro.sqldb.table import Table
@@ -124,8 +124,7 @@ def plan_select(statement: SelectStatement, table: Table,
     # table, then per-matched-row CPU.  RANDOM_PAGE_COST keeps the probe
     # from winning on tiny tables, mirroring Postgres' preference for a
     # seq scan when everything fits in a few pages.
-    if indexes_enabled() and statement.where is not None \
-            and statement.sample_fraction is None:
+    if statement.where is not None and statement.sample_fraction is None:
         leaf_columns = index_leaf_columns(statement.where, table.schema)
         if leaf_columns is not None:
             search_cost = sum(

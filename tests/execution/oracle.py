@@ -71,16 +71,24 @@ def group_sql(group, sample_fraction=None) -> str:
     return sql
 
 
-def run_per_group(plan, database, sample_fraction=None, cache=None):
-    """Execute *plan* one group at a time; returns per-query results."""
+def run_per_group(plan, database, sample_fraction=None, cache=None,
+                  shared=None):
+    """Execute *plan* one group at a time; returns per-query results.
+
+    *shared* is handed to every ``Database.execute`` call (the index
+    suites pass the full-scan oracle, ``tests/sqldb/scan_oracle.py``).
+    """
+    def execute(statement):
+        return database.execute(statement, shared=shared)
+
     results = {}
     for group in plan.groups:
         sql = group_sql(group, sample_fraction)
         try:
             if cache is None:
-                outcome = database.execute(sql)
+                outcome = execute(sql)
             else:
-                outcome = cache.get_or_execute(parse(sql), database.execute)
+                outcome = cache.get_or_execute(parse(sql), execute)
         except NullAggregateError:
             for query in group.queries:
                 results[query] = _normalize(query, None)

@@ -132,7 +132,11 @@ def test_null_aggregate_normalisation_on_batch_path():
 
 
 def test_batch_reuses_masks_across_groups():
-    """Candidates sharing a fixed predicate compute its mask once."""
+    """Candidates sharing a fixed predicate compute its mask once.
+
+    A scan is only saved where the per-group rung would scan: a plan the
+    indexes answer saves none (the rung probes the same index), while
+    the same plan sampled takes the mask path on every group."""
     queries = [
         AggregateQuery.build("nyc311", "avg", "resolution_hours",
                              {"agency": "NYPD", "borough": borough})
@@ -143,6 +147,13 @@ def test_batch_reuses_masks_across_groups():
     plan = plan_execution(_DB, queries, merge=False)
     before = batch_executor.batch_stats()
     plan.run(_DB)
+    after = batch_executor.batch_stats()
+    assert after["masks_reused"] - before["masks_reused"] >= 3
+    assert after["index_statements"] - before["index_statements"] == 4
+    assert after["scans_saved"] == before["scans_saved"]
+
+    before = after
+    plan.run(_DB, sample_fraction=0.5)
     after = batch_executor.batch_stats()
     assert after["masks_reused"] - before["masks_reused"] >= 3
     assert after["scans_saved"] - before["scans_saved"] >= 3

@@ -1,7 +1,8 @@
 """Differential tests: shared execution is bit-identical to per-group.
 
-The shared path (one request context memoising leaf masks, index
-selections and numeric GROUP BY factorisations across groups) must
+The shared path (one request context taking leaf masks and index
+selections from the database's selection cache and factorising numeric
+GROUP BY columns once) must
 reproduce the per-group oracle in :mod:`tests.execution.oracle` —
 every group alone through ``Database.execute`` — *exactly*: plain
 ``==`` on floats, no ``approx``.  Hypothesis generates the candidate
@@ -22,10 +23,10 @@ from repro.execution.batch import request_context
 from repro.execution.merging import plan_execution
 from repro.sqldb import executor as _kernels
 from repro.sqldb.database import Database
-from repro.sqldb.index import indexes_enabled, set_indexes_enabled
 from repro.sqldb.query import AggregateQuery
 from repro.sqldb.types import DataType
 from tests.execution.oracle import run_per_group
+from tests.sqldb.scan_oracle import ScanContext
 
 #: Shrunk chunk size (real default 65536): the 1500-row table below
 #: spans six chunks, so the ordered SUM/AVG reduction engages,
@@ -68,10 +69,10 @@ def query_sets(draw):
     return queries
 
 
-def _run(plan, database, sample_fraction=None):
+def _run(plan, database, sample_fraction=None, ctx=None):
     """The shared path: one fresh request context for the plan."""
     return plan.run(database, sample_fraction=sample_fraction,
-                    request_ctx=request_context(database))
+                    request_ctx=ctx or request_context(database))
 
 
 def _assert_identical(shared, oracle):
@@ -106,15 +107,12 @@ def test_shared_equals_per_group_under_sampling(queries, fraction):
 @given(query_sets())
 @settings(max_examples=15, deadline=None)
 def test_shared_equals_per_group_on_the_scan_path(queries):
-    """With secondary indexes off, every leaf predicate takes the
-    full-scan mask path (memoised per request on the shared path)."""
+    """Through the scan oracle every leaf predicate takes the full-scan
+    mask path (leaf masks from the selection cache); the per-group
+    oracle takes the indexes."""
     plan = plan_execution(_DB, queries, merge=True)
-    assert indexes_enabled()
-    set_indexes_enabled(False)
-    try:
-        _assert_identical(_run(plan, _DB), run_per_group(plan, _DB))
-    finally:
-        set_indexes_enabled(True)
+    _assert_identical(_run(plan, _DB, ctx=ScanContext(_DB)),
+                      run_per_group(plan, _DB))
 
 
 @pytest.mark.parametrize("rows", [

@@ -1,8 +1,8 @@
 """Progressive strategies emit the same updates as the per-group oracle.
 
 IncrementalPlotting and ApproximateProcessing route their per-plot (or
-per-pass) plans through one shared request context — one mask cache —
-instead of independent ``run`` calls.  The user-visible contract: the
+per-pass) plans through one shared request context instead of
+independent ``run`` calls.  The user-visible contract: the
 *sequence* of emitted updates (structure, flags, descriptions and every
 bar value, bit for bit) is the one the per-group oracle in
 :mod:`tests.execution.oracle` produces; only wall-clock timing may

@@ -8,7 +8,8 @@ a value.  Each of those must equal what a fresh build over all rows so
 far gives, bit for bit.  The full rebuilds live here as the reference:
 a first-appearance encoding loop, ``np.unique`` statistics and
 vocabularies, ``np.nonzero`` postings, and a fresh ``Table`` and
-``Database`` for query results (indexes on and off).
+``Database`` for query results (indexed and through the scan oracle
+``tests/sqldb/scan_oracle.py``).
 
 Hypothesis appends random batches — empty ones, ones with new TEXT
 values, NaN floats and repeated values — and checks after each batch.
@@ -25,11 +26,12 @@ from hypothesis import strategies as st
 from repro.errors import ReproError
 from repro.nlq.candidates import index_bundle
 from repro.sqldb.database import Database
-from repro.sqldb.index import InvertedIndex, set_indexes_enabled
+from repro.sqldb.index import InvertedIndex
 from repro.sqldb.schema import ColumnSchema, TableSchema
 from repro.sqldb.statistics import ColumnStatistics
 from repro.sqldb.table import Table
 from repro.sqldb.types import DataType
+from tests.sqldb.scan_oracle import ScanContext
 
 SCHEMA = TableSchema("t", (
     ColumnSchema("city", DataType.TEXT),
@@ -118,20 +120,17 @@ def canon(value):
     return value
 
 
-def outcome(database: Database, sql: str):
+def outcome(database: Database, sql: str, shared=None):
     try:
-        return canon(database.execute(sql).rows)
+        return canon(database.execute(sql, shared=shared).rows)
     except ReproError as exc:
         return type(exc).__name__, str(exc)
 
 
 def results(database: Database) -> list:
     indexed = [outcome(database, sql) for sql in STATEMENTS]
-    try:
-        set_indexes_enabled(False)
-        scanned = [outcome(database, sql) for sql in STATEMENTS]
-    finally:
-        set_indexes_enabled(True)
+    scanned = [outcome(database, sql, ScanContext(database))
+               for sql in STATEMENTS]
     assert indexed == scanned
     return indexed
 

@@ -6,7 +6,7 @@ projections and zone maps against the vectorized comparisons, the
 selection algebra against boolean set operations.  The Hypothesis suite
 in ``test_index_differential.py`` covers whole statements; this file
 pins the building blocks and the operational surface (lazy builds,
-invalidation, the escape hatch, counters, EXPLAIN).
+invalidation, the scan oracle, counters, EXPLAIN).
 """
 
 from __future__ import annotations
@@ -33,16 +33,15 @@ from repro.sqldb.index import (
     index_eligible,
     index_leaf_columns,
     index_stats,
-    indexes_enabled,
     or_selections,
     reset_index_stats,
     resolve_selection,
     selection_size,
-    set_indexes_enabled,
 )
 from repro.sqldb.schema import ColumnSchema, TableSchema
 from repro.sqldb.table import Table
 from repro.sqldb.types import DataType
+from tests.sqldb.scan_oracle import ScanContext
 
 
 def _table(rows=1200, seed=3) -> Table:
@@ -230,15 +229,6 @@ class TestInvalidation:
 
 
 class TestFlagAndStats:
-    def test_escape_hatch_toggles(self):
-        assert indexes_enabled()
-        try:
-            set_indexes_enabled(False)
-            assert not indexes_enabled()
-        finally:
-            set_indexes_enabled(True)
-        assert indexes_enabled()
-
     def test_statement_counters_move(self):
         db = Database(seed=0)
         db.register_table(_table(rows=400))
@@ -257,11 +247,7 @@ class TestFlagAndStats:
         sql = ("SELECT borough, COUNT(*) FROM nyc311 "
                "WHERE borough IN ('Bronx', 'Queens') GROUP BY borough")
         indexed = db.execute(sql).rows
-        try:
-            set_indexes_enabled(False)
-            scanned = db.execute(sql).rows
-        finally:
-            set_indexes_enabled(True)
+        scanned = db.execute(sql, shared=ScanContext(db)).rows
         assert indexed == scanned
 
 
@@ -279,17 +265,6 @@ class TestPlannerIntegration:
         db.register_table(_table(rows=30))
         plan = db.explain(
             "SELECT COUNT(*) FROM nyc311 WHERE borough = 'Bronx'").render()
-        assert "Seq Scan on nyc311" in plan
-
-    def test_explain_respects_escape_hatch(self):
-        db = Database(seed=0)
-        db.register_table(_table(rows=2000))
-        try:
-            set_indexes_enabled(False)
-            plan = db.explain(
-                "SELECT COUNT(*) FROM nyc311 WHERE borough = 'Bronx'").render()
-        finally:
-            set_indexes_enabled(True)
         assert "Seq Scan on nyc311" in plan
 
 

@@ -6,10 +6,12 @@ rows of ``where.evaluate(table)``, so every aggregate downstream must
 match bit for bit, NULL normalisation, empty postings, HAVING and
 ORDER BY/LIMIT included.  Hypothesis generates statements over a mixed
 TEXT/FLOAT(+NaN)/INT table and candidate-style batch workloads, and the
-tests compare the two modes with plain ``==`` — including when the
-predicate misses every row, when rows are appended mid-stream, when the
-cross-request selection cache is in play, and when fault injection or an
-exhausted deadline degrades the batch path.
+tests compare the indexed answers with the full-scan oracle
+(:class:`tests.sqldb.scan_oracle.ScanContext`, passed as the request's
+shared work) with plain ``==`` — including when the predicate misses
+every row, when rows are appended mid-stream, when the selection cache
+is in play, and when fault injection or an exhausted deadline degrades
+the batch path.
 """
 
 from __future__ import annotations
@@ -25,13 +27,13 @@ from repro.errors import ReproError
 from repro.execution.merging import plan_execution
 from repro.resilience import deadline_scope
 from repro.sqldb.database import Database
-from repro.sqldb.index import set_indexes_enabled
 from repro.sqldb.query import AggregateQuery
 from repro.sqldb.schema import ColumnSchema, TableSchema
 from repro.sqldb.table import Table
 from repro.sqldb.types import DataType
 from repro.testing.faults import inject_faults
 from tests.execution.oracle import run_per_group
+from tests.sqldb.scan_oracle import ScanContext
 
 _CITIES = ["nyc", "sf", "la", "boston", "austin"]
 _DEPTS = ["sales", "eng", "hr"]
@@ -88,14 +90,11 @@ def _outcome(fn):
         return (type(exc).__name__, str(exc))
 
 
-def _both_modes(fn):
-    indexed = _outcome(fn)
-    try:
-        set_indexes_enabled(False)
-        scanned = _outcome(fn)
-    finally:
-        set_indexes_enabled(True)
-    return indexed, scanned
+def _both_modes(fn, database=_DB):
+    """``fn(shared)`` run on the index path (``shared=None``) and
+    through the scan oracle."""
+    return (_outcome(lambda: fn(None)),
+            _outcome(lambda: fn(ScanContext(database))))
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +182,7 @@ def query_sets(draw):
 @settings(max_examples=60, deadline=None)
 def test_execute_indexed_equals_scan(sql):
     indexed, scanned = _both_modes(
-        lambda: _canon_rows(_DB.execute(sql).rows))
+        lambda shared: _canon_rows(_DB.execute(sql, shared=shared).rows))
     assert indexed == scanned, sql
 
 
@@ -195,7 +194,8 @@ def test_sampling_bypasses_indexes_identically(sql, percent):
     sampled = sql.replace(
         "FROM metrics", f"FROM metrics TABLESAMPLE BERNOULLI ({percent})", 1)
     indexed, scanned = _both_modes(
-        lambda: _canon_rows(_DB.execute(sampled).rows))
+        lambda shared: _canon_rows(
+            _DB.execute(sampled, shared=shared).rows))
     assert indexed == scanned, sampled
 
 
@@ -208,7 +208,8 @@ def test_sampling_bypasses_indexes_identically(sql, percent):
 @settings(max_examples=30, deadline=None)
 def test_batch_indexed_equals_scan(queries, merge):
     plan = plan_execution(_DB, queries, merge=merge)
-    indexed, scanned = _both_modes(lambda: plan.run(_DB))
+    indexed, scanned = _both_modes(
+        lambda shared: plan.run(_DB, request_ctx=shared))
     assert indexed == scanned
 
 
@@ -219,11 +220,8 @@ def test_batch_indexed_equals_legacy_per_group(queries):
     full-scan oracle."""
     plan = plan_execution(_DB, queries, merge=True)
     indexed_batch = _outcome(lambda: plan.run(_DB))
-    try:
-        set_indexes_enabled(False)
-        legacy = _outcome(lambda: run_per_group(plan, _DB))
-    finally:
-        set_indexes_enabled(True)
+    legacy = _outcome(
+        lambda: run_per_group(plan, _DB, shared=ScanContext(_DB)))
     assert indexed_batch == legacy
 
 
@@ -237,11 +235,7 @@ def test_selection_cache_interaction(queries, budget):
     plan = plan_execution(db, queries, merge=True)
     first = _outcome(lambda: plan.run(db))
     second = _outcome(lambda: plan.run(db))
-    try:
-        set_indexes_enabled(False)
-        scanned = _outcome(lambda: plan.run(db))
-    finally:
-        set_indexes_enabled(True)
+    scanned = _outcome(lambda: plan.run(db, request_ctx=ScanContext(db)))
     assert first == second == scanned
 
 
@@ -259,7 +253,8 @@ class TestAppendInvalidation:
         db.register_table(make_metrics_table(num_rows=300))
         for batch_no in range(3):
             indexed, scanned = _both_modes(
-                lambda: db.execute(self.SQL).rows)
+                lambda shared: db.execute(self.SQL, shared=shared).rows,
+                db)
             assert indexed == scanned, f"after append #{batch_no}"
             db.insert_rows("metrics", [
                 ("nyc", "eng", 75.0 + batch_no, 2),
@@ -279,16 +274,17 @@ class TestFaultsAndDeadlines:
 
     def test_batch_fault_fallback_identical_under_indexes(self):
         """The batch->per-group degradation rung stays lossless with
-        indexes on: same fault plan, same answers, both modes."""
+        indexes on: the degraded run (the rung runs without shared work,
+        so through the indexes) equals the undegraded one and the scan
+        oracle."""
         plan = plan_execution(_DB, self.QUERIES, merge=True)
         baseline = plan.run(_DB)
 
-        def degraded_run():
-            with inject_faults("executor.batch:error"):
-                return plan.run(_DB)
-
-        indexed, scanned = _both_modes(degraded_run)
-        assert indexed == scanned == ("ok", baseline)
+        with inject_faults("executor.batch:error"):
+            degraded = _outcome(lambda: plan.run(_DB))
+        scanned = _outcome(
+            lambda: plan.run(_DB, request_ctx=ScanContext(_DB)))
+        assert degraded == scanned == ("ok", baseline)
 
     def test_exhausted_deadline_identical_under_indexes(self):
         """At the plan level an exhausted deadline surfaces as
@@ -296,10 +292,10 @@ class TestFaultsAndDeadlines:
         change that (degradation accounting stays with ``muve.ask``)."""
         plan = plan_execution(_DB, self.QUERIES, merge=True)
 
-        def degraded_run():
+        def degraded_run(shared):
             with inject_faults("executor.batch:exhaust_deadline"):
                 with deadline_scope(60_000):
-                    return plan.run(_DB)
+                    return plan.run(_DB, request_ctx=shared)
 
         indexed, scanned = _both_modes(degraded_run)
         assert indexed == scanned

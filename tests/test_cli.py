@@ -98,23 +98,9 @@ class TestReplMode:
         code, output = run_cli(["--rows", "2000"], stdin_text=stdin_text)
         assert code == 0
         # The selective equality predicate takes the secondary-index
-        # access path; the scan seam below restores the sequential scan.
+        # access path.
         assert "Index Scan on nyc311" in output
         assert "Index Cond: borough = 'Bronx'" in output
-
-    def test_explain_command_no_indexes(self):
-        from repro.sqldb.index import set_indexes_enabled
-        stdin_text = ("\\explain SELECT COUNT(*) FROM nyc311 "
-                      "WHERE borough = 'Bronx'\n\\quit\n")
-        set_indexes_enabled(False)
-        try:
-            code, output = run_cli(["--rows", "2000"],
-                                   stdin_text=stdin_text)
-        finally:
-            # The seam is process-global; don't leak into later tests.
-            set_indexes_enabled(True)
-        assert code == 0
-        assert "Seq Scan on nyc311" in output
 
     def test_sql_error_does_not_crash_repl(self):
         stdin_text = "\\sql SELEC oops\nstill alive\n\\quit\n"
