@@ -138,8 +138,13 @@ def build_grouped_equality_requests(rows: int, count: int,
     merged by the cost-based planner — typically into one
     ``WHERE cat IN (...) GROUP BY cat`` statement, the dominant
     candidate-query shape the inverted group indexes accelerate.
+
+    The database keeps no leaf selections (``mask_cache_bytes=0``), so
+    every run of a plan probes the indexes or scans the column; with
+    the cache on, :func:`measure`'s warm-up would store each request's
+    selection and the timed rounds would only gather cached rows.
     """
-    database = Database(seed=seed)
+    database = Database(seed=seed, mask_cache_bytes=0)
     database.register_table(make_events_table(rows, seed=seed))
     n_categories = len(np.unique(database.table("events").column("cat")))
     rng = np.random.default_rng(seed + 1)
@@ -161,7 +166,9 @@ def measure_row_scaling(rows_list, requests: int, candidates: int,
 
     Both modes run the batch executor over identical plans; the scan
     mode only hands each request the scan oracle as its context, so the
-    comparison isolates probe-vs-scan data access.  Results are asserted
+    comparison isolates probe-vs-scan data access.  The database caches
+    no leaf selections, so every timed round probes or scans (statement
+    and cost caches stay warm).  Results are asserted
     identical before timing — the scan path stays the differential
     oracle even in the benchmark.
     """

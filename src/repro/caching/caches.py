@@ -1,27 +1,33 @@
 """The two serving-path caches: query results and planner outputs.
 
 Both wrap :class:`~repro.caching.lru.LruCache` with a domain-specific key
-function and share its thread-safety and single-flight guarantees.  Cached
-values are immutable objects (:class:`~repro.sqldb.database.QueryResult`,
+function and share its thread-safety.  Cached values are immutable
+objects (:class:`~repro.sqldb.database.QueryResult`,
 :class:`~repro.core.planner.PlannerResult`), so handing the same instance
 to many threads is safe by construction.
 
-Invalidation story: the demo serves read-only tables, so neither cache
-expires entries on its own.  Anything that mutates a table
-(``insert_rows``/``drop_table``) must call :meth:`QueryResultCache.clear`
-and :meth:`PlanCache.clear` — :class:`~repro.muve.Muve` exposes
-``invalidate_caches()`` for exactly that.
+They differ in how a miss is filled.  :class:`QueryResultCache` computes
+through ``get_or_compute``, so concurrent identical misses coalesce into
+one execution.  :class:`PlanCache` is a plain ``get``/``put`` map: the
+planner stores a plan only when planning took no degradation rung, a
+decision it can make only after planning, so concurrent identical misses
+each plan.
+
+Invalidation story: neither cache expires entries on its own.  Anything
+that mutates a table (``insert_rows``/``drop_table``) must call
+:meth:`QueryResultCache.clear` and :meth:`PlanCache.clear` —
+:class:`~repro.muve.Muve` exposes ``invalidate_caches()`` for exactly
+that.
 """
 
 from __future__ import annotations
 
 from dataclasses import astuple
-from typing import TYPE_CHECKING, Callable, Hashable, Sequence
+from typing import TYPE_CHECKING, Callable, Hashable
 
 from repro.caching.lru import CacheStats, LruCache
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards for type hints
-    from repro.core.ilp import ProcessingGroup
     from repro.core.problem import MultiplotSelectionProblem
     from repro.observability import MetricsRegistry
     from repro.sqldb.database import QueryResult
@@ -87,54 +93,31 @@ class QueryResultCache:
 
 
 class PlanCache:
-    """Planner outputs keyed on (candidate set, geometry, budget).
+    """Planner outputs keyed on (candidate set, geometry, cost model).
 
     Multiplot planning is deterministic given the problem (both solvers
     break ties lexicographically), so the planner result for a repeated
     candidate distribution can be reused wholesale.  The key captures
-    everything that feeds the solvers: each candidate's (canonical)
-    query and probability, the screen geometry, the user cost model, the
-    optional processing costs/budget, and the processing groups of the
-    processing-aware extension.
+    everything of the problem that feeds the solvers: each candidate's
+    (canonical) query and probability, the screen geometry and the user
+    cost model.
     """
 
     def __init__(self, capacity: int = 256) -> None:
         self._cache = LruCache(capacity)
 
     @staticmethod
-    def problem_key(problem: "MultiplotSelectionProblem",
-                    processing_groups:
-                    "Sequence[ProcessingGroup] | None" = None,
-                    ) -> Hashable:
+    def problem_key(problem: "MultiplotSelectionProblem") -> Hashable:
         """A hashable identity of a planning problem instance."""
         candidates = tuple(
             (candidate.query, round(candidate.probability, 12))
             for candidate in problem.candidates)
-        groups_key = None
-        if processing_groups is not None:
-            groups_key = tuple(sorted(
-                (group.cost, tuple(sorted(group.candidate_indices)))
-                for group in processing_groups))
         return (candidates,
                 astuple(problem.geometry),
-                astuple(problem.cost_model),
-                problem.processing_costs,
-                problem.processing_budget,
-                groups_key)
-
-    def get_or_plan(self, key: Hashable,
-                    plan: Callable[[], object]) -> object:
-        """The cached planner result for *key*, planning once on a miss."""
-        return self._cache.get_or_compute(key, plan)
+                astuple(problem.cost_model))
 
     def get(self, key: Hashable) -> object | None:
-        """The cached result for *key*, or ``None`` — no computation.
-
-        Used by the planner when a request runs under a deadline or an
-        active fault plan: a *hit* is always safe to serve (only proven
-        undegraded plans are ever stored), but the miss path must decide
-        about storage itself, after seeing whether planning degraded.
-        """
+        """The cached result for *key*, or ``None``."""
         return self._cache.get(key)
 
     def put(self, key: Hashable, result: object) -> None:

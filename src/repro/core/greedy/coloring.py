@@ -61,19 +61,18 @@ class PlotVersions:
     """All prefix-highlighted versions of all candidate plots, as numbers.
 
     For each uncolored plot with ``n`` bars there is one version per
-    highlight count ``0..n`` (optionally capped by ``max_highlighted``),
-    numbered in that order.  Version ``v`` is described by parallel
-    lists: ``template[v]`` (the template's number in the problem's
-    digest), ``units[v]`` (its width, ``ScreenGeometry.plot_units`` of
-    its plot), ``bars[v]``, ``highlighted[v]``, and the ``(candidate
+    highlight count ``0..n``, numbered in that order.  Version ``v`` is
+    described by parallel lists: ``template[v]`` (the template's number
+    in the problem's digest), ``units[v]`` (its width,
+    ``ScreenGeometry.plot_units`` of its plot), ``bars[v]``,
+    ``highlighted[v]``, and the ``(candidate
     index, probability)`` pairs of its ``red[v]`` and ``plain[v]`` bars
     in bar order.  Candidate indices point into ``problem.candidates``.
     ``plots`` summarises the versions per uncolored plot, in order.
     """
 
     def __init__(self, problem: MultiplotSelectionProblem,
-                 uncolored_plots: list[UncoloredPlot],
-                 max_highlighted: int | None = None) -> None:
+                 uncolored_plots: list[UncoloredPlot]) -> None:
         digest = problem.digest
         probabilities = digest.probabilities
         self._sources: list[tuple[UncoloredPlot, int]] = []
@@ -98,8 +97,6 @@ class PlotVersions:
                 shown = tuple((k, probabilities[k]) for k in indices)
             units = digest.base_units[template_id] + len(shown)
             count = len(shown) + 1
-            if max_highlighted is not None:
-                count = min(count, max_highlighted + 1)
             self.plots.append(PlotSummary(
                 template_id, len(self.template), count, units, shown,
                 len(self.plots) - 1 if extends else -1))

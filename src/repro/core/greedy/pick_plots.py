@@ -37,6 +37,9 @@ from repro.core.greedy.submodular import maximize_cardinality
 from repro.core.model import Multiplot
 from repro.core.problem import MultiplotSelectionProblem
 
+#: Steps each exchange run takes at most.
+MAX_EXCHANGE_STEPS = 64
+
 #: A placed version: (version number, row).
 Placement = tuple[int, int]
 
@@ -124,14 +127,12 @@ class _Savings:
 
 def pick_plots(problem: MultiplotSelectionProblem,
                versions: PlotVersions,
-               variant: str = "knapsack",
-               max_plots: int | None = None,
-               max_iterations: int = 64) -> Multiplot:
+               variant: str = "knapsack") -> Multiplot:
     """Select a feasible subset of *versions* maximizing cost savings."""
     if variant == "knapsack":
-        placed = _exchange_greedy(problem, versions, max_iterations)
+        placed = _exchange_greedy(problem, versions)
     elif variant == "cardinality":
-        placed = _cardinality_greedy(problem, versions, max_plots)
+        placed = _cardinality_greedy(problem, versions)
     else:
         raise ValueError(f"unknown pick_plots variant {variant!r}")
     return versions.multiplot(placed, problem.geometry.num_rows)
@@ -151,8 +152,7 @@ def _fitting(problem: MultiplotSelectionProblem,
 
 
 def _exchange_greedy(problem: MultiplotSelectionProblem,
-                     versions: PlotVersions,
-                     max_iterations: int) -> list[Placement]:
+                     versions: PlotVersions) -> list[Placement]:
     """Best of: density-scored run, raw-gain run, best single item.
 
     Running under both addition-scoring rules and keeping the best single
@@ -170,10 +170,8 @@ def _exchange_greedy(problem: MultiplotSelectionProblem,
         return savings.of(versions, [version for version, _ in placed])
 
     candidates = [
-        _exchange_run(problem, versions, moves, max_iterations,
-                      by_density=True),
-        _exchange_run(problem, versions, moves, max_iterations,
-                      by_density=False),
+        _exchange_run(problem, versions, moves, by_density=True),
+        _exchange_run(problem, versions, moves, by_density=False),
     ]
     # Every row gives a version the same savings, so the first maximum
     # sits in row 0.
@@ -318,7 +316,7 @@ class _MoveValues:
 
 def _exchange_run(problem: MultiplotSelectionProblem,
                   versions: PlotVersions, moves: _MoveValues,
-                  max_iterations: int, by_density: bool) -> list[Placement]:
+                  by_density: bool) -> list[Placement]:
     """One greedy pass with add/replace moves over template slots.
 
     Each step takes the move with the largest score; ties go to the
@@ -330,7 +328,7 @@ def _exchange_run(problem: MultiplotSelectionProblem,
     slots: dict[int, Placement] = {}
     row_used = [0.0] * problem.geometry.num_rows
     current = moves.savings(0.0, 0.0, (0, 0, 0, 0))
-    for _ in range(max_iterations):
+    for _ in range(MAX_EXCHANGE_STEPS):
         best_move: Placement | None = None
         best_delta = 0.0
         best_score = 0.0
@@ -363,18 +361,16 @@ def _exchange_run(problem: MultiplotSelectionProblem,
 
 
 def _cardinality_greedy(problem: MultiplotSelectionProblem,
-                        versions: PlotVersions,
-                        max_plots: int | None) -> list[Placement]:
+                        versions: PlotVersions) -> list[Placement]:
     geometry = problem.geometry
     num_rows = geometry.num_rows
     limit = geometry.width_units + 1e-9
     items = [(version, row) for version in _fitting(problem, versions)
              for row in range(num_rows)]
 
-    if max_plots is None:
-        widest = max(versions.units, default=1.0)
-        per_row = max(1, int(geometry.width_units // widest))
-        max_plots = per_row * num_rows
+    widest = max(versions.units, default=1.0)
+    per_row = max(1, int(geometry.width_units // widest))
+    max_plots = per_row * num_rows
 
     def gain(selection: tuple[Placement, ...]) -> float:
         templates = [versions.template[version] for version, _ in selection]

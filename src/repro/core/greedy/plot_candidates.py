@@ -37,14 +37,8 @@ class UncoloredPlot(NamedTuple):
 
 
 def plot_candidates(problem: MultiplotSelectionProblem,
-                    max_plots_per_template: int | None = None,
                     ) -> list[UncoloredPlot]:
-    """All prefix plots for all templates of *problem*.
-
-    ``max_plots_per_template`` optionally caps the number of prefixes per
-    template (an extra knob beyond the paper, useful to bound work for very
-    wide screens).
-    """
+    """All prefix plots for all templates of *problem*."""
     digest = problem.digest
     candidates = problem.candidates
     plots: list[UncoloredPlot] = []
@@ -54,8 +48,6 @@ def plot_candidates(problem: MultiplotSelectionProblem,
             continue  # the title alone exceeds the screen width
         indices = digest.members[template_id]
         limit = min(len(indices), capacity)
-        if max_plots_per_template is not None:
-            limit = min(limit, max_plots_per_template)
         members = tuple(candidates[k] for k in indices[:limit])
         for prefix in range(1, limit + 1):
             plots.append(UncoloredPlot(template, members[:prefix],

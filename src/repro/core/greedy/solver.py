@@ -32,21 +32,19 @@ class GreedySolver:
     variant:
         ``"knapsack"`` (multi-dimensional knapsack greedy, the default) or
         ``"cardinality"`` (fixed-width Nemhauser variant).
-    max_highlighted:
-        Optional cap on highlights per plot (None considers all prefixes).
+    apply_polish:
+        Run the local-search polish on the picked multiplot.
     """
 
     def __init__(self, variant: str = "knapsack",
-                 max_highlighted: int | None = None,
                  apply_polish: bool = True) -> None:
         self.variant = variant
-        self.max_highlighted = max_highlighted
         self.apply_polish = apply_polish
 
     def solve(self, problem: MultiplotSelectionProblem) -> GreedySolution:
         start = time.perf_counter()
         uncolored = plot_candidates(problem)
-        versions = PlotVersions(problem, uncolored, self.max_highlighted)
+        versions = PlotVersions(problem, uncolored)
         multiplot = pick_plots(problem, versions, variant=self.variant)
         if self.apply_polish:
             multiplot = polish(problem, multiplot)

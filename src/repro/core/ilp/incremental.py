@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from repro.core.ilp.translate import IlpSolution, IlpSolver, ProcessingGroup
+from repro.core.ilp.translate import IlpSolution, IlpSolver
 from repro.core.problem import MultiplotSelectionProblem
 from repro.errors import SolverError
 
@@ -33,7 +33,6 @@ def incremental_solve(problem: MultiplotSelectionProblem,
                       initial_timeout: float = 0.0625,
                       growth_factor: float = 2.0,
                       total_budget: float = 4.0,
-                      processing_groups: list[ProcessingGroup] | None = None,
                       ) -> Iterator[IncrementalStep]:
     """Yield successively better ILP solutions under growing timeouts.
 
@@ -63,8 +62,7 @@ def incremental_solve(problem: MultiplotSelectionProblem,
         remaining -= timeout
         try:
             solution = solver.solve(
-                problem, processing_groups=processing_groups,
-                timeout_seconds=timeout,
+                problem, timeout_seconds=timeout,
                 incumbent=best.multiplot if best is not None else None)
         except SolverError:
             solution = None

@@ -131,9 +131,9 @@ class IlpSolver:
         ``timed_out=True`` (matching the paper's behaviour under the one-
         second interactive budget).  ``None`` disables the limit.
     processing_weight:
-        Weight of total processing-group cost added to the objective (the
-        Figure 9 "ILP" method uses a small positive weight to prefer cheap
-        multiplots among near-ties; zero ignores processing cost).
+        Weight of total processing-group cost added to the objective when
+        :meth:`solve` receives processing groups (the weighted variant of
+        Section 8.1); zero ignores processing cost.
     prune_templates:
         Disable only for fidelity experiments; pruning preserves optima.
     """
@@ -153,6 +153,7 @@ class IlpSolver:
 
     def solve(self, problem: MultiplotSelectionProblem,
               processing_groups: list[ProcessingGroup] | None = None,
+              processing_budget: float | None = None,
               timeout_seconds: float | None = None,
               incumbent: Multiplot | None = None) -> IlpSolution:
         """Solve *problem*, optionally with processing-cost machinery.
@@ -162,15 +163,25 @@ class IlpSolver:
         plan seeds the cutoff, its time counted against the budget.  With
         *processing_groups* neither applies: the objective then includes
         group costs that neither a multiplot nor the greedy (which
-        ignores processing budgets) accounts for.
+        ignores processing budgets) accounts for.  *processing_budget*
+        bounds the total cost of the selected groups, so it needs
+        groups, and it must be non-negative (:class:`SolverError`
+        otherwise).
 
         A one-row screen without processing groups is solved by the exact
         combinatorial search of :mod:`repro.core.ilp.rowsearch`; other
         problems by the MILP on the configured backend.
         """
+        if processing_budget is not None:
+            if not processing_groups:
+                raise SolverError("processing_budget requires "
+                                  "processing_groups")
+            if processing_budget < 0:
+                raise SolverError("processing budget must be non-negative")
         if not self.searches_row(problem, processing_groups):
             return self._solve_milp(problem, processing_groups,
-                                    timeout_seconds, incumbent)
+                                    processing_budget, timeout_seconds,
+                                    incumbent)
         start = time.perf_counter()
         timeout = (timeout_seconds if timeout_seconds is not None
                    else self.timeout_seconds)
@@ -210,6 +221,7 @@ class IlpSolver:
 
     def _solve_milp(self, problem: MultiplotSelectionProblem,
                     processing_groups: list[ProcessingGroup] | None = None,
+                    processing_budget: float | None = None,
                     timeout_seconds: float | None = None,
                     incumbent: Multiplot | None = None) -> IlpSolution:
         """:meth:`solve` on the MILP, whatever the screen."""
@@ -224,7 +236,8 @@ class IlpSolver:
                   else None)
         formulation = _Formulation(problem, processing_groups,
                                    self.processing_weight,
-                                   self.prune_templates, cutoff)
+                                   self.prune_templates, cutoff,
+                                   processing_budget)
 
         tuples_left = len(formulation.tuples)
         # The MILP reports no dual bound; the least tuple bound is one.
@@ -425,9 +438,11 @@ class _Formulation:
                  processing_groups: list[ProcessingGroup] | None,
                  processing_weight: float,
                  prune_templates: bool,
-                 cutoff: float | None) -> None:
+                 cutoff: float | None,
+                 processing_budget: float | None = None) -> None:
         self.problem = problem
         self.groups = list(processing_groups or [])
+        self.processing_budget = processing_budget
         self.model = Model("multiplot-selection")
         self.p_vars: dict[tuple[int, int], Variable] = {}
         self.s_vars: dict[tuple[int, int], Variable] = {}
@@ -612,7 +627,6 @@ class _Formulation:
         if not self.groups:
             return
         model = self.model
-        problem = self.problem
         covering: dict[int, list[Variable]] = {}
         for g_index, group in enumerate(self.groups):
             g_var = model.binary(f"g[{g_index}]")
@@ -624,8 +638,8 @@ class _Formulation:
             for g_var in covering.get(k, []):
                 expr.add_term(g_var, -1.0)
             model.add_le(expr, name=f"coverage[{k}]")
-        if problem.processing_budget is not None:
-            budget = LinExpr(constant=-problem.processing_budget)
+        if self.processing_budget is not None:
+            budget = LinExpr(constant=-self.processing_budget)
             for g_var, group in zip(self.g_vars, self.groups):
                 budget.add_term(g_var, group.cost)
             model.add_le(budget, name="processing-budget")

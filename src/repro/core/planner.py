@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from repro.core.greedy import GreedySolver
-from repro.core.ilp import IlpSolver, ProcessingGroup, load_backends
+from repro.core.ilp import IlpSolver, load_backends
 from repro.core.model import Multiplot
 from repro.core.problem import MultiplotSelectionProblem
 from repro.errors import DeadlineExceeded, PlanningError, SolverError
@@ -21,7 +21,6 @@ from repro.resilience import (
     EXECUTION_PRESSURE_FRACTION,
     current_deadline,
     deadline_grace,
-    degradation_count,
     exception_reason,
     record_degradation,
 )
@@ -68,15 +67,14 @@ class VisualizationPlanner:
 
     The planner holds no per-request state, so one instance may plan for
     many threads concurrently.  An optional ``plan_cache``
-    (:class:`~repro.caching.PlanCache`) memoises results per problem
-    identity — repeated candidate distributions (the common case for
-    repeated questions) skip both solvers entirely.
+    (:class:`~repro.caching.PlanCache`) memoises undegraded results per
+    problem identity — repeated candidate distributions (the common case
+    for repeated questions) skip both solvers entirely.
     """
 
     def __init__(self, strategy: str = "best",
                  timeout_seconds: float = 1.0,
                  ilp_backend: str = "highs",
-                 processing_weight: float = 0.0,
                  plan_cache: "PlanCache | None" = None) -> None:
         if strategy not in ("greedy", "ilp", "best"):
             raise PlanningError(f"unknown strategy {strategy!r}")
@@ -85,107 +83,78 @@ class VisualizationPlanner:
         self.plan_cache = plan_cache
         self._greedy = GreedySolver()
         self._ilp = IlpSolver(backend=ilp_backend,
-                              timeout_seconds=timeout_seconds,
-                              processing_weight=processing_weight)
+                              timeout_seconds=timeout_seconds)
         if strategy != "greedy":
             load_backends()  # at set-up, not inside the first plan
 
-    def plan(self, problem: MultiplotSelectionProblem,
-             processing_groups: list[ProcessingGroup] | None = None,
-             ) -> PlannerResult:
-        """Plan a multiplot for *problem* (through the cache when set)."""
+    def plan(self, problem: MultiplotSelectionProblem) -> PlannerResult:
+        """Plan a multiplot for *problem* (through the cache when set).
+
+        The cache rule: look up, plan on a miss, and store only a plan
+        whose planning took no degradation rung, so a later
+        pressure-free request is never served a degraded multiplot.
+        Under an active fault plan the cache is bypassed outright, so
+        injected faults fire regardless of cache warmth.
+        """
         with trace_span("planner.plan") as span:
             span.set_attribute("strategy", self.strategy)
             span.set_attribute("candidates", len(problem.candidates))
-            # A deadline or an active fault plan can degrade this plan,
-            # and degraded plans must never be cached (a later
-            # pressure-free request would be served the degraded
-            # multiplot).  Under an active fault plan the cache is
-            # bypassed outright so injected faults fire deterministically
-            # regardless of cache warmth.  Under a deadline alone, hits
-            # are served (only proven-undegraded plans are ever stored,
-            # and a cached optimal plan beats anything pressure would
-            # produce) and the miss path stores only when no degradation
-            # rung fired during planning.
-            guarded = current_deadline() is not None
-            if self.plan_cache is None or active_fault_plan() is not None:
-                result = self._plan_uncached(problem, processing_groups)
-                span.set_attribute(
-                    "cache", "off" if self.plan_cache is None
-                    else "bypass")
+            cache = self.plan_cache
+            if cache is None or active_fault_plan() is not None:
+                result, _ = self._plan_uncached(problem)
+                span.set_attribute("cache",
+                                   "off" if cache is None else "bypass")
             else:
                 key = (self.strategy, self.timeout_seconds,
-                       self._ilp.backend,
-                       self.plan_cache.problem_key(problem,
-                                                   processing_groups))
-                if guarded:
-                    result = self.plan_cache.get(key)
-                    if result is not None:
-                        span.set_attribute("cache", "hit")
-                    else:
-                        before = degradation_count()
-                        result = self._plan_uncached(problem,
-                                                     processing_groups)
-                        clean = (before is not None
-                                 and degradation_count() == before)
-                        if clean:
-                            self.plan_cache.put(key, result)
-                        span.set_attribute(
-                            "cache",
-                            "miss" if clean else "miss-uncacheable")
+                       self._ilp.backend, cache.problem_key(problem))
+                result = cache.get(key)
+                if result is not None:
+                    span.set_attribute("cache", "hit")
                 else:
-                    computed = False
-
-                    def compute() -> PlannerResult:
-                        nonlocal computed
-                        computed = True
-                        return self._plan_uncached(problem,
-                                                   processing_groups)
-
-                    result = self.plan_cache.get_or_plan(key, compute)
-                    span.set_attribute("cache",
-                                       "miss" if computed else "hit")
+                    result, degraded = self._plan_uncached(problem)
+                    if not degraded:
+                        cache.put(key, result)
+                    span.set_attribute(
+                        "cache", "miss-uncacheable" if degraded else "miss")
             span.set_attribute("solver", result.solver_name)
             span.set_attribute("expected_cost",
                                round(result.expected_cost, 3))
             return result
 
     def _plan_uncached(self, problem: MultiplotSelectionProblem,
-                       processing_groups: list[ProcessingGroup] | None,
-                       ) -> PlannerResult:
-        """Plan with the configured strategy, degrading to greedy-only
-        on deadline exhaustion, solver failure, or an injected fault
-        (the ILP→lazy-greedy rung of the resilience ladder).  The
-        fallback runs in deadline grace: greedy is the cheapest plan we
-        can produce, so an already-expired budget still gets an answer
-        instead of an error."""
+                       ) -> tuple[PlannerResult, bool]:
+        """The plan with the configured strategy, and whether a
+        degradation rung fired.  Deadline exhaustion, solver failure
+        or an injected fault degrade to greedy-only (the ILP→lazy-greedy
+        rung of the resilience ladder).  The fallback runs in deadline
+        grace: greedy is the cheapest plan we can produce, so an
+        already-expired budget still gets an answer instead of an
+        error."""
         try:
             fault_point("planner.solve")
             deadline = current_deadline()
             if deadline is not None:
                 deadline.check("planner.solve")
-            return self._plan_primary(problem, processing_groups,
-                                      deadline)
+            return self._plan_primary(problem, deadline)
         except (DeadlineExceeded, SolverError, FaultError) as exc:
             record_degradation("planner", "ilp_to_greedy",
                                exception_reason(exc),
                                detail=f"strategy={self.strategy}")
             current_span().set_attribute("decision", "greedy (degraded)")
             with deadline_grace():
-                return self._plan_greedy(problem)
+                return self._plan_greedy(problem), True
 
     def _plan_primary(self, problem: MultiplotSelectionProblem,
-                      processing_groups: list[ProcessingGroup] | None,
-                      deadline) -> PlannerResult:
+                      deadline) -> tuple[PlannerResult, bool]:
         if self.strategy == "greedy":
-            return self._plan_greedy(problem)
+            return self._plan_greedy(problem), False
         if self.strategy == "ilp":
-            return self._plan_ilp(problem, processing_groups)[0]
+            return self._plan_ilp(problem)[0], False
         greedy_result = self._plan_greedy(problem)
         budget = self.timeout_seconds
         if deadline is not None:
             remaining = deadline.remaining_ms() / 1000.0
-            if self._ilp.searches_row(problem, processing_groups):
+            if self._ilp.searches_row(problem):
                 # The row search is anytime, so it gets what the deadline
                 # leaves once execution's share is kept back; a short
                 # budget still serves greedy's plan at worst.
@@ -202,17 +171,18 @@ class VisualizationPlanner:
                            f"ilp budget {budget * 1000:.0f} ms")
                 current_span().set_attribute("decision",
                                              "greedy (deadline pressure)")
-                return greedy_result
+                return greedy_result, True
         try:
             ilp_result, from_greedy = self._plan_ilp(
-                problem, processing_groups, greedy_result.multiplot, budget)
+                problem, greedy_result.multiplot, budget)
         except SolverError as exc:
             record_degradation("planner", "ilp_to_greedy",
                                exception_reason(exc))
             current_span().set_attribute("decision",
                                          "greedy (ilp failed)")
-            return greedy_result
-        if ilp_result.timed_out and budget < self.timeout_seconds:
+            return greedy_result, True
+        budget_cut = ilp_result.timed_out and budget < self.timeout_seconds
+        if budget_cut:
             # The deadline cut the row search's budget and it did not
             # finish in it: recorded as a degradation, so the plan is not
             # cached as what the full budget would have served.
@@ -233,14 +203,14 @@ class VisualizationPlanner:
                 "decision", "greedy proven optimal" if ilp_result.optimal
                 else "greedy kept")
             return replace(greedy_result, optimal=ilp_result.optimal,
-                           **both)
+                           **both), budget_cut
         if ilp_result.expected_cost <= greedy_result.expected_cost:
             # The "best" strategy upgrade: the ILP beat (or matched) the
             # greedy incumbent within its budget.
             current_span().set_attribute("decision", "ilp upgrade")
-            return replace(ilp_result, **both)
+            return replace(ilp_result, **both), budget_cut
         current_span().set_attribute("decision", "greedy kept")
-        return replace(greedy_result, **both)
+        return replace(greedy_result, **both), budget_cut
 
     def _plan_greedy(self, problem: MultiplotSelectionProblem,
                      ) -> PlannerResult:
@@ -259,20 +229,18 @@ class VisualizationPlanner:
             )
 
     def _plan_ilp(self, problem: MultiplotSelectionProblem,
-                  processing_groups: list[ProcessingGroup] | None,
                   incumbent: Multiplot | None = None,
                   timeout_seconds: float | None = None,
                   ) -> tuple[PlannerResult, bool]:
         """The ILP's plan, and whether it is *incumbent*'s multiplot
         handed back (the solver cuts the model off at its cost)."""
-        backend = ("rowsearch"
-                   if self._ilp.searches_row(problem, processing_groups)
+        backend = ("rowsearch" if self._ilp.searches_row(problem)
                    else self._ilp.backend)
         with trace_span("planner.ilp", backend=backend) as span:
             start = time.perf_counter()
             solution = self._ilp.solve(
-                problem, processing_groups=processing_groups,
-                timeout_seconds=timeout_seconds, incumbent=incumbent)
+                problem, timeout_seconds=timeout_seconds,
+                incumbent=incumbent)
             span.set_attribute("expected_cost",
                                round(solution.expected_cost, 3))
             span.set_attribute("optimal", solution.optimal)

@@ -15,19 +15,11 @@ from repro.nlq.templates import QueryTemplate, templates_of
 
 @dataclass(frozen=True)
 class MultiplotSelectionProblem:
-    """Everything a solver needs: candidates, geometry, cost model.
-
-    Optionally, per-candidate processing costs and a processing budget can
-    be attached to activate the processing-cost-aware extension of
-    Section 8.1 (used by the ILP solver and the Figure 8 experiment).
-    Processing costs are keyed by candidate index.
-    """
+    """Everything a solver needs: candidates, geometry, cost model."""
 
     candidates: tuple[CandidateQuery, ...]
     geometry: ScreenGeometry = field(default_factory=ScreenGeometry)
     cost_model: UserCostModel = field(default_factory=UserCostModel)
-    processing_costs: tuple[float, ...] | None = None
-    processing_budget: float | None = None
 
     def __post_init__(self) -> None:
         if not self.candidates:
@@ -39,18 +31,6 @@ class MultiplotSelectionProblem:
         queries = {c.query for c in self.candidates}
         if len(queries) != len(self.candidates):
             raise PlanningError("duplicate candidate queries in problem")
-        if self.processing_costs is not None:
-            if len(self.processing_costs) != len(self.candidates):
-                raise PlanningError(
-                    "processing_costs must align with candidates")
-            if any(cost < 0 for cost in self.processing_costs):
-                raise PlanningError("processing costs must be non-negative")
-        if self.processing_budget is not None:
-            if self.processing_costs is None:
-                raise PlanningError(
-                    "processing_budget requires processing_costs")
-            if self.processing_budget < 0:
-                raise PlanningError("processing budget must be non-negative")
 
     # ------------------------------------------------------------------
 

@@ -27,10 +27,10 @@ Endpoints:
   traced requests bypass the response cache so the tree reflects real
   pipeline work.  With ``?deadline_ms=`` (or ``"deadline_ms"`` in the
   body) the ask runs under that latency budget and may answer degraded
-  (``"degraded": true`` plus the ``"degradations"`` events); such
-  requests bypass the response cache too.  Error responses carry a
-  machine-readable ``error_type``; when more than ``max_inflight`` asks
-  are in flight, new ones are shed with 429 + ``Retry-After``.
+  (``"degraded": true`` plus the ``"degradations"`` events).  Error
+  responses carry a machine-readable ``error_type``; when more than
+  ``max_inflight`` asks are in flight, new ones are shed with 429 +
+  ``Retry-After``.
 
 The server runs on a background thread (``ThreadingHTTPServer``) and
 handles requests **concurrently**: the MUVE pipeline is thread-safe
@@ -38,8 +38,9 @@ handles requests **concurrently**: the MUVE pipeline is thread-safe
 executor hold no per-request state), so no server-wide lock is needed.
 Answers are additionally memoised in a response cache keyed on
 ``(question, voice, trend)`` — the pipeline is deterministic per question,
-so a repeated question is served straight from memory, and a stampede of
-identical questions computes once (single-flight).
+so a repeated question is served straight from memory.  Only undegraded
+answers are stored (whatever the request's deadline), and under an
+active fault plan the cache is bypassed.
 
 Every request — including ones that fail — is measured into the metrics
 registry (``http_request_ms``, ``http_requests``, ``errors``), and with
@@ -179,19 +180,22 @@ class MuveDemoServer:
         trend = bool(payload.get("trend", False))
         if deadline_ms is None:
             deadline_ms = _parse_deadline_ms(payload.get("deadline_ms"))
-        if want_trace or payload.get("trace"):
-            with deadline_scope(deadline_ms):
+        with deadline_scope(deadline_ms):
+            if want_trace or payload.get("trace"):
                 return self._answer_traced(question, voice, trend)
-        if deadline_ms is not None or active_fault_plan() is not None:
-            # A deadline (or an injected fault) can degrade the answer;
-            # degraded answers must never be cached, or a later
-            # pressure-free ask of the same question would be served the
-            # shrunk multiplot from memory.
-            with deadline_scope(deadline_ms):
+            if active_fault_plan() is not None:
+                # Injected faults fire regardless of cache warmth.
                 return self._answer(question, voice, trend)
-        return self._responses.get_or_compute(
-            (question, voice, trend),
-            lambda: self._answer(question, voice, trend))
+            key = (question, voice, trend)
+            result = self._responses.get(key)
+            if result is None:
+                result = self._answer(question, voice, trend)
+                # A degraded answer is never stored, or a later
+                # pressure-free ask of the same question would be served
+                # the shrunk multiplot from memory.
+                if not result["degraded"]:
+                    self._responses.put(key, result)
+            return result
 
     def _answer_traced(self, question: str, voice: bool,
                        trend: bool) -> dict:

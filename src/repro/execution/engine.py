@@ -53,10 +53,9 @@ class MuveExecutor:
     share the results of identical merged-group statements.
     """
 
-    def __init__(self, database: Database, merge: bool = True,
+    def __init__(self, database: Database,
                  result_cache: "QueryResultCache | None" = None) -> None:
         self._database = database
-        self._merge = merge
         self.result_cache = result_cache
 
     def run(self, multiplot: Multiplot,
@@ -82,7 +81,6 @@ class MuveExecutor:
         """Yield updates as the strategy produces them."""
         strategy = strategy or DefaultProcessing()
         yield from strategy.updates(self._database, multiplot,
-                                    merge=self._merge,
                                     cache=self.result_cache)
 
     def run_incremental_ilp(self, problem: MultiplotSelectionProblem,
@@ -117,8 +115,7 @@ class MuveExecutor:
                 missing = [q for q in multiplot.displayed_queries()
                            if q not in cache]
                 if missing:
-                    plan = plan_execution(self._database, missing,
-                                          merge=self._merge)
+                    plan = plan_execution(self._database, missing)
                     cache.update(plan.run(self._database,
                                           cache=self.result_cache,
                                           request_ctx=ctx))

@@ -128,9 +128,9 @@ def candidate_processing_groups(database: Database, candidates):
 
     One :class:`~repro.core.ilp.ProcessingGroup` per (merged) execution
     unit of the candidates' queries, costed by the optimizer.  Pass the
-    result to :meth:`IlpSolver.solve` (or a planner with a positive
-    ``processing_weight``) to let planning trade disambiguation cost
-    against processing cost.
+    result to :meth:`IlpSolver.solve` (with a processing budget, or on a
+    solver with a positive ``processing_weight``) to let planning trade
+    disambiguation cost against processing cost.
     """
     from repro.core.ilp import ProcessingGroup
     queries = [c.query for c in candidates]

@@ -58,12 +58,11 @@ def _fill_values(multiplot: Multiplot,
     return Multiplot(tuple(rows))
 
 
-def _plan_with_span(database: Database, queries: list[AggregateQuery],
-                    merge: bool):
+def _plan_with_span(database: Database, queries: list[AggregateQuery]):
     """``plan_execution`` inside an ``executor.merge_plan`` span carrying
     the merge decision summary (group counts, estimated costs)."""
     with trace_span("executor.merge_plan") as span:
-        plan = plan_execution(database, queries, merge=merge)
+        plan = plan_execution(database, queries)
         span.set_attribute("queries", len(queries))
         span.set_attribute("groups", len(plan.groups))
         span.set_attribute("merged_groups",
@@ -84,7 +83,6 @@ class ProcessingStrategy:
     name = "abstract"
 
     def updates(self, database: Database, multiplot: Multiplot,
-                merge: bool = True,
                 cache: "QueryResultCache | None" = None,
                 ) -> Iterator["VisualizationUpdate"]:
         raise NotImplementedError
@@ -96,14 +94,13 @@ class DefaultProcessing(ProcessingStrategy):
     name = "default"
 
     def updates(self, database: Database, multiplot: Multiplot,
-                merge: bool = True,
                 cache: "QueryResultCache | None" = None,
                 ) -> Iterator["VisualizationUpdate"]:
         from repro.execution.batch import request_context
         from repro.execution.engine import VisualizationUpdate
         start = time.perf_counter()
         queries = list(multiplot.displayed_queries())
-        plan = _plan_with_span(database, queries, merge)
+        plan = _plan_with_span(database, queries)
         ctx = request_context(database)
         # The span closes before the yield: an open span across a yield
         # would tear down in the consumer's context.
@@ -139,7 +136,6 @@ class IncrementalPlotting(ProcessingStrategy):
     name = "inc-plot"
 
     def updates(self, database: Database, multiplot: Multiplot,
-                merge: bool = True,
                 cache: "QueryResultCache | None" = None,
                 ) -> Iterator["VisualizationUpdate"]:
         from repro.execution.batch import request_context
@@ -161,7 +157,7 @@ class IncrementalPlotting(ProcessingStrategy):
                 queries = [bar.query for bar in plot.bars
                            if bar.query not in results]
                 if queries:
-                    plan = _plan_with_span(database, queries, merge)
+                    plan = _plan_with_span(database, queries)
                     results.update(plan.run(database, cache=cache,
                                             request_ctx=ctx))
                 span.set_attribute("new_queries", len(queries))
@@ -258,14 +254,13 @@ class ApproximateProcessing(ProcessingStrategy):
         return throughput
 
     def updates(self, database: Database, multiplot: Multiplot,
-                merge: bool = True,
                 cache: "QueryResultCache | None" = None,
                 ) -> Iterator["VisualizationUpdate"]:
         from repro.execution.batch import request_context
         from repro.execution.engine import VisualizationUpdate
         start = time.perf_counter()
         queries = list(multiplot.displayed_queries())
-        plan = _plan_with_span(database, queries, merge)
+        plan = _plan_with_span(database, queries)
         if self.fraction is None:
             fraction = self._dynamic_fraction(database, queries)
         else:

@@ -138,13 +138,12 @@ def figure8_processing_bound(database: Database,
                                                    unbounded_processing):
             budget = max(unbounded * factor,
                          min((g.cost for g in groups), default=0.0))
-            problem = MultiplotSelectionProblem(
-                candidates, geometry=geometry,
-                processing_costs=tuple(0.0 for _ in candidates),
-                processing_budget=budget)
+            problem = MultiplotSelectionProblem(candidates,
+                                                geometry=geometry)
             solver = IlpSolver(timeout_seconds=5.0)
             try:
-                solution = solver.solve(problem, processing_groups=groups)
+                solution = solver.solve(problem, processing_groups=groups,
+                                        processing_budget=budget)
             except SolverError:
                 continue
             rows.append((solution.expected_cost,

@@ -191,7 +191,6 @@ class Muve:
                  planner: VisualizationPlanner | None = None,
                  max_candidates: int = 20,
                  word_error_rate: float = 0.15,
-                 processing_aware: bool = False,
                  seed: int = 0,
                  enable_caching: bool = True,
                  metrics: MetricsRegistry | None = None,
@@ -204,11 +203,6 @@ class Muve:
         self.geometry = geometry or ScreenGeometry()
         self.planner = planner or VisualizationPlanner(strategy="best")
         self.max_candidates = max_candidates
-        #: When set, the ILP planner receives processing groups derived
-        #: from the merge planner, activating the Section 8.1 extension
-        #: (requires a planner with ``processing_weight`` > 0 or a problem
-        #: with a processing budget to have an effect).
-        self.processing_aware = processing_aware
         self._text_to_sql = TextToSql(database, table_name)
         self._candidate_generator = CandidateGenerator(database, table_name)
         vocabulary = build_default_vocabulary(
@@ -387,17 +381,7 @@ class Muve:
         candidates = self._candidate_distribution(seed_query)
         problem = MultiplotSelectionProblem(candidates,
                                             geometry=self.geometry)
-        processing_groups = None
-        if self.processing_aware:
-            from repro.execution.merging import (
-                candidate_processing_groups,
-            )
-            with trace_span("muve.processing_groups") as span:
-                processing_groups = candidate_processing_groups(
-                    self.database, candidates)
-                span.set_attribute("groups", len(processing_groups))
-        planning = self.planner.plan(problem,
-                                     processing_groups=processing_groups)
+        planning = self.planner.plan(problem)
         shown, updates = self._execute_resilient(planning.multiplot,
                                                  strategy)
         response = MuveResponse(

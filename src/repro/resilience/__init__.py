@@ -34,7 +34,6 @@ from repro.resilience.degradation import (
     EXECUTION_PRESSURE_FRACTION,
     DegradationEvent,
     current_degradations,
-    degradation_count,
     degradation_scope,
     exception_reason,
     record_degradation,
@@ -53,7 +52,6 @@ __all__ = [
     "deadline_grace",
     "deadline_scope",
     "default_deadline_ms",
-    "degradation_count",
     "degradation_scope",
     "exception_reason",
     "is_transient",

@@ -44,7 +44,6 @@ __all__ = [
     "DegradationEvent",
     "EXECUTION_PRESSURE_FRACTION",
     "current_degradations",
-    "degradation_count",
     "degradation_scope",
     "exception_reason",
     "record_degradation",
@@ -96,18 +95,6 @@ def current_degradations() -> tuple[DegradationEvent, ...]:
     """Events recorded so far in the active request scope."""
     events = _EVENTS.get()
     return tuple(events) if events else ()
-
-
-def degradation_count() -> int | None:
-    """Events recorded so far, or ``None`` when no scope is active.
-
-    Unlike :func:`current_degradations` this distinguishes "no collector"
-    from "collector with no events", which cache layers need: a stage
-    can prove its output undegraded (and therefore cacheable) only by
-    observing that the count did not grow across its computation.
-    """
-    events = _EVENTS.get()
-    return None if events is None else len(events)
 
 
 def record_degradation(site: str, action: str, reason: str,

@@ -128,28 +128,80 @@ class TestPlanCacheKey:
         assert PlanCache.problem_key(narrow) != \
             PlanCache.problem_key(wide)
 
-    def test_budget_distinguishes(self):
-        plain = make_problem()
-        budgeted = MultiplotSelectionProblem(
-            plain.candidates, geometry=plain.geometry,
-            processing_costs=(10.0, 20.0), processing_budget=15.0)
-        assert PlanCache.problem_key(plain) != \
-            PlanCache.problem_key(budgeted)
-
     def test_key_is_hashable(self):
         hash(PlanCache.problem_key(make_problem()))
 
-    def test_get_or_plan_counts_hits(self):
+    def test_get_and_put_count_lookups(self):
+        """``get`` counts a hit or a miss; ``put`` is not a lookup."""
         cache = PlanCache(capacity=8)
         key = PlanCache.problem_key(make_problem())
-        planned = []
-        for _ in range(3):
-            result = cache.get_or_plan(key,
-                                       lambda: planned.append(1) or "plan")
-        assert result == "plan"
-        assert len(planned) == 1
+        assert cache.get(key) is None
+        cache.put(key, "plan")
+        assert [cache.get(key), cache.get(key)] == ["plan", "plan"]
         assert cache.stats.hits == 2
         assert cache.stats.misses == 1
+
+
+def fail_ilp_once(planner):
+    """Make the planner's ILP solver raise :class:`SolverError` on its
+    next call only (no deadline, no fault plan)."""
+    from repro.errors import SolverError
+    solve = planner._ilp.solve
+    calls = []
+
+    def flaky(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise SolverError("injected solver failure")
+        return solve(*args, **kwargs)
+
+    planner._ilp.solve = flaky
+
+
+class TestNoDegradedEntries:
+    """A degradation rung that fires once must not be served again from
+    a cache once the cause is gone: the next identical ask re-plans."""
+
+    def test_planner_replans_after_degraded_plan(self):
+        from repro.core.planner import VisualizationPlanner
+        planner = VisualizationPlanner(strategy="best",
+                                       plan_cache=PlanCache())
+        fail_ilp_once(planner)
+        problem = make_problem()
+        degraded = planner.plan(problem)
+        assert degraded.solver_name == "greedy"
+        assert degraded.ilp_cost is None
+        assert len(planner.plan_cache) == 0
+        again = planner.plan(problem)
+        assert again.ilp_cost is not None
+        assert again.open_bound is not None
+        assert planner.plan_cache.stats.misses == 2
+        assert planner.plan(problem) is again  # the clean plan is cached
+
+    def test_server_replans_after_degraded_answer(self):
+        from repro import Database, Muve, ScreenGeometry
+        from repro.datasets import make_nyc311_table
+        from repro.demo import MuveDemoServer
+        db = Database(seed=0)
+        db.register_table(make_nyc311_table(num_rows=1500, seed=2))
+        muve = Muve(db, "nyc311", seed=1,
+                    geometry=ScreenGeometry(width_pixels=1125, num_rows=1))
+        demo = MuveDemoServer(muve, port=0)
+        demo.start()
+        try:
+            fail_ilp_once(muve.planner)
+            payload = {"question": "count of requests for borough Queens"}
+            first = demo.handle_ask(payload)
+            assert first["degraded"] is True
+            assert [event["action"] for event in first["degradations"]] \
+                == ["ilp_to_greedy"]
+            second = demo.handle_ask(payload)
+            assert second is not first
+            assert second["degraded"] is False
+            assert second["degradations"] == []
+            assert demo.handle_ask(payload) is second
+        finally:
+            demo.shutdown()
 
 
 class TestMuveCacheWiring:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.greedy.coloring import color_plot
+from repro.core.greedy.pick_plots import MAX_EXCHANGE_STEPS
 from repro.core.greedy.plot_candidates import UncoloredPlot, plot_candidates
 from repro.core.greedy.polish import polish
 from repro.core.greedy.submodular import maximize_cardinality
@@ -28,19 +29,15 @@ class PlotRowItem:
     row: int
 
 
-def add_colors(uncolored_plots: list[UncoloredPlot],
-               max_highlighted: int | None = None) -> list[Plot]:
+def add_colors(uncolored_plots: list[UncoloredPlot]) -> list[Plot]:
     """All prefix-highlighted versions of all candidate plots.
 
     For each uncolored plot with ``n`` bars this emits versions with
-    ``0..n`` highlights (optionally capped by ``max_highlighted``).
+    ``0..n`` highlights.
     """
     colored: list[Plot] = []
     for uncolored in uncolored_plots:
-        limit = len(uncolored.members)
-        if max_highlighted is not None:
-            limit = min(limit, max_highlighted)
-        for k in range(0, limit + 1):
+        for k in range(0, len(uncolored.members) + 1):
             colored.append(color_plot(uncolored, k))
     return colored
 
@@ -96,22 +93,19 @@ def build_multiplot(items: tuple[PlotRowItem, ...],
 
 def pick_plots(problem: MultiplotSelectionProblem,
                colored_plots: list[Plot],
-               variant: str = "knapsack",
-               max_plots: int | None = None,
-               max_iterations: int = 64) -> Multiplot:
+               variant: str = "knapsack") -> Multiplot:
     """Select a feasible subset of *colored_plots* maximizing cost savings."""
     if variant == "knapsack":
-        return _exchange_greedy(problem, colored_plots, max_iterations)
+        return _exchange_greedy(problem, colored_plots)
     if variant == "cardinality":
-        return _cardinality_greedy(problem, colored_plots, max_plots)
+        return _cardinality_greedy(problem, colored_plots)
     raise ValueError(f"unknown pick_plots variant {variant!r}")
 
 
 def solve(problem: MultiplotSelectionProblem, variant: str = "knapsack",
-          max_highlighted: int | None = None,
           apply_polish: bool = True) -> tuple[Multiplot, float]:
     """The whole greedy pipeline: (multiplot, expected cost)."""
-    colored = add_colors(plot_candidates(problem), max_highlighted)
+    colored = add_colors(plot_candidates(problem))
     multiplot = pick_plots(problem, colored, variant=variant)
     if apply_polish:
         multiplot = polish(problem, multiplot)
@@ -119,8 +113,7 @@ def solve(problem: MultiplotSelectionProblem, variant: str = "knapsack",
 
 
 def _exchange_greedy(problem: MultiplotSelectionProblem,
-                     colored_plots: list[Plot],
-                     max_iterations: int) -> Multiplot:
+                     colored_plots: list[Plot]) -> Multiplot:
     """Best of: density-scored run, raw-gain run, best single item."""
     geometry = problem.geometry
     num_rows = geometry.num_rows
@@ -137,8 +130,8 @@ def _exchange_greedy(problem: MultiplotSelectionProblem,
                                  problem.cost_model)
 
     candidates: list[tuple[PlotRowItem, ...]] = [
-        _exchange_run(problem, items, max_iterations, by_density=True),
-        _exchange_run(problem, items, max_iterations, by_density=False),
+        _exchange_run(problem, items, by_density=True),
+        _exchange_run(problem, items, by_density=False),
     ]
     if items:
         best_single = max(items, key=lambda item: savings_of((item,)))
@@ -148,7 +141,7 @@ def _exchange_greedy(problem: MultiplotSelectionProblem,
 
 
 def _exchange_run(problem: MultiplotSelectionProblem,
-                  items: list[PlotRowItem], max_iterations: int,
+                  items: list[PlotRowItem],
                   by_density: bool) -> tuple[PlotRowItem, ...]:
     """One greedy pass with add/replace moves over template slots."""
     geometry = problem.geometry
@@ -164,7 +157,7 @@ def _exchange_run(problem: MultiplotSelectionProblem,
             problem.cost_model)
 
     current = savings(selected)
-    for _ in range(max_iterations):
+    for _ in range(MAX_EXCHANGE_STEPS):
         best_move: PlotRowItem | None = None
         best_delta = 0.0
         best_score = 0.0
@@ -205,8 +198,7 @@ def _exchange_run(problem: MultiplotSelectionProblem,
 
 
 def _cardinality_greedy(problem: MultiplotSelectionProblem,
-                        colored_plots: list[Plot],
-                        max_plots: int | None) -> Multiplot:
+                        colored_plots: list[Plot]) -> Multiplot:
     geometry = problem.geometry
     num_rows = geometry.num_rows
 
@@ -217,11 +209,10 @@ def _cardinality_greedy(problem: MultiplotSelectionProblem,
         for row in range(num_rows):
             items.append(PlotRowItem(plot, row))
 
-    if max_plots is None:
-        widest = max((geometry.plot_units(plot)
-                      for plot in colored_plots), default=1.0)
-        per_row = max(1, int(geometry.width_units // widest))
-        max_plots = per_row * num_rows
+    widest = max((geometry.plot_units(plot)
+                  for plot in colored_plots), default=1.0)
+    per_row = max(1, int(geometry.width_units // widest))
+    max_plots = per_row * num_rows
 
     def gain(selection: tuple[PlotRowItem, ...]) -> float:
         templates = [item.plot.template for item in selection]

@@ -71,7 +71,7 @@ def enumerate_multiplots(problem: MultiplotSelectionProblem,
 
 
 def tiny_problem(num_candidates: int, width: int, seed: int,
-                 num_rows: int = 1, **budget) -> MultiplotSelectionProblem:
+                 num_rows: int = 1) -> MultiplotSelectionProblem:
     import numpy as np
     rng = np.random.default_rng(seed)
     raw = rng.uniform(0.05, 1.0, size=num_candidates)
@@ -81,8 +81,7 @@ def tiny_problem(num_candidates: int, width: int, seed: int,
         candidates,
         geometry=ScreenGeometry(width_pixels=width, num_rows=num_rows),
         cost_model=UserCostModel(bar_cost=300.0, plot_cost=1500.0,
-                                 miss_cost=20_000.0),
-        **budget)
+                                 miss_cost=20_000.0))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -277,8 +276,7 @@ def test_processing_budget_matches_brute_force(backend):
     """The uncut path: with processing groups no incumbent or greedy
     seed applies, and the budget excludes the unconstrained optimum."""
     costs = (4.0, 3.0, 2.0, 1.0)
-    problem = tiny_problem(4, width=620, seed=0, processing_costs=costs,
-                           processing_budget=5.0)
+    problem = tiny_problem(4, width=620, seed=0)
     groups = [ProcessingGroup(cost=c, candidate_indices=frozenset({k}))
               for k, c in enumerate(costs)]
     index = {c.query: k for k, c in enumerate(problem.candidates)}
@@ -294,7 +292,7 @@ def test_processing_budget_matches_brute_force(backend):
                      if within_budget(mp))
     assert brute_cost > unconstrained + 1e-6
     solution = IlpSolver(backend=backend, timeout_seconds=None).solve(
-        problem, processing_groups=groups,
+        problem, processing_groups=groups, processing_budget=5.0,
         incumbent=weak_incumbent(problem))
     assert solution.optimal and not solution.from_incumbent
     assert within_budget(solution.multiplot)

@@ -54,14 +54,6 @@ class TestPlotCandidates:
         problem = make_problem(n=3, width=80)
         assert plot_candidates(problem) == []
 
-    def test_max_plots_per_template_caps(self):
-        problem = make_problem(n=6)
-        capped = plot_candidates(problem, max_plots_per_template=2)
-        by_template = {}
-        for uncolored in capped:
-            by_template.setdefault(uncolored.template, []).append(uncolored)
-        assert all(len(v) <= 2 for v in by_template.values())
-
     def test_probability_mass(self):
         problem = make_problem(n=3)
         full = [u for u in plot_candidates(problem)
@@ -95,13 +87,6 @@ class TestColoring:
         versions = PlotVersions(problem, uncolored)
         expected = sum(len(u.members) + 1 for u in uncolored)
         assert len(versions) == expected
-
-    def test_add_colors_respects_cap(self):
-        problem = make_problem(n=5)
-        versions = PlotVersions(problem, plot_candidates(problem),
-                                max_highlighted=1)
-        assert all(versions.plot(v).num_highlighted <= 1
-                   for v in range(len(versions)))
 
     def test_versions_summarise_their_plots(self):
         """Each version's numbers describe the plot it builds."""

@@ -95,7 +95,7 @@ def savings_evaluated():
         greedy_oracle.selection_savings = oracle
 
 
-def assert_same_plans(problem, variant="knapsack", max_highlighted=None):
+def assert_same_plans(problem, variant="knapsack"):
     """Summaries and oracle agree before and after the polish step.
 
     Plans only differ when a float sum does, so beyond equal plans every
@@ -103,10 +103,8 @@ def assert_same_plans(problem, variant="knapsack", max_highlighted=None):
     computes too, bit for bit (it evaluates a subset of the oracle's
     selections: one row per version, in the same order).
     """
-    versions = PlotVersions(problem, plot_candidates(problem),
-                            max_highlighted)
-    colored = greedy_oracle.add_colors(plot_candidates(problem),
-                                       max_highlighted)
+    versions = PlotVersions(problem, plot_candidates(problem))
+    colored = greedy_oracle.add_colors(plot_candidates(problem))
     assert [versions.plot(v) for v in range(len(versions))] == colored
     with savings_evaluated() as (summaries, oracle):
         picked = pick_plots(problem, versions, variant=variant)
@@ -114,20 +112,17 @@ def assert_same_plans(problem, variant="knapsack", max_highlighted=None):
                                              variant=variant)
     assert picked == reference
     assert set(summaries) <= set(oracle)
-    solution = GreedySolver(variant=variant,
-                            max_highlighted=max_highlighted).solve(problem)
-    multiplot, cost = greedy_oracle.solve(problem, variant=variant,
-                                          max_highlighted=max_highlighted)
+    solution = GreedySolver(variant=variant).solve(problem)
+    multiplot, cost = greedy_oracle.solve(problem, variant=variant)
     assert solution.multiplot == multiplot
     assert solution.expected_cost == cost
 
 
 @settings(max_examples=80, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(problem=problems(),
-       max_highlighted=st.one_of(st.none(), st.integers(0, 3)))
-def test_knapsack_matches_oracle(problem, max_highlighted):
-    assert_same_plans(problem, max_highlighted=max_highlighted)
+@given(problem=problems())
+def test_knapsack_matches_oracle(problem):
+    assert_same_plans(problem)
 
 
 @settings(max_examples=40, deadline=None,

@@ -161,17 +161,29 @@ class TestProcessingExtension:
         candidates = tuple(candidate(i, w / total)
                            for i, w in enumerate(weights))
         problem = MultiplotSelectionProblem(
-            candidates,
-            geometry=ScreenGeometry(width_pixels=700),
-            processing_costs=(5.0, 5.0, 5.0, 5.0),
-            processing_budget=10.0)
+            candidates, geometry=ScreenGeometry(width_pixels=700))
         groups = [ProcessingGroup(cost=5.0,
                                   candidate_indices=frozenset({i}))
                   for i in range(4)]
         solution = IlpSolver(timeout_seconds=None).solve(
-            problem, processing_groups=groups)
+            problem, processing_groups=groups, processing_budget=10.0)
         assert solution.processing_cost <= 10.0 + 1e-9
         assert len(solution.multiplot.displayed_queries()) <= 2
+
+    def test_budget_without_groups_rejected(self):
+        """A budget bounds group costs: without groups it would be
+        silently ignored, so it is an error."""
+        with pytest.raises(SolverError, match="processing_groups"):
+            IlpSolver(timeout_seconds=None).solve(
+                small_instance(num_candidates=3), processing_budget=5.0)
+
+    def test_negative_budget_rejected(self):
+        groups = [ProcessingGroup(cost=1.0,
+                                  candidate_indices=frozenset({0}))]
+        with pytest.raises(SolverError, match="non-negative"):
+            IlpSolver(timeout_seconds=None).solve(
+                small_instance(num_candidates=3), processing_groups=groups,
+                processing_budget=-1.0)
 
     def test_processing_weight_prefers_cheap_groups(self):
         problem = small_instance(num_candidates=3)

@@ -34,8 +34,7 @@ class _NeverOptimalSolver:
         self.incumbents: list = []
         self._base = IlpSolver().solve(problem, timeout_seconds=10.0)
 
-    def solve(self, problem, processing_groups=None, timeout_seconds=None,
-              incumbent=None):
+    def solve(self, problem, timeout_seconds=None, incumbent=None):
         self.timeouts.append(timeout_seconds)
         self.incumbents.append(incumbent)
         return replace(self._base, optimal=False, timed_out=True,
@@ -260,7 +259,8 @@ class TestDeadlineBudget:
         greedy = VisualizationPlanner(strategy="greedy").plan(small_problem)
         planner = VisualizationPlanner(strategy="best")
         with degradation_scope() as degradations:
-            result = planner._plan_primary(small_problem, None, Spent())
+            result, degraded = planner._plan_primary(small_problem, Spent())
+        assert degraded
         assert result.solver_name == "greedy" and not result.optimal
         assert result.multiplot == greedy.multiplot
         assert [(e.site, e.action, e.reason) for e in degradations] == [
@@ -285,7 +285,7 @@ class TestDeadlineBudget:
             return solve(problem, **kwargs)
 
         planner._ilp.solve = recording_solve
-        planner._plan_primary(small_problem, None, Deadline())
+        planner._plan_primary(small_problem, Deadline())
         assert budgets == [pytest.approx(0.25)]
 
     def test_milp_is_skipped_when_its_limit_does_not_fit(self):

@@ -33,23 +33,6 @@ class TestValidation:
             MultiplotSelectionProblem(
                 (candidate(0, 0.3), candidate(0, 0.2)))
 
-    def test_processing_costs_must_align(self):
-        with pytest.raises(PlanningError):
-            make_problem(processing_costs=(1.0,))
-
-    def test_processing_budget_requires_costs(self):
-        with pytest.raises(PlanningError):
-            make_problem(processing_budget=5.0)
-
-    def test_negative_processing_cost_rejected(self):
-        with pytest.raises(PlanningError):
-            make_problem(processing_costs=(1.0, -1.0, 1.0))
-
-    def test_valid_processing_setup(self):
-        problem = make_problem(processing_costs=(1.0, 2.0, 3.0),
-                               processing_budget=4.0)
-        assert problem.processing_budget == 4.0
-
 
 def grouped(problem):
     """Template -> its candidates, as the problem's digest groups them."""

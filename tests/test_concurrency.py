@@ -59,10 +59,12 @@ def fingerprint(response) -> tuple:
     )
 
 
-def hammer(muve: Muve) -> tuple[dict, list]:
+def hammer(muve: Muve) -> tuple[dict, list, list]:
     """NUM_THREADS threads interleaving the full question mix; returns
-    observed fingerprints per question plus any raised exceptions."""
+    observed fingerprints per question, any raised exceptions and the
+    questions that were answered degraded."""
     observed: dict[tuple, set] = {key: set() for key in QUESTIONS}
+    degraded: list = []
     observed_lock = threading.Lock()
     errors: list = []
     barrier = threading.Barrier(NUM_THREADS)
@@ -76,9 +78,12 @@ def hammer(muve: Muve) -> tuple[dict, list]:
                 for step in range(len(QUESTIONS)):
                     kind, question = QUESTIONS[
                         (worker_id + repeat + step) % len(QUESTIONS)]
-                    result = fingerprint(ask(muve, kind, question))
+                    response = ask(muve, kind, question)
+                    result = fingerprint(response)
                     with observed_lock:
                         observed[(kind, question)].add(result)
+                        if response.degraded:
+                            degraded.append((kind, question))
         except Exception as exc:  # pragma: no cover - failure path
             errors.append(exc)
 
@@ -88,7 +93,7 @@ def hammer(muve: Muve) -> tuple[dict, list]:
         thread.start()
     for thread in threads:
         thread.join(timeout=240)
-    return observed, errors
+    return observed, errors, degraded
 
 
 class TestSharedMuve:
@@ -101,9 +106,10 @@ class TestSharedMuve:
                     for key in QUESTIONS}
 
         shared = make_muve(enable_caching)
-        observed, errors = hammer(shared)
+        observed, errors, degraded = hammer(shared)
 
         assert not errors, f"worker raised: {errors[0]!r}"
+        assert not degraded, f"degraded answers: {degraded}"
         for key, results in observed.items():
             assert len(results) == 1, (
                 f"non-deterministic answers for {key}: "
@@ -133,8 +139,9 @@ class TestSharedMuve:
 
     def test_cache_counters_consistent_after_hammer(self):
         muve = make_muve(enable_caching=True)
-        observed, errors = hammer(muve)
+        _, errors, degraded = hammer(muve)
         assert not errors
+        assert not degraded, f"degraded answers: {degraded}"
         stats = muve.cache_stats()
         # The same few questions were asked over and over: most lookups
         # must be hits, and the totals must add up.
@@ -143,6 +150,12 @@ class TestSharedMuve:
         assert results["hits"] + results["misses"] >= results["hits"]
         assert stats["plans"]["hits"] > 0
         assert 0.0 <= results["hit_rate"] <= 1.0
+        # Every text and voice ask reaches the planner once (trend asks
+        # take the series planner), and each is exactly one plan-cache
+        # lookup: storing a plan is not counted as one.
+        planned = NUM_THREADS * REPEATS_PER_THREAD * sum(
+            1 for kind, _ in QUESTIONS if kind != "trend")
+        assert stats["plans"]["hits"] + stats["plans"]["misses"] == planned
 
     def test_no_span_leakage_across_concurrent_requests(self):
         """Each worker's trace tree contains only its own requests.

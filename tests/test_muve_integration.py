@@ -181,24 +181,6 @@ class TestOtherDatasets:
         assert response.multiplot.num_bars > 0
 
 
-class TestProcessingAwareFacade:
-    def test_processing_aware_ilp_planning(self):
-        """The Section 8.1 extension wired through the façade: an ILP
-        planner with a processing weight prefers cheaper multiplots."""
-        db = Database(seed=0)
-        db.register_table(make_nyc311_table(num_rows=2000, seed=5))
-        muve = Muve(
-            db, "nyc311", seed=1, processing_aware=True,
-            geometry=ScreenGeometry(width_pixels=900, num_rows=1),
-            planner=VisualizationPlanner(strategy="ilp",
-                                         timeout_seconds=5.0,
-                                         processing_weight=0.001))
-        response = muve.ask(
-            "average resolution hours for borough Brooklyn")
-        assert response.planning.solver_name.startswith("ilp")
-        assert response.multiplot.num_bars > 0
-
-
 class TestEmptyUpdates:
     def test_multiplot_on_empty_updates_raises_repro_error(self, muve):
         """A response without visualization updates must fail with a
