@@ -12,7 +12,7 @@ each row's total width bounded by the screen width ``W``.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterator
+from typing import Iterator, KeysView
 
 from repro.errors import PlanningError
 from repro.nlq.templates import QueryTemplate
@@ -123,8 +123,13 @@ class Multiplot:
         bar = self.bar_for(query)
         return bar is not None and bar.highlighted
 
-    def displayed_queries(self) -> set[AggregateQuery]:
-        return {bar.query for plot in self.plots() for bar in plot.bars}
+    def displayed_queries(self) -> KeysView[AggregateQuery]:
+        """The distinct queries shown, in row-major bar order (first
+        occurrence): a set-like view whose iteration order does not
+        depend on string hashing, so plans built from it are the same
+        in every process."""
+        return dict.fromkeys(bar.query for plot in self.plots()
+                             for bar in plot.bars).keys()
 
     def duplicate_queries(self) -> set[AggregateQuery]:
         """Queries shown in more than one plot (targets of the polish

@@ -72,7 +72,7 @@ class MuveExecutor:
             updates = list(self.stream(multiplot, strategy))
             span.set_attribute("updates", len(updates))
             span.set_attribute(
-                "queries", len(list(multiplot.displayed_queries())))
+                "queries", len(multiplot.displayed_queries()))
             return updates
 
     def stream(self, multiplot: Multiplot,

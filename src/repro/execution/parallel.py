@@ -26,10 +26,11 @@ def warm_database(database: "Database",
                   table_names: Sequence[str] | None = None) -> int:
     """Build table statistics and secondary indexes up front.
 
-    One build per structure — the statistics full scan, one inverted
-    index per column, one sorted projection per numeric column — so a
-    cold table pays its lazy builds before serving instead of on the
-    first unlucky request.  Returns the number of structures built.
+    One build per structure — the statistics object (a snapshot of the
+    table; each column is analyzed when an estimate first reads it), one
+    inverted index per column, one sorted projection per numeric column
+    — so a cold table pays its lazy builds before serving instead of on
+    the first unlucky request.  Returns the number of structures built.
     """
     from repro.sqldb.types import DataType
     if table_names is None:

@@ -77,8 +77,10 @@ def _as_statement(query: str | SelectStatement | AggregateQuery,
 class Database:
     """An in-memory database: catalog, tables, statistics, execution.
 
-    Statistics are computed lazily per table and cached; any mutation
-    through :meth:`insert_rows` invalidates the cache (our ``ANALYZE``).
+    Statistics are taken lazily per table and cached; any mutation
+    through :meth:`insert_rows` drops them (our ``ANALYZE``), and the
+    next reader takes a fresh snapshot whose columns are analyzed on
+    first read (see :class:`~repro.sqldb.statistics.TableStatistics`).
 
     Concurrency: the read path (:meth:`execute`, :meth:`explain`,
     :meth:`statistics`) is safe to call from many threads against one
@@ -175,7 +177,10 @@ class Database:
         column gains a distinct value (see :attr:`vocabulary_version`)."""
         table = self.table(table_name)
         grown = table.append_rows(rows)
-        self._statistics.pop(table_name.lower(), None)
+        # Under the lock a first reader holds while it snapshots and
+        # stores, so no snapshot from before the append outlives it.
+        with self._statistics_lock:
+            self._statistics.pop(table_name.lower(), None)
         self._invalidate_statement_caches(vocabulary_changed=bool(grown))
 
     def _invalidate_statement_caches(self,
@@ -241,11 +246,14 @@ class Database:
             raise CatalogError(f"table {name!r} does not exist") from None
 
     def statistics(self, table_name: str) -> TableStatistics:
+        """The table's statistics: one snapshot of its rows, taken on
+        the first call after a load or insert; each column is analyzed
+        when an estimate first reads it."""
         key = table_name.lower()
         stats = self._statistics.get(key)
         if stats is None:
-            # Serialise the (idempotent) full-scan analysis so concurrent
-            # first readers of a table do the work once, not once each.
+            # One statistics object per table snapshot, so concurrent
+            # first readers share its per-column analyses.
             with self._statistics_lock:
                 stats = self._statistics.get(key)
                 if stats is None:

@@ -410,6 +410,18 @@ def _chunked_weighted_bincount(row_groups: np.ndarray, array: np.ndarray,
     return totals
 
 
+def _chunked_bincount(row_groups: np.ndarray, n_groups: int) -> np.ndarray:
+    """``np.bincount(row_groups, minlength=n_groups)`` counted in fixed
+    :data:`MORSEL_ROWS` chunks, so the group ids are widened to intp one
+    chunk at a time.  The partial counts are integers, so the total is
+    exact whatever the chunking."""
+    totals = np.bincount(row_groups[:MORSEL_ROWS], minlength=n_groups)
+    for lo in range(MORSEL_ROWS, len(row_groups), MORSEL_ROWS):
+        totals += np.bincount(row_groups[lo:lo + MORSEL_ROWS],
+                              minlength=n_groups)
+    return totals
+
+
 def _group_extreme(row_groups: np.ndarray, array: np.ndarray,
                    n_groups: int, maximize: bool) -> np.ndarray:
     """Per-group MIN/MAX.
@@ -438,7 +450,7 @@ def _dense_group_ids(combined: np.ndarray,
     """
     if id_space > len(combined):
         return np.unique(combined, return_inverse=True)
-    present = np.bincount(combined, minlength=id_space) > 0
+    present = _chunked_bincount(combined, id_space) > 0
     number = np.cumsum(present, dtype=np.int32) - 1
     return np.flatnonzero(present), number[combined]
 
@@ -517,10 +529,10 @@ def _aggregate_per_group(agg: AggregateCall, array: np.ndarray | None,
                          row_groups: np.ndarray, n_groups: int):
     """Compute one aggregate for every group, vectorized where possible.
 
-    COUNT and numeric MIN/MAX are single-pass kernels; SUM and AVG sum
-    in fixed :data:`MORSEL_ROWS` chunks (see
-    :func:`_chunked_weighted_bincount`).  DISTINCT and object-dtype
-    aggregates are Python loops.
+    Numeric MIN/MAX are single-pass kernels; COUNT, SUM and AVG count
+    and sum in fixed :data:`MORSEL_ROWS` chunks (see
+    :func:`_chunked_bincount` and :func:`_chunked_weighted_bincount`).
+    DISTINCT and object-dtype aggregates are Python loops.
     """
     if agg.distinct and agg.column is not None:
         assert array is not None
@@ -544,7 +556,7 @@ def _aggregate_per_group(agg: AggregateCall, array: np.ndarray | None,
         return results
 
     if agg.column is None or agg.func == AggregateFunction.COUNT:
-        return np.bincount(row_groups, minlength=n_groups).astype(float)
+        return _chunked_bincount(row_groups, n_groups).astype(float)
 
     assert array is not None
     if array.dtype == object:
@@ -564,7 +576,7 @@ def _aggregate_per_group(agg: AggregateCall, array: np.ndarray | None,
         return _chunked_weighted_bincount(row_groups, array, n_groups)
     if agg.func == AggregateFunction.AVG:
         sums = _chunked_weighted_bincount(row_groups, array, n_groups)
-        counts = np.bincount(row_groups, minlength=n_groups)
+        counts = _chunked_bincount(row_groups, n_groups)
         return sums / np.maximum(counts, 1)
     if agg.func in (AggregateFunction.MIN, AggregateFunction.MAX):
         return _group_extreme(row_groups, array, n_groups,

@@ -201,9 +201,13 @@ class InvertedIndex:
     """
 
     def __init__(self, array: np.ndarray | None,
-                 dictionary: Dictionary | None = None) -> None:
+                 dictionary: Dictionary | None = None,
+                 counts: np.ndarray | None = None) -> None:
         """Index *array*'s values, or the codes of a TEXT column's
-        *dictionary* (then *array* is not read)."""
+        *dictionary* (then *array* is not read).  *counts* are the rows
+        per code when the caller already holds them (the table keeps a
+        TEXT column's, see :meth:`~repro.sqldb.table.Table.snapshot`);
+        they are counted here otherwise."""
         if dictionary is not None:
             uniques, codes, lookup = dictionary
             self._lookup: dict[Any, int] | None = lookup
@@ -213,20 +217,22 @@ class InvertedIndex:
             self._uniques, codes = np.unique(array, return_inverse=True)
             self._lookup = None
         self._order = np.argsort(codes, kind="stable").astype(np.int32)
-        counts = np.bincount(codes, minlength=len(self._uniques))
-        self._starts = np.concatenate(
-            ([0], np.cumsum(counts))).astype(np.int64)
+        if counts is None:
+            counts = np.bincount(codes, minlength=len(self._uniques))
+        self._starts = _starts(counts)
 
-    def extended(self, dictionary: Dictionary) -> "InvertedIndex":
+    def extended(self, dictionary: Dictionary,
+                 counts: np.ndarray) -> "InvertedIndex":
         """This dictionary-coded index over the table after an append.
 
-        *dictionary* is the column's extended encoding.  The new rows
-        hold the largest positions, so each code's postings are its old
-        slice followed by its new positions: one ``np.insert`` of the
-        (stably code-sorted) new positions at the ends of their codes'
-        slices, with no sort over the old rows.  A code new to the
-        dictionary has no slice yet; its rows go after every old one.
-        Equal to building the index from *dictionary* afresh.
+        *dictionary* is the column's extended encoding and *counts* its
+        rows per code.  The new rows hold the largest positions, so each
+        code's postings are its old slice followed by its new positions:
+        one ``np.insert`` of the (stably code-sorted) new positions at
+        the ends of their codes' slices, with no sort over the old rows.
+        A code new to the dictionary has no slice yet; its rows go after
+        every old one.  Equal to building the index from *dictionary*
+        afresh.
         """
         uniques, codes, lookup = dictionary
         old_rows = len(self._order)
@@ -239,10 +245,7 @@ class InvertedIndex:
         index._uniques = uniques
         index._order = np.insert(self._order, slice_ends,
                                  (arrival + old_rows).astype(np.int32))
-        index._starts = np.full(len(uniques) + 1, old_rows, dtype=np.int64)
-        index._starts[:known + 1] = self._starts
-        index._starts[1:] += np.cumsum(
-            np.bincount(added, minlength=len(uniques)))
+        index._starts = _starts(counts)
         return index
 
     @property
@@ -289,6 +292,12 @@ class InvertedIndex:
         if len(codes) > 1:
             merged.sort()
         return merged
+
+
+def _starts(counts: np.ndarray) -> np.ndarray:
+    """CSR slice bounds from rows per code: code *c*'s postings are
+    ``order[starts[c]:starts[c + 1]]``."""
+    return np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
 
 
 class SortedProjection:
@@ -424,8 +433,10 @@ class TableIndexes:
                 span.set_attribute("kind", "inverted")
                 span.set_attribute("rows", table.num_rows)
                 if column.dtype == DataType.TEXT:
+                    snapshot = table.snapshot()
                     index = InvertedIndex(
-                        None, dictionary=table.dictionary(column.name))
+                        None, dictionary=snapshot.dictionaries[column.name],
+                        counts=snapshot.counts[column.name])
                 else:
                     index = InvertedIndex(table.column(column.name))
                 span.set_attribute("distinct", index.n_distinct)
@@ -455,10 +466,12 @@ class TableIndexes:
             return projection
 
     def extended(self, table: "Table",
-                 dictionaries: "dict[str, Dictionary]") -> "TableIndexes":
+                 dictionaries: "dict[str, Dictionary]",
+                 counts: "dict[str, np.ndarray]") -> "TableIndexes":
         """A fresh container for *table* after an append.
 
-        *dictionaries* maps each TEXT column to its extended encoding.
+        *dictionaries* maps each TEXT column to its extended encoding and
+        *counts* to its rows per code.
         The built TEXT inverted indexes carry over, extended with the new
         rows; sorted projections, zone maps and numeric inverted indexes
         are left to rebuild lazily on their next probe.
@@ -470,7 +483,8 @@ class TableIndexes:
         for column, dictionary in dictionaries.items():
             index = built.get(column.lower())
             if index is not None:
-                fresh._inverted[column.lower()] = index.extended(dictionary)
+                fresh._inverted[column.lower()] = index.extended(
+                    dictionary, counts[column])
         return fresh
 
     def estimated_bytes(self) -> int:

@@ -6,14 +6,20 @@ selectivity estimates for predicate trees.  The estimates drive
 :mod:`repro.sqldb.planner` cost numbers, which in turn drive MUVE's query
 merging decisions and the processing-cost-aware ILP.
 
-Statistics objects are frozen dataclasses built once per table and never
-mutated afterwards, so they are freely shared between threads; the lazy
-build itself is serialised by :meth:`repro.sqldb.database.Database.
-statistics` (see DESIGN.md, "Concurrency model").
+A :class:`TableStatistics` reads one snapshot of its table when it is
+built and analyzes each column from that snapshot the first time an
+estimate reads it, at most once per column (double-checked locking):
+a planner that only reads the WHERE and GROUP BY columns never pays for
+the others, and rows appended after the snapshot never show.  Column
+statistics are frozen dataclasses, so a statistics object is freely
+shared between threads; :meth:`repro.sqldb.database.Database.statistics`
+builds one per table and drops it on insert (see DESIGN.md, "Concurrency
+model").
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +33,8 @@ from repro.sqldb.expressions import (
     Not,
     Or,
 )
-from repro.sqldb.table import Table
+from repro.sqldb.schema import ColumnSchema
+from repro.sqldb.table import Table, TableSnapshot
 from repro.sqldb.types import DataType
 
 _DEFAULT_EQ_SELECTIVITY = 0.005
@@ -80,25 +87,48 @@ class ColumnStatistics:
 
 
 class TableStatistics:
-    """Statistics for all columns of a table, built by a full scan."""
+    """Statistics for all columns of a table, each column analyzed from
+    the construction-time snapshot on first read."""
 
     def __init__(self, table: Table, mcv_size: int = _MCV_LIST_SIZE) -> None:
         self.table_name = table.schema.name
-        self.num_rows = table.num_rows
+        self._snapshot = table.snapshot()
+        self.num_rows = self._snapshot.num_rows
+        self._mcv_size = mcv_size
+        self._schema = {column.name.lower(): column
+                        for column in table.schema.columns}
         self._columns: dict[str, ColumnStatistics] = {}
-        for column in table.schema.columns:
-            self._columns[column.name.lower()] = _analyze_column(
-                table, column.name, column.dtype, mcv_size)
+        self._lock = threading.Lock()
 
     def column(self, name: str) -> ColumnStatistics:
-        return self._columns[name.lower()]
+        stats = self._analyzed(name)
+        if stats is None:
+            raise KeyError(name.lower())
+        return stats
 
     def n_distinct(self, name: str) -> float:
         """Distinct-value count of a column (the secondary-index probe
         cost model's search-depth input); 200.0 when unanalyzed, like
         the GROUP BY estimate's default."""
-        stats = self._columns.get(name.lower())
+        stats = self._analyzed(name)
         return float(stats.n_distinct) if stats else 200.0
+
+    def _analyzed(self, name: str) -> ColumnStatistics | None:
+        """The statistics of column *name* (None if the table has no such
+        column), analyzed on the first call for that column."""
+        key = name.lower()
+        stats = self._columns.get(key)
+        if stats is None:
+            schema_column = self._schema.get(key)
+            if schema_column is None:
+                return None
+            with self._lock:
+                stats = self._columns.get(key)
+                if stats is None:
+                    stats = _analyze_column(self._snapshot, schema_column,
+                                            self._mcv_size)
+                    self._columns[key] = stats
+        return stats
 
     # ------------------------------------------------------------------
     # Selectivity of predicate trees
@@ -111,7 +141,7 @@ class TableStatistics:
         if isinstance(expr, Comparison):
             return self._comparison_selectivity(expr)
         if isinstance(expr, InList):
-            stats = self._columns.get(expr.column.lower())
+            stats = self._analyzed(expr.column)
             if stats is None:
                 return min(1.0, _DEFAULT_EQ_SELECTIVITY * len(expr.values))
             total = sum(stats.equality_selectivity(v) for v in expr.values)
@@ -132,7 +162,7 @@ class TableStatistics:
         return _DEFAULT_RANGE_SELECTIVITY
 
     def _comparison_selectivity(self, expr: Comparison) -> float:
-        stats = self._columns.get(expr.column.lower())
+        stats = self._analyzed(expr.column)
         if stats is None:
             if expr.op == ComparisonOp.EQ:
                 return _DEFAULT_EQ_SELECTIVITY
@@ -159,34 +189,35 @@ class TableStatistics:
             return 1.0
         product = 1.0
         for name in group_columns:
-            stats = self._columns.get(name.lower())
+            stats = self._analyzed(name)
             product *= stats.n_distinct if stats else 200.0
         return min(float(max(self.num_rows, 1)), product)
 
 
-def _analyze_column(table: Table, name: str, dtype: DataType,
+def _analyze_column(snapshot: TableSnapshot, column: ColumnSchema,
                     mcv_size: int) -> ColumnStatistics:
-    if table.num_rows == 0:
+    name, dtype = column.name, column.dtype
+    if snapshot.num_rows == 0:
         return ColumnStatistics(name, dtype, 0, None, None, (), ())
     min_value = max_value = None
     if dtype == DataType.TEXT:
-        # The dictionary already holds the distinct values and per-row
-        # codes: counting codes and sorting the (few) distinct values
-        # gives the arrays ``np.unique(array, return_counts=True)``
-        # returns, without sorting every row's string.
-        uniques, codes, _ = table.dictionary(name)
+        # The dictionary holds the distinct values and the table keeps
+        # the rows per code: sorting the (few) distinct values gives the
+        # arrays ``np.unique(array, return_counts=True)`` returns,
+        # without reading a row.
+        uniques, _, _ = snapshot.dictionaries[name]
         ascending = np.argsort(uniques)
         values = uniques[ascending]
-        counts = np.bincount(codes, minlength=len(uniques))[ascending]
+        counts = snapshot.counts[name][ascending]
     else:
-        array = table.column(name)
+        array = snapshot.columns[name]
         values, counts = _value_counts(array)
         if dtype.is_numeric:
             min_value = float(array.min())
             max_value = float(array.max())
     n_distinct = len(values)
     order = np.argsort(counts)[::-1][:mcv_size]
-    total = float(table.num_rows)
+    total = float(snapshot.num_rows)
     mcv_values = tuple(values[order].tolist())
     mcv_fractions = tuple(float(counts[i]) / total for i in order)
     return ColumnStatistics(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -18,6 +19,19 @@ Dictionary = tuple[np.ndarray, np.ndarray, dict[Any, int]]
 #: Rows whose average string length stands for a TEXT column's in
 #: :meth:`Table.estimated_bytes` (the first ones).
 _LENGTH_SAMPLE = 256
+
+
+@dataclass(frozen=True)
+class TableSnapshot:
+    """A table's published state at one instant (see
+    :meth:`Table.snapshot`): the row count, the numeric column arrays,
+    the TEXT dictionaries and their per-code row counts.  Later appends
+    never change what a snapshot holds."""
+
+    num_rows: int
+    columns: Mapping[str, np.ndarray]
+    dictionaries: Mapping[str, Dictionary]
+    counts: Mapping[str, np.ndarray]
 
 
 class Table:
@@ -36,6 +50,9 @@ class Table:
         self.schema = schema
         self._columns: dict[str, np.ndarray] = {}
         self._dictionaries: dict[str, Dictionary] = {}
+        # TEXT column -> rows per dictionary code (intp, the
+        # ``np.bincount`` of its codes); see snapshot() and append_rows().
+        self._counts: dict[str, np.ndarray] = {}
         # Column name -> the buffer whose prefix is that column's array
         # (TEXT: its codes); see append_rows().
         self._buffers: dict[str, np.ndarray] = {}
@@ -55,7 +72,10 @@ class Table:
                 array = _as_column_array(columns[column.name], column)
             lengths.add(len(array))
             if column.dtype == DataType.TEXT:
-                self._dictionaries[column.name] = _encode(array)
+                uniques, codes, index = _encode(array)
+                self._dictionaries[column.name] = (uniques, codes, index)
+                self._counts[column.name] = np.bincount(
+                    codes, minlength=len(uniques))
             else:
                 self._columns[column.name] = array
         if len(lengths) > 1:
@@ -117,6 +137,15 @@ class Table:
                 f"column {schema_column.name!r} is "
                 f"{schema_column.dtype.value}, not text")
         return self._dictionaries[schema_column.name]
+
+    def snapshot(self) -> TableSnapshot:
+        """The row count, numeric columns, dictionaries and per-code
+        counts, read together under the lock :meth:`append_rows` holds
+        while it publishes, so they always describe the same rows."""
+        with self._lock:
+            return TableSnapshot(self._num_rows, dict(self._columns),
+                                 dict(self._dictionaries),
+                                 dict(self._counts))
 
     def sorted_values(self, name: str) -> list[Any]:
         """The distinct values of a TEXT column in ascending order — what
@@ -196,12 +225,13 @@ class Table:
         that gained a distinct value.
 
         Built structures are extended, not dropped: each TEXT column's
-        dictionary encodes just the new rows, and the TEXT inverted
-        indexes move into a fresh index container with the new positions
-        added.  Column arrays and codes live in buffers with spare
-        capacity (grown 1.5x when full), so the new rows are written in
-        place past the published lengths, where no reader looks; the new
-        columns, dictionaries, row count and index container are then
+        dictionary encodes just the new rows, its per-code counts add a
+        count of the new codes, and the TEXT inverted indexes move into
+        a fresh index container with the new positions added.  Column
+        arrays and codes live in buffers with spare capacity (grown 1.5x
+        when full), so the new rows are written in place past the
+        published lengths, where no reader looks; the new columns,
+        dictionaries, counts, row count and index container are then
         published together.  No published value is ever overwritten, so
         a reader holding an old dictionary tuple keeps a consistent
         snapshot.
@@ -227,6 +257,7 @@ class Table:
                 self._buffers[name][old_rows:size] = extension[name]
                 columns[name] = self._buffers[name][:size]
             dictionaries: dict[str, Dictionary] = {}
+            counts: dict[str, np.ndarray] = {}
             grown: list[str] = []
             for name, (uniques, _, index) in self._dictionaries.items():
                 known = len(uniques)
@@ -235,12 +266,16 @@ class Table:
                 self._buffers[name][old_rows:size] = codes
                 dictionaries[name] = (uniques, self._buffers[name][:size],
                                       index)
+                counts[name] = np.bincount(codes, minlength=len(uniques))
+                counts[name][:known] += self._counts[name]
                 if len(uniques) > known:
                     grown.append(name)
             indexes = (None if self._indexes is None
-                       else self._indexes.extended(self, dictionaries))
+                       else self._indexes.extended(self, dictionaries,
+                                                   counts))
             self._columns = columns
             self._dictionaries = dictionaries
+            self._counts = counts
             self._num_rows = size
             self._indexes = indexes
         return tuple(grown)

@@ -1,5 +1,10 @@
 """Tests for query merging (Section 8.1)."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from repro.errors import NullAggregateError
@@ -166,3 +171,44 @@ class TestExecution:
             else:
                 assert left == pytest.approx(right)
         assert len(merged.groups) < len(separate.groups)
+
+
+_PLAN_A_MULTIPLOT = textwrap.dedent("""
+    from repro import Database, Muve, ScreenGeometry, VisualizationPlanner
+    from repro.datasets import make_nyc311_table
+    from repro.execution.merging import plan_execution
+
+    db = Database(seed=0)
+    db.register_table(make_nyc311_table(num_rows=2000, seed=5))
+    muve = Muve(db, "nyc311", seed=1, geometry=ScreenGeometry(num_rows=2),
+                planner=VisualizationPlanner(strategy="greedy"))
+    multiplot = muve.ask(
+        "average resolution hours for borough Brooklyn").multiplot
+    plan = plan_execution(db, list(multiplot.displayed_queries()))
+    for group in plan.groups:
+        print(group.estimated_cost.hex(),
+              *(query.to_sql() for query in group.queries), sep="|")
+    print(plan.estimated_cost.hex(), plan.unmerged_cost.hex())
+""")
+
+
+def _plan_in_process(hash_seed: str) -> list[str]:
+    src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
+                       "src")
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+               PYTHONPATH=os.pathsep.join(
+                   [os.path.abspath(src), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", _PLAN_A_MULTIPLOT],
+                          env=env, capture_output=True, text=True,
+                          timeout=120, check=False)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
+def test_plans_are_the_same_in_every_process():
+    """A multiplot's queries reach the merge planner in bar order, not in
+    string-hash order, so group members and the float sums behind every
+    cost come out the same under any PYTHONHASHSEED."""
+    first = _plan_in_process("1")
+    assert sum(line.count("|") for line in first) >= 3  # merged groups
+    assert _plan_in_process("2") == first

@@ -1,9 +1,10 @@
 """Differential tests: delta maintenance on append vs a full rebuild.
 
 ``Table.append_rows`` extends what it has built — dictionaries encode
-only the new rows, TEXT inverted indexes gain a tail of postings,
-statistics and the phonetic vocabulary are read off the dictionaries,
-and ``Database.vocabulary_version`` moves only when a TEXT column gains
+only the new rows and their per-code counts grow by a count of the
+new codes, TEXT inverted indexes gain a tail of postings, statistics
+and the phonetic vocabulary are read off the dictionaries, and
+``Database.vocabulary_version`` moves only when a TEXT column gains
 a value.  Each of those must equal what a fresh build over all rows so
 far gives, bit for bit.  The full rebuilds live here as the reference:
 a first-appearance encoding loop, ``np.unique`` statistics and
@@ -13,6 +14,9 @@ vocabularies, ``np.nonzero`` postings, and a fresh ``Table`` and
 
 Hypothesis appends random batches — empty ones, ones with new TEXT
 values, NaN floats and repeated values — and checks after each batch.
+Statistics are a snapshot analyzed column by column on first read: one
+taken before an append still describes the rows before it, and TEXT
+estimates never analyze a numeric column.
 """
 
 from __future__ import annotations
@@ -25,7 +29,9 @@ from hypothesis import strategies as st
 
 from repro.errors import ReproError
 from repro.nlq.candidates import index_bundle
+from repro.sqldb import statistics as statistics_module
 from repro.sqldb.database import Database
+from repro.sqldb.expressions import Comparison, ComparisonOp
 from repro.sqldb.index import InvertedIndex
 from repro.sqldb.schema import ColumnSchema, TableSchema
 from repro.sqldb.statistics import ColumnStatistics
@@ -155,6 +161,11 @@ def check_against_rebuild(database: Database, all_rows: list) -> None:
         assert codes.dtype == np.int32
         assert codes.tolist() == expected_codes
         assert index == expected_index
+        counts = table.snapshot().counts[name]
+        assert counts.dtype == np.intp
+        np.testing.assert_array_equal(
+            counts, np.bincount(np.asarray(expected_codes, dtype=np.intp),
+                                minlength=len(expected_uniques)))
 
     for column in SCHEMA.columns:
         expected = reference_statistics(fresh_table.column(column.name),
@@ -218,6 +229,83 @@ def test_appends_equal_a_full_rebuild(initial, appended, data):
         if data.draw(st.booleans(), label="check this batch"):
             check_against_rebuild(database, all_rows)
     check_against_rebuild(database, all_rows)
+
+
+@given(st.lists(rows, max_size=20), st.lists(rows, min_size=1,
+                                              max_size=12))
+@settings(max_examples=30, deadline=None)
+def test_statistics_describe_their_snapshot(initial, batch):
+    """Statistics taken before an append and first read after it
+    describe the rows of their snapshot, not the live table."""
+    database = Database(seed=0)
+    database.register_table(Table.from_rows(SCHEMA, initial))
+    stats = database.statistics("t")
+    database.insert_rows("t", batch)
+    before = Table.from_rows(SCHEMA, initial)
+    for column in SCHEMA.columns:
+        expected = reference_statistics(before.column(column.name),
+                                        column.name, column.dtype)
+        assert canon(stats.column(column.name)) == canon(expected)
+    assert stats.num_rows == len(initial)
+    assert database.statistics("t").num_rows == len(initial) + len(batch)
+
+
+def test_text_estimates_analyze_no_numeric_column(monkeypatch):
+    """After an append, estimates over TEXT columns analyze no numeric
+    column, and a column read twice is analyzed once."""
+    database = Database(seed=0)
+    database.register_table(Table.from_rows(
+        SCHEMA, [("nyc", "eng", 1.0, 1), ("sf", "hr", 2.0, 2)]))
+    database.statistics("t").column("v")
+    database.insert_rows("t", [("la", "eng", 3.0, 3)])
+    analyzed = []
+    value_counts = statistics_module._value_counts
+
+    def spy(array):
+        analyzed.append(len(array))
+        return value_counts(array)
+
+    monkeypatch.setattr(statistics_module, "_value_counts", spy)
+    stats = database.statistics("t")
+    where = Comparison("city", ComparisonOp.EQ, "nyc")
+    assert stats.selectivity(where) == 1 / 3
+    assert stats.estimate_groups(("city", "dept")) == 3.0
+    database.estimated_cost(
+        "SELECT dept, COUNT(*) FROM t WHERE city = 'la' GROUP BY dept")
+    assert analyzed == []
+    stats.column("v")
+    stats.column("V")
+    assert analyzed == [3]
+
+
+def test_concurrent_first_reads_analyze_a_column_once(monkeypatch):
+    import threading
+    database = Database(seed=0)
+    database.register_table(Table.from_rows(
+        SCHEMA, [("nyc", "eng", float(i), i) for i in range(50)]))
+    analyzed = []
+    analyze = statistics_module._analyze_column
+
+    def spy(snapshot, column, mcv_size):
+        analyzed.append(column.name)
+        return analyze(snapshot, column, mcv_size)
+
+    monkeypatch.setattr(statistics_module, "_analyze_column", spy)
+    stats = database.statistics("t")
+    barrier = threading.Barrier(8)
+    seen = []
+
+    def read():
+        barrier.wait()
+        seen.append((stats.column("v"), stats.column("city")))
+
+    threads = [threading.Thread(target=read) for _ in range(8)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert sorted(analyzed) == ["city", "v"]
+    assert len({(id(v), id(city)) for v, city in seen}) == 1
 
 
 def test_reader_keeps_its_dictionary_snapshot():
