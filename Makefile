@@ -6,8 +6,9 @@ PYTEST := PYTHONPATH=src python -m pytest
 # The gating suite: the full test tree (tier 1), then the concurrency
 # and caching suites plus the index differential suite (indexed == the
 # full-scan oracle, bit for bit), the batch and parallel differential
-# suites (shared plan execution == the per-group oracle, bit for bit,
-# on the index and the scan path), the append differential suite (delta
+# suites (plan execution through the database's selection cache == the
+# per-group oracle on a memo-free database, bit for bit, on the index
+# and the scan path), the append differential suite (delta
 # maintenance == full rebuild, bit for bit), the row-search
 # differential suite (one-row search == uncut MILP optimum), the
 # greedy differential suite (greedy over version summaries == the
@@ -101,9 +102,9 @@ bench-index:
 
 # Performance gates (each bound is a constant at the top of its
 # script): (1) tracing, and an armed deadline, must each cost under 5%
-# wall-clock (50 requests on 5,000 rows); (2) shared plan execution must
-# be no slower than the per-group rung (run_plan without a request
-# context, 2% tolerance) and cut scans per request 1.5x; (3) pruned
+# wall-clock (50 requests on 5,000 rows); (2) plans sharing leaf
+# selections must be no slower than the same plans on a memo-free
+# database (2% tolerance) and cut scans per request 1.5x; (3) pruned
 # phonetic retrieval must beat the exhaustive scan 5x at 100k terms
 # within a 10 ms p50 budget; (4) secondary indexes must beat full scans
 # 5x at p50 on the 1M-row grouped-equality workload, with bit-identical

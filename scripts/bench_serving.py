@@ -3,10 +3,13 @@
 :func:`build_requests` replays the Figure 7 microbenchmark workload —
 random target queries, each expanded to its phonetically-similar
 candidate set and planned with cost-based merging — and :func:`measure`
-times a set of plans through the shared path (``ExecutionPlan.run``),
-the per-group rung (``run_plan`` without a request context) or the
-full-scan oracle (``tests/sqldb/scan_oracle.py``).
-``scripts/check_batch_speedup.py`` gates shared against per-group on it.
+times a set of plans through ``ExecutionPlan.run``, on the database
+itself (leaf selections shared through its selection cache), on a twin
+that keeps no leaf selection (per-group), or through the full-scan
+oracle (``tests/sqldb/scan_oracle.py``).  :func:`plan_scan_counts`
+counts the full-table mask builds a plan needs with and without shared
+leaves.  ``scripts/check_batch_speedup.py`` gates shared against
+per-group on them.
 
 :func:`measure_row_scaling` replays a grouped-equality candidate
 workload — the shape secondary indexes target — at given table sizes,
@@ -26,10 +29,10 @@ import numpy as np
 
 from repro.datasets.generators import DATASET_GENERATORS
 from repro.datasets.workload import WorkloadGenerator
-from repro.execution.batch import run_plan
 from repro.execution.merging import plan_execution
 from repro.nlq.candidates import CandidateGenerator
 from repro.sqldb.database import Database
+from repro.sqldb.expressions import And, Not, Or
 from repro.sqldb.query import AggregateQuery
 from repro.sqldb.schema import ColumnSchema, TableSchema
 from repro.sqldb.table import Table
@@ -38,7 +41,7 @@ from repro.sqldb.types import DataType
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))))
 
-from tests.sqldb.scan_oracle import ScanContext
+from tests.sqldb.scan_oracle import full_scan, memo_free, scan_only
 
 
 def build_requests(rows: int, count: int, candidates: int, seed: int = 0):
@@ -58,14 +61,44 @@ def build_requests(rows: int, count: int, candidates: int, seed: int = 0):
     return database, plans
 
 
+def plan_scan_counts(plan, database: Database,
+                     sample_fraction: float | None = None,
+                     ) -> tuple[int, int]:
+    """``(per_group, shared)`` full-table mask builds this plan needs.
+
+    The per-group count charges every group for each of its leaf
+    predicates (plus one TABLESAMPLE draw when sampling); the shared
+    count charges each *distinct* leaf once.  Structural: nothing is
+    executed.
+    """
+    sampling = sample_fraction is not None and sample_fraction < 1.0
+    per_group = samples = 0
+    distinct: set = set()
+    for group in plan.groups:
+        samples += sampling
+        bound = database.bound_statement(group.statement)
+        table = bound.statement.table.lower()
+        stack = [bound.where] if bound.where is not None else []
+        while stack:
+            expr = stack.pop()
+            if isinstance(expr, (And, Or)):
+                stack.extend(expr.children)
+            elif isinstance(expr, Not):
+                stack.append(expr.child)
+            else:
+                per_group += 1
+                distinct.add((table, expr))
+    return per_group + samples, len(distinct) + samples
+
+
 def measure(database: Database, plans, rounds: int,
             per_group: bool = False, scan: bool = False) -> dict:
     """Latency/throughput over all requests in one mode.
 
-    ``per_group`` times the per-group rung (:func:`run_plan` without a
-    request context: every group alone through ``Database.execute``)
-    and ``scan`` the shared path through the full-scan oracle, instead
-    of the shared path, :meth:`ExecutionPlan.run`.
+    ``per_group`` times the plans on a twin of *database* that keeps no
+    leaf selection (every group builds its own), and ``scan`` on
+    *database* with every WHERE tree scanned (the full-scan oracle's
+    access path), instead of :meth:`ExecutionPlan.run` on *database*.
 
     An untimed warmup pass first: both modes then run with warm
     statement/cost caches and touched table columns, so the timed pass
@@ -74,12 +107,13 @@ def measure(database: Database, plans, rounds: int,
     standard way to strip scheduler noise from microsecond-scale
     measurements (scan work only ever adds time).
     """
+    target = memo_free(database) if per_group else database
+
     def run(plan):
-        if per_group:
-            return run_plan(plan, database)
         if scan:
-            return plan.run(database, request_ctx=ScanContext(database))
-        return plan.run(database)
+            with scan_only():
+                return plan.run(target)
+        return plan.run(target)
 
     for plan in plans:
         run(plan)
@@ -165,7 +199,7 @@ def measure_row_scaling(rows_list, requests: int, candidates: int,
     """Indexed vs scan-oracle latency per table size.
 
     Both modes run the batch executor over identical plans; the scan
-    mode only hands each request the scan oracle as its context, so the
+    mode only resolves no WHERE tree through the indexes, so the
     comparison isolates probe-vs-scan data access.  The database caches
     no leaf selections, so every timed round probes or scans (statement
     and cost caches stay warm).  Results are asserted
@@ -177,8 +211,7 @@ def measure_row_scaling(rows_list, requests: int, candidates: int,
         database, plans = build_grouped_equality_requests(
             rows, requests, candidates, seed)
         for plan in plans:
-            assert plan.run(database) == plan.run(
-                database, request_ctx=ScanContext(database)), \
+            assert plan.run(database) == full_scan(database, plan.run), \
                 "indexed and scan results diverged"
         scan = measure(database, plans, rounds=rounds, scan=True)
         indexed = measure(database, plans, rounds=rounds)

@@ -2,13 +2,15 @@
 
 Replays a merged-candidate workload (the Figure 7 shape: each request is
 one target query expanded to its phonetically-similar candidate set and
-planned with cost-based merging) through the shared plan execution
-(``ExecutionPlan.run``) and the per-group rung of the degradation ladder
-(``run_plan`` without a request context), and fails (exit 1) if either
+planned with cost-based merging) through ``ExecutionPlan.run`` twice:
+on the database, whose groups share leaf selections through its
+selection cache (batch), and on a twin over the same table that keeps
+no leaf selection, so every group builds its own (per-group).  It fails
+(exit 1) if either
 
-* the batch path's mean per-request latency is slower than the
-  per-group path's (beyond ``TOLERANCE``, 2%), or
-* the batch path does not cut table scans per request by at least
+* the batch arm's mean per-request latency is slower than the
+  per-group arm's (beyond ``TOLERANCE``, 2%), or
+* the batch arm does not cut table scans per request by at least
   ``SCAN_FACTOR`` (1.5x).
 
 The latency comparison averages per-request best-of-round minima (scan
@@ -27,9 +29,7 @@ import sys
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from bench_serving import build_requests, measure
-
-from repro.execution.batch import plan_scan_counts
+from bench_serving import build_requests, measure, plan_scan_counts
 
 ROUNDS = 3
 TOLERANCE = 0.02

@@ -4,7 +4,7 @@ Replays the grouped-equality candidate workload — *requests* per round,
 each a merged ``WHERE cat IN (...) GROUP BY cat`` statement over the
 synthetic events table — once through the secondary-index access paths
 and once through the full-scan oracle (``tests/sqldb/scan_oracle.py``,
-a request context that resolves no index selection), and fails (exit 1)
+which resolves no WHERE tree through the indexes), and fails (exit 1)
 if the indexed p50 per-request latency is not at least
 ``SPEEDUP_FACTOR`` (5) times faster at ``ROWS`` (1M) rows.
 

@@ -13,7 +13,7 @@ The package provides:
   ``(index uid, index version, probe, k, include_self)``, wired into
   :class:`~repro.nlq.candidates.CandidateGenerator`.
 * :class:`SelectionCache` — the byte-bounded cross-request cache of leaf
-  predicate selections the batch executor shares.
+  predicate selections every statement shares.
 """
 
 from repro.caching.caches import (

@@ -12,14 +12,12 @@ independent — the many colored/prefix *versions* of one template are
 mutually exclusive (selecting two would duplicate query results).  A plain
 density greedy therefore gets stuck after picking a small high-density
 version of a template: it can never "upgrade" it to a version with more
-bars.  Our ``knapsack`` variant fixes this with exchange moves: each step
-either adds a version of an unselected template or *replaces* the selected
-version of a template, always taking the feasible move with the largest
-gain-in-savings (density-weighted for pure additions).  The
-``cardinality`` variant is the paper's fixed-width alternative using the
-classical Nemhauser greedy.
+bars.  We fix this with exchange moves: each step either adds a version
+of an unselected template or *replaces* the selected version of a
+template, always taking the feasible move with the largest
+gain-in-savings (density-weighted for pure additions).
 
-Both variants work on :class:`PlotVersions` summaries: a selection is a
+The greedy works on :class:`PlotVersions` summaries: a selection is a
 list of version numbers, and plots are built only for the versions
 picked.  An addition extends the current selection's running totals by
 one plot's bars, in the order a rescan of the whole selection would add
@@ -33,7 +31,6 @@ from collections.abc import Set as AbstractSet
 
 from repro.core.cost_model import UserCostModel
 from repro.core.greedy.coloring import PlotSummary, PlotVersions
-from repro.core.greedy.submodular import maximize_cardinality
 from repro.core.model import Multiplot
 from repro.core.problem import MultiplotSelectionProblem
 
@@ -126,29 +123,10 @@ class _Savings:
 
 
 def pick_plots(problem: MultiplotSelectionProblem,
-               versions: PlotVersions,
-               variant: str = "knapsack") -> Multiplot:
+               versions: PlotVersions) -> Multiplot:
     """Select a feasible subset of *versions* maximizing cost savings."""
-    if variant == "knapsack":
-        placed = _exchange_greedy(problem, versions)
-    elif variant == "cardinality":
-        placed = _cardinality_greedy(problem, versions)
-    else:
-        raise ValueError(f"unknown pick_plots variant {variant!r}")
-    return versions.multiplot(placed, problem.geometry.num_rows)
-
-
-def _fitting(problem: MultiplotSelectionProblem,
-             versions: PlotVersions) -> list[int]:
-    """Versions no wider than a row."""
-    width = problem.geometry.width_units
-    return [version for version in range(len(versions))
-            if not versions.units[version] > width]
-
-
-# ---------------------------------------------------------------------------
-# Knapsack variant with exchange moves
-# ---------------------------------------------------------------------------
+    return versions.multiplot(_exchange_greedy(problem, versions),
+                              problem.geometry.num_rows)
 
 
 def _exchange_greedy(problem: MultiplotSelectionProblem,
@@ -353,35 +331,3 @@ def _exchange_run(problem: MultiplotSelectionProblem,
         row_used[row] += units[version]
         current += best_delta
     return list(slots.values())
-
-
-# ---------------------------------------------------------------------------
-# Cardinality variant (fixed-width plots, Nemhauser greedy)
-# ---------------------------------------------------------------------------
-
-
-def _cardinality_greedy(problem: MultiplotSelectionProblem,
-                        versions: PlotVersions) -> list[Placement]:
-    geometry = problem.geometry
-    num_rows = geometry.num_rows
-    limit = geometry.width_units + 1e-9
-    items = [(version, row) for version in _fitting(problem, versions)
-             for row in range(num_rows)]
-
-    widest = max(versions.units, default=1.0)
-    per_row = max(1, int(geometry.width_units // widest))
-    max_plots = per_row * num_rows
-
-    def gain(selection: tuple[Placement, ...]) -> float:
-        templates = [versions.template[version] for version, _ in selection]
-        if len(set(templates)) != len(templates):
-            return float("-inf")
-        used = [0] * num_rows
-        for version, row in selection:
-            used[row] += versions.units[version]
-        if not all(total <= limit for total in used):
-            return float("-inf")
-        return savings.of(versions, [version for version, _ in selection])
-
-    savings = _Savings(problem.cost_model)
-    return maximize_cardinality(items, gain, max_plots)

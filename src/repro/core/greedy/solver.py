@@ -25,29 +25,15 @@ class GreedySolution:
 
 
 class GreedySolver:
-    """Runs the four-phase greedy pipeline of Section 6.2.
-
-    Parameters
-    ----------
-    variant:
-        ``"knapsack"`` (multi-dimensional knapsack greedy, the default) or
-        ``"cardinality"`` (fixed-width Nemhauser variant).
-    apply_polish:
-        Run the local-search polish on the picked multiplot.
-    """
-
-    def __init__(self, variant: str = "knapsack",
-                 apply_polish: bool = True) -> None:
-        self.variant = variant
-        self.apply_polish = apply_polish
+    """Runs the four-phase greedy pipeline of Section 6.2: plot
+    candidates, colored versions, exchange-knapsack plot picking and
+    the polish step."""
 
     def solve(self, problem: MultiplotSelectionProblem) -> GreedySolution:
         start = time.perf_counter()
         uncolored = plot_candidates(problem)
         versions = PlotVersions(problem, uncolored)
-        multiplot = pick_plots(problem, versions, variant=self.variant)
-        if self.apply_polish:
-            multiplot = polish(problem, multiplot)
+        multiplot = polish(problem, pick_plots(problem, versions))
         elapsed = time.perf_counter() - start
         return GreedySolution(
             multiplot=multiplot,

@@ -7,13 +7,13 @@ the optimizer's cost model says the merged plan is cheaper.  Section 8.2
 reduces *perceived* latency instead: incremental plotting emits the
 multiplot plot by plot, approximate processing shows scaled sample results
 first and refines in the background.
+
+Plans run through one loop (:func:`repro.execution.batch.run_plan`):
+every group statement resolves its leaf predicates through the
+database's selection cache, so candidates sharing a predicate build it
+once.
 """
 
-from repro.execution.batch import (
-    batch_stats,
-    request_context,
-    reset_batch_stats,
-)
 from repro.execution.engine import MuveExecutor, VisualizationUpdate
 from repro.execution.parallel import warm_database
 from repro.execution.merging import (
@@ -37,9 +37,6 @@ __all__ = [
     "MuveExecutor",
     "ProcessingStrategy",
     "VisualizationUpdate",
-    "batch_stats",
     "plan_execution",
-    "request_context",
-    "reset_batch_stats",
     "warm_database",
 ]

@@ -96,15 +96,10 @@ class MuveExecutor:
         seen in earlier steps are cached), so later steps mostly pay
         optimisation time.
         """
-        from repro.execution.batch import request_context
         with trace_span("executor.ilp_inc") as span:
             start = time.perf_counter()
             updates: list[VisualizationUpdate] = []
             cache: dict[AggregateQuery, float | None] = {}
-            # All per-step plans of one incremental solve share one
-            # request context: successive steps mostly re-select
-            # queries over the same predicates and GROUP BY columns.
-            ctx = request_context(self._database)
             steps = list(incremental_solve(
                 problem, solver=solver, initial_timeout=initial_timeout,
                 growth_factor=growth_factor, total_budget=total_budget))
@@ -117,8 +112,7 @@ class MuveExecutor:
                 if missing:
                     plan = plan_execution(self._database, missing)
                     cache.update(plan.run(self._database,
-                                          cache=self.result_cache,
-                                          request_ctx=ctx))
+                                          cache=self.result_cache))
                 updates.append(VisualizationUpdate(
                     elapsed_seconds=time.perf_counter() - start,
                     multiplot=_fill_values(multiplot, cache),

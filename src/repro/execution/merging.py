@@ -23,7 +23,8 @@ that form; no SQL text is rendered or parsed on the way.
 
 This module plans; :meth:`ExecutionPlan.run` executes through
 :func:`repro.execution.batch.run_plan`, the one loop over a plan's
-groups, and keeps the batch→per-group rung of the degradation ladder.
+groups, and keeps the batch→per-group rung of the degradation ladder
+(a transient failure re-runs that loop).
 """
 
 from __future__ import annotations
@@ -81,7 +82,6 @@ class ExecutionPlan:
     def run(self, database: Database,
             sample_fraction: float | None = None,
             cache: "QueryResultCache | None" = None,
-            request_ctx=None,
             ) -> dict[AggregateQuery, float | None]:
         """Execute every group; returns per-query results.
 
@@ -94,33 +94,27 @@ class ExecutionPlan:
         approximate runs never share an entry).
 
         The groups run through :func:`repro.execution.batch.run_plan`,
-        which shares predicate masks and GROUP BY factorisations across
-        groups.  ``request_ctx`` (from :func:`repro.execution.batch
-        .request_context`) shares that work across several plans of the
-        same request — the progressive strategies run one plan per
-        emitted update; without one, a fresh context is made.
+        their leaf selections shared through the database's selection
+        cache.  A transient failure (the ``executor.batch`` fault point
+        or any group) takes the batch→per-group rung of the degradation
+        ladder: the same loop runs once more, for results identical to
+        an undegraded run.
         """
-        from repro.execution import batch as batch_executor
+        from repro.execution.batch import run_plan
         try:
             fault_point("executor.batch")
             deadline = current_deadline()
             if deadline is not None:
                 deadline.check("executor.batch")
-            if request_ctx is None:
-                request_ctx = batch_executor.request_context(database)
-            return batch_executor.run_plan(
-                self, database, sample_fraction=sample_fraction,
-                cache=cache, ctx=request_ctx)
+            return run_plan(self, database, sample_fraction=sample_fraction,
+                            cache=cache)
         except TransientError as exc:
-            # batch→per-group rung: a transient failure of the shared
-            # path re-runs the plan without shared work, one group at a
-            # time, for bit-identical results.  Deadline exhaustion is
-            # NOT handled here — per-group is the *slower* path, so the
-            # caller must shrink the multiplot instead.
+            # Deadline exhaustion is NOT handled here: re-running costs
+            # time, so the caller must shrink the multiplot instead.
             record_degradation("executor", "batch_to_per_group",
                                exception_reason(exc))
-        return batch_executor.run_plan(
-            self, database, sample_fraction=sample_fraction, cache=cache)
+        return run_plan(self, database, sample_fraction=sample_fraction,
+                        cache=cache)
 
 
 def candidate_processing_groups(database: Database, candidates):

@@ -96,16 +96,14 @@ class DefaultProcessing(ProcessingStrategy):
     def updates(self, database: Database, multiplot: Multiplot,
                 cache: "QueryResultCache | None" = None,
                 ) -> Iterator["VisualizationUpdate"]:
-        from repro.execution.batch import request_context
         from repro.execution.engine import VisualizationUpdate
         start = time.perf_counter()
         queries = list(multiplot.displayed_queries())
         plan = _plan_with_span(database, queries)
-        ctx = request_context(database)
         # The span closes before the yield: an open span across a yield
         # would tear down in the consumer's context.
         with trace_span("executor.update", final=True) as span:
-            results = plan.run(database, cache=cache, request_ctx=ctx)
+            results = plan.run(database, cache=cache)
             update = VisualizationUpdate(
                 elapsed_seconds=time.perf_counter() - start,
                 multiplot=_fill_values(multiplot, results),
@@ -138,7 +136,6 @@ class IncrementalPlotting(ProcessingStrategy):
     def updates(self, database: Database, multiplot: Multiplot,
                 cache: "QueryResultCache | None" = None,
                 ) -> Iterator["VisualizationUpdate"]:
-        from repro.execution.batch import request_context
         from repro.execution.engine import VisualizationUpdate
         start = time.perf_counter()
         plots = list(enumerate(multiplot.plots()))
@@ -146,11 +143,6 @@ class IncrementalPlotting(ProcessingStrategy):
             plots.sort(key=lambda pair: -pair[1].probability_mass())
         results: dict[AggregateQuery, float | None] = {}
         shown: set[int] = set()
-        # One request context for every per-plot plan: plots of one
-        # multiplot share fixed predicates and GROUP BY columns, so
-        # later plots reuse the factorisations the first plot built
-        # (its leaf selections are in the database's selection cache).
-        ctx = request_context(database)
         for step, (index, plot) in enumerate(plots):
             with trace_span("executor.update",
                             step=step + 1, of=len(plots)) as span:
@@ -158,8 +150,7 @@ class IncrementalPlotting(ProcessingStrategy):
                            if bar.query not in results]
                 if queries:
                     plan = _plan_with_span(database, queries)
-                    results.update(plan.run(database, cache=cache,
-                                            request_ctx=ctx))
+                    results.update(plan.run(database, cache=cache))
                 span.set_attribute("new_queries", len(queries))
                 shown.add(index)
                 update = VisualizationUpdate(
@@ -256,7 +247,6 @@ class ApproximateProcessing(ProcessingStrategy):
     def updates(self, database: Database, multiplot: Multiplot,
                 cache: "QueryResultCache | None" = None,
                 ) -> Iterator["VisualizationUpdate"]:
-        from repro.execution.batch import request_context
         from repro.execution.engine import VisualizationUpdate
         start = time.perf_counter()
         queries = list(multiplot.displayed_queries())
@@ -266,15 +256,11 @@ class ApproximateProcessing(ProcessingStrategy):
         else:
             fraction = self.fraction
 
-        # The sampled and the precise pass share one request context,
-        # so the refinement pass reuses the sampled pass's numeric
-        # GROUP BY factorisations.
-        ctx = request_context(database)
         if fraction < 1.0:
             with trace_span("executor.update", approximate=True) as span:
                 span.set_attribute("sample_fraction", round(fraction, 6))
                 raw = plan.run(database, sample_fraction=fraction,
-                               cache=cache, request_ctx=ctx)
+                               cache=cache)
                 scaled = {
                     query: (None if value is None else
                             scale_aggregate(query.aggregate.func, value,
@@ -291,7 +277,7 @@ class ApproximateProcessing(ProcessingStrategy):
                 )
             yield update
         with trace_span("executor.update", final=True) as span:
-            results = plan.run(database, cache=cache, request_ctx=ctx)
+            results = plan.run(database, cache=cache)
             update = VisualizationUpdate(
                 elapsed_seconds=time.perf_counter() - start,
                 multiplot=_fill_values(multiplot, results),

@@ -230,11 +230,9 @@ class Muve:
             register_cache_metrics(self.metrics, "plans",
                                    self.planner.plan_cache)
         from repro.caching.phonetic import phonetic_probe_cache
-        from repro.execution.batch import register_batch_metrics
         from repro.nlq.candidates import index_bundle_cache
         from repro.phonetics.index import register_phonetic_metrics
         from repro.sqldb.index import register_index_metrics
-        register_batch_metrics(self.metrics)
         register_index_metrics(self.metrics)
         register_cache_metrics(self.metrics, "phonetic_probes",
                                phonetic_probe_cache())
@@ -270,6 +268,14 @@ class Muve:
                 "hits": snapshot.hits, "misses": snapshot.misses,
                 "evictions": snapshot.evictions, "size": snapshot.size,
                 "hit_rate": snapshot.hit_rate}
+        # Leaf selections (see Database.selection_cache_stats).
+        selections = self.database.selection_cache_stats
+        lookups = selections["hits"] + selections["misses"]
+        stats["selections"] = {
+            "hits": selections["hits"], "misses": selections["misses"],
+            "evictions": selections["clears"],
+            "size": selections["entries"],
+            "hit_rate": selections["hits"] / lookups if lookups else 0.0}
         return stats
 
     def invalidate_caches(self) -> None:

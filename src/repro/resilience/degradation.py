@@ -13,14 +13,14 @@ site                      action                     replaces
                           ``top_m``
 ``planner``               ``ilp_to_greedy``          ILP / best planning
 ``planner``               ``ilp_budget_cut``         the row search's budget
-``executor``              ``batch_to_per_group``     shared plan execution
+``executor``              ``batch_to_per_group``     the plan's first run
 ``executor``              ``single_plot``            full multiplot
 ========================  =========================  ====================
 
 ``batch_to_per_group`` re-runs the plan through the same group loop
-(:func:`repro.execution.batch.run_plan`) without a request context:
-serially, each group through plain ``Database.execute``, with
-bit-identical values.
+(:func:`repro.execution.batch.run_plan`) after a transient failure:
+serially, each group through ``Database.execute``, with bit-identical
+values.
 
 Events are appended to a contextvar-scoped collector opened per request
 (:func:`degradation_scope`), attached to the outgoing

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -240,14 +240,7 @@ class And(BooleanExpr):
         return And(tuple(child.bind(schema) for child in self.children))
 
     def evaluate(self, table: Table) -> np.ndarray:
-        if not self.children:
-            return np.ones(table.num_rows, dtype=bool)
-        mask = self.children[0].evaluate(table)
-        for child in self.children[1:]:
-            if not mask.any():
-                break
-            mask = mask & child.evaluate(table)
-        return mask
+        return combine_masks(self, table, lambda leaf: leaf.evaluate(table))
 
     def referenced_columns(self) -> frozenset[str]:
         return frozenset().union(
@@ -269,14 +262,7 @@ class Or(BooleanExpr):
         return Or(tuple(child.bind(schema) for child in self.children))
 
     def evaluate(self, table: Table) -> np.ndarray:
-        if not self.children:
-            return np.zeros(table.num_rows, dtype=bool)
-        mask = self.children[0].evaluate(table)
-        for child in self.children[1:]:
-            if mask.all():
-                break
-            mask = mask | child.evaluate(table)
-        return mask
+        return combine_masks(self, table, lambda leaf: leaf.evaluate(table))
 
     def referenced_columns(self) -> frozenset[str]:
         return frozenset().union(
@@ -298,13 +284,46 @@ class Not(BooleanExpr):
         return Not(self.child.bind(schema))
 
     def evaluate(self, table: Table) -> np.ndarray:
-        return ~self.child.evaluate(table)
+        return combine_masks(self, table, lambda leaf: leaf.evaluate(table))
 
     def referenced_columns(self) -> frozenset[str]:
         return self.child.referenced_columns()
 
     def to_sql(self) -> str:
         return f"NOT ({self.child.to_sql()})"
+
+
+def combine_masks(expr: BooleanExpr, table: Table,
+                  leaf: Callable[[BooleanExpr], np.ndarray]) -> np.ndarray:
+    """The boolean mask of *expr*: AND/OR/NOT over the masks *leaf*
+    returns for its leaf predicates.
+
+    AND stops at an all-false mask and OR at an all-true one, leaving
+    the remaining children unevaluated.  *leaf* may return shared
+    arrays, and the result may be one of them (a lone leaf, a one-child
+    AND or OR): callers must not mutate it in place.
+    """
+    if isinstance(expr, And):
+        if not expr.children:
+            return np.ones(table.num_rows, dtype=bool)
+        mask = combine_masks(expr.children[0], table, leaf)
+        for child in expr.children[1:]:
+            if not mask.any():
+                break
+            mask = mask & combine_masks(child, table, leaf)
+        return mask
+    if isinstance(expr, Or):
+        if not expr.children:
+            return np.zeros(table.num_rows, dtype=bool)
+        mask = combine_masks(expr.children[0], table, leaf)
+        for child in expr.children[1:]:
+            if mask.all():
+                break
+            mask = mask | combine_masks(child, table, leaf)
+        return mask
+    if isinstance(expr, Not):
+        return ~combine_masks(expr.child, table, leaf)
+    return leaf(expr)
 
 
 def conjunction(terms: Sequence[BooleanExpr]) -> BooleanExpr | None:

@@ -36,9 +36,9 @@ every DDL/data mutation clears it.
 ascending order, or a boolean mask — that selects *exactly* the rows of
 ``expr.evaluate(table)``.  Production has one access path: every
 resolvable tree goes through the indexes.  The full-scan reference
-lives in the tests: ``tests/sqldb/scan_oracle.py`` is a request context
-that resolves no selection, so the executor builds every mask by
-scanning, and the Hypothesis suite in
+lives in the tests: ``tests/sqldb/scan_oracle.py`` patches the
+executor's resolver to resolve no selection, so the executor builds
+every mask by scanning, and the Hypothesis suite in
 ``tests/sqldb/test_index_differential.py`` compares the two.
 
 Observability: builds run inside ``index.build`` spans, and process-wide
@@ -600,9 +600,9 @@ def resolve_selection(
     secondary indexes, or None when any leaf lacks an index path.
 
     ``leaf_cache`` is an optional callable ``(expr, table) -> selection
-    | None`` used for leaves instead of :func:`resolve_leaf` — the batch
-    executor passes the database's selection cache, so shared candidate
-    predicates probe once until the data changes.
+    | None`` used for leaves instead of :func:`resolve_leaf` — the
+    executor passes a lookup in the database's selection cache, so
+    shared candidate predicates probe once until the data changes.
     """
     if isinstance(expr, And):
         if not expr.children:

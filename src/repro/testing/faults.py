@@ -13,9 +13,9 @@ Sites (the registry production code is instrumented with)::
     candidates.generate   Muve._run_pipeline, before candidate expansion
     phonetics.lookup      CandidateGenerator, before each index probe
     planner.solve         VisualizationPlanner, before the primary solve
-    executor.batch        ExecutionPlan.run, before the shared plan run
-    executor.group        batch.run_plan's per-group rung, before each
-                          merged group
+    executor.batch        ExecutionPlan.run, before the plan's first run
+    executor.group        batch.run_plan, before each merged group, on
+                          every run (the batch→per-group rung included)
     session.replan        MuveSession, before the history-based replan
 
 Fault kinds:

@@ -242,10 +242,10 @@ class TestMuveCacheWiring:
         muve.ask("count of requests for borough Queens")
         stats = muve.cache_stats()
         # Pipeline-level caches are off; only the database-level
-        # statement/cost caches and the process-wide phonetic caches
-        # (which live outside the pipeline) still report counters.
+        # statement/cost/selection caches and the process-wide phonetic
+        # caches (which live outside the pipeline) still report counters.
         assert "query_results" not in stats
         assert "plans" not in stats
-        assert set(stats) == {"statements", "plan_costs",
+        assert set(stats) == {"statements", "plan_costs", "selections",
                               "phonetic_probes", "phonetic_indexes"}
         assert muve.result_cache is None

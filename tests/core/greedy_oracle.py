@@ -15,7 +15,6 @@ from repro.core.greedy.coloring import color_plot
 from repro.core.greedy.pick_plots import MAX_EXCHANGE_STEPS
 from repro.core.greedy.plot_candidates import UncoloredPlot, plot_candidates
 from repro.core.greedy.polish import polish
-from repro.core.greedy.submodular import maximize_cardinality
 from repro.core.model import Multiplot, Plot
 from repro.core.problem import MultiplotSelectionProblem
 from repro.nlq.templates import QueryTemplate
@@ -92,23 +91,15 @@ def build_multiplot(items: tuple[PlotRowItem, ...],
 
 
 def pick_plots(problem: MultiplotSelectionProblem,
-               colored_plots: list[Plot],
-               variant: str = "knapsack") -> Multiplot:
+               colored_plots: list[Plot]) -> Multiplot:
     """Select a feasible subset of *colored_plots* maximizing cost savings."""
-    if variant == "knapsack":
-        return _exchange_greedy(problem, colored_plots)
-    if variant == "cardinality":
-        return _cardinality_greedy(problem, colored_plots)
-    raise ValueError(f"unknown pick_plots variant {variant!r}")
+    return _exchange_greedy(problem, colored_plots)
 
 
-def solve(problem: MultiplotSelectionProblem, variant: str = "knapsack",
-          apply_polish: bool = True) -> tuple[Multiplot, float]:
+def solve(problem: MultiplotSelectionProblem) -> tuple[Multiplot, float]:
     """The whole greedy pipeline: (multiplot, expected cost)."""
     colored = add_colors(plot_candidates(problem))
-    multiplot = pick_plots(problem, colored, variant=variant)
-    if apply_polish:
-        multiplot = polish(problem, multiplot)
+    multiplot = polish(problem, pick_plots(problem, colored))
     return multiplot, problem.evaluate(multiplot)
 
 
@@ -195,34 +186,3 @@ def _exchange_run(problem: MultiplotSelectionProblem,
         row_used[best_move.row] += geometry.plot_units(best_move.plot)
         current += best_delta
     return tuple(selected.values())
-
-
-def _cardinality_greedy(problem: MultiplotSelectionProblem,
-                        colored_plots: list[Plot]) -> Multiplot:
-    geometry = problem.geometry
-    num_rows = geometry.num_rows
-
-    items: list[PlotRowItem] = []
-    for plot in colored_plots:
-        if geometry.plot_units(plot) > geometry.width_units:
-            continue
-        for row in range(num_rows):
-            items.append(PlotRowItem(plot, row))
-
-    widest = max((geometry.plot_units(plot)
-                  for plot in colored_plots), default=1.0)
-    per_row = max(1, int(geometry.width_units // widest))
-    max_plots = per_row * num_rows
-
-    def gain(selection: tuple[PlotRowItem, ...]) -> float:
-        templates = [item.plot.template for item in selection]
-        if len(set(templates)) != len(templates):
-            return float("-inf")
-        multiplot = build_multiplot(selection, num_rows)
-        if not geometry.fits(multiplot):
-            return float("-inf")
-        return selection_savings((item.plot for item in selection),
-                                 problem.cost_model)
-
-    selected = maximize_cardinality(items, gain, max_plots)
-    return build_multiplot(tuple(selected), num_rows)

@@ -95,7 +95,7 @@ def savings_evaluated():
         greedy_oracle.selection_savings = oracle
 
 
-def assert_same_plans(problem, variant="knapsack"):
+def assert_same_plans(problem):
     """Summaries and oracle agree before and after the polish step.
 
     Plans only differ when a float sum does, so beyond equal plans every
@@ -107,13 +107,12 @@ def assert_same_plans(problem, variant="knapsack"):
     colored = greedy_oracle.add_colors(plot_candidates(problem))
     assert [versions.plot(v) for v in range(len(versions))] == colored
     with savings_evaluated() as (summaries, oracle):
-        picked = pick_plots(problem, versions, variant=variant)
-        reference = greedy_oracle.pick_plots(problem, colored,
-                                             variant=variant)
+        picked = pick_plots(problem, versions)
+        reference = greedy_oracle.pick_plots(problem, colored)
     assert picked == reference
     assert set(summaries) <= set(oracle)
-    solution = GreedySolver(variant=variant).solve(problem)
-    multiplot, cost = greedy_oracle.solve(problem, variant=variant)
+    solution = GreedySolver().solve(problem)
+    multiplot, cost = greedy_oracle.solve(problem)
     assert solution.multiplot == multiplot
     assert solution.expected_cost == cost
 
@@ -140,13 +139,6 @@ def test_plots_in_any_order_match_oracle(problem, data):
     colored = greedy_oracle.add_colors(shuffled)
     assert pick_plots(problem, versions) == greedy_oracle.pick_plots(
         problem, colored)
-
-
-@settings(max_examples=15, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(problem=problems())
-def test_cardinality_matches_oracle(problem):
-    assert_same_plans(problem, variant="cardinality")
 
 
 def _nyc_corpus(database):

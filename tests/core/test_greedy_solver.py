@@ -28,24 +28,16 @@ def all_versions(problem) -> PlotVersions:
 
 
 class TestPickPlots:
-    @pytest.mark.parametrize("variant", ["knapsack", "cardinality"])
-    def test_result_fits_screen(self, variant):
+    def test_result_fits_screen(self):
         problem = make_problem(width=800, rows=2)
-        result = pick_plots(problem, all_versions(problem), variant=variant)
+        result = pick_plots(problem, all_versions(problem))
         assert problem.geometry.fits(result)
 
-    @pytest.mark.parametrize("variant", ["knapsack", "cardinality"])
-    def test_positive_savings(self, variant):
+    def test_positive_savings(self):
         problem = make_problem()
-        result = pick_plots(problem, all_versions(problem), variant=variant)
+        result = pick_plots(problem, all_versions(problem))
         assert problem.cost_model.cost_savings(
             result, problem.candidates) > 0
-
-    def test_unknown_variant(self):
-        problem = make_problem()
-        with pytest.raises(ValueError):
-            pick_plots(problem, PlotVersions(problem, []),
-                       variant="magic")
 
     def test_no_candidates_empty_multiplot(self):
         problem = make_problem()
@@ -59,10 +51,10 @@ class TestPickPlots:
         assert len(templates) == len(set(templates))
 
     def test_exchange_upgrades_to_wider_plot(self):
-        """The knapsack variant must not get stuck on a small prefix
-        version of the best template (the exchange-move regression)."""
+        """Picking must not get stuck on a small prefix version of the
+        best template (the exchange-move regression)."""
         problem = make_problem(n=6, width=1200, rows=1)
-        result = pick_plots(problem, all_versions(problem), variant="knapsack")
+        result = pick_plots(problem, all_versions(problem))
         # The best single plot shows all six queries; exchange moves must
         # reach at least five bars.
         assert result.num_bars >= 5
@@ -137,16 +129,6 @@ class TestGreedySolver:
         second = GreedySolver().solve(problem)
         assert first.expected_cost == second.expected_cost
 
-    def test_cardinality_variant_feasible(self):
-        problem = make_problem(rows=2, width=900)
-        solution = GreedySolver(variant="cardinality").solve(problem)
-        assert problem.is_feasible(solution.multiplot)
-
-    def test_no_polish_option(self):
-        problem = make_problem()
-        solution = GreedySolver(apply_polish=False).solve(problem)
-        assert problem.geometry.fits(solution.multiplot)
-
     def test_more_rows_never_hurt(self, nyc_candidates):
         one = MultiplotSelectionProblem(
             nyc_candidates, geometry=ScreenGeometry(width_pixels=900,
@@ -210,11 +192,10 @@ class TestSelectionSavings:
         problem = MultiplotSelectionProblem(
             nyc_candidates,
             geometry=ScreenGeometry(width_pixels=1125, num_rows=2))
-        solution = GreedySolver(apply_polish=False).solve(problem)
-        slow = problem.cost_model.cost_savings(solution.multiplot,
-                                               problem.candidates)
+        picked = pick_plots(problem, all_versions(problem))
+        slow = problem.cost_model.cost_savings(picked, problem.candidates)
         fast = greedy_oracle.selection_savings(
-            list(solution.multiplot.plots()), problem.cost_model)
+            list(picked.plots()), problem.cost_model)
         assert fast == pytest.approx(slow)
 
     def test_empty_selection_saves_nothing(self):

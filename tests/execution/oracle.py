@@ -1,13 +1,16 @@
 """The per-group reference oracle for plan execution.
 
-Production answers a plan through one loop with request-shared work
+Production answers a plan through one loop whose groups share leaf
+selections through the database's selection cache
 (:func:`repro.execution.batch.run_plan`), handing the engine statements
 built by :func:`repro.execution.merging.group_statement`.  The reference
 it must match bit for bit is the plainest possible execution: every
 group rendered to SQL text by the string builders below, which are
 independent of the statement builder, and run through
-:meth:`Database.execute` on its own, rows mapped back to the member
-queries by the same ``_extract_group_results`` production uses.
+:meth:`Database.execute` on its own, on a twin of the database that
+keeps no leaf selection (:func:`tests.sqldb.scan_oracle.memo_free`), so
+the oracle never reads the memo it checks; rows are mapped back to the
+member queries by the same ``_extract_group_results`` production uses.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from repro.execution.merging import (
 )
 from repro.sqldb.expressions import format_literal
 from repro.sqldb.parser import parse
+from tests.sqldb import scan_oracle
 
 
 def _merged_sql(template, members) -> str:
@@ -71,15 +75,10 @@ def group_sql(group, sample_fraction=None) -> str:
     return sql
 
 
-def run_per_group(plan, database, sample_fraction=None, cache=None,
-                  shared=None):
-    """Execute *plan* one group at a time; returns per-query results.
-
-    *shared* is handed to every ``Database.execute`` call (the index
-    suites pass the full-scan oracle, ``tests/sqldb/scan_oracle.py``).
-    """
-    def execute(statement):
-        return database.execute(statement, shared=shared)
+def run_per_group(plan, database, sample_fraction=None, cache=None):
+    """Execute *plan* one group at a time on a memo-free twin of
+    *database*; returns per-query results."""
+    execute = scan_oracle.memo_free(database).execute
 
     results = {}
     for group in plan.groups:
@@ -104,7 +103,6 @@ def per_group_plans(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(
             ExecutionPlan, "run",
-            lambda self, database, sample_fraction=None, cache=None,
-            request_ctx=None: run_per_group(
-                self, database, sample_fraction, cache))
+            lambda self, database, sample_fraction=None, cache=None:
+            run_per_group(self, database, sample_fraction, cache))
         yield

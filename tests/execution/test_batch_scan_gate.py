@@ -1,8 +1,9 @@
 """The deterministic half of the batch-execution gate.
 
-``scripts/check_batch_speedup.py`` times the shared plan execution
-against the per-group rung and also requires it to cut full-table mask
-builds per request by ``SCAN_FACTOR``.  Scan counts are structural, so
+``scripts/check_batch_speedup.py`` times plans on a database that
+shares leaf selections against the same plans on a memo-free twin, and
+also requires the sharing to cut full-table mask builds per request by
+``SCAN_FACTOR``.  Scan counts are structural, so
 that half needs no timing: this test replays the script's workload
 (its own constants) and asserts the same ratio.
 """
@@ -13,10 +14,8 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "..",
                                 "scripts"))
-from bench_serving import build_requests
+from bench_serving import build_requests, plan_scan_counts
 from check_batch_speedup import CANDIDATES, REQUESTS, ROWS, SCAN_FACTOR
-
-from repro.execution.batch import plan_scan_counts
 
 
 def test_batch_cuts_scans_per_request():

@@ -1,14 +1,13 @@
 """Differential tests: shared execution is bit-identical to per-group.
 
-The shared path (one request context taking leaf masks and index
-selections from the database's selection cache and factorising numeric
-GROUP BY columns once) must
-reproduce the per-group oracle in :mod:`tests.execution.oracle` —
-every group alone through ``Database.execute`` — *exactly*: plain
-``==`` on floats, no ``approx``.  Hypothesis generates the candidate
-workloads, and ``MORSEL_ROWS`` is shrunk so the module-sized tables
-span many chunks of the fixed-chunk SUM/AVG kernel and its chunk
-boundaries are actually exercised.
+The shared path (every group taking leaf masks and index selections
+from the database's selection cache) must reproduce the per-group
+oracle in :mod:`tests.execution.oracle` — every group alone through
+``Database.execute`` on a database that keeps no leaf selection —
+*exactly*: plain ``==`` on floats, no ``approx``.  Hypothesis generates
+the candidate workloads, and ``MORSEL_ROWS`` is shrunk so the
+module-sized tables span many chunks of the fixed-chunk SUM/AVG kernel
+and its chunk boundaries are actually exercised.
 """
 
 from __future__ import annotations
@@ -19,14 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datasets import make_nyc311_table
-from repro.execution.batch import request_context
 from repro.execution.merging import plan_execution
 from repro.sqldb import executor as _kernels
 from repro.sqldb.database import Database
 from repro.sqldb.query import AggregateQuery
 from repro.sqldb.types import DataType
 from tests.execution.oracle import run_per_group
-from tests.sqldb.scan_oracle import ScanContext
+from tests.sqldb.scan_oracle import scan_only
 
 #: Shrunk chunk size (real default 65536): the 1500-row table below
 #: spans six chunks, so the ordered SUM/AVG reduction engages,
@@ -69,12 +67,6 @@ def query_sets(draw):
     return queries
 
 
-def _run(plan, database, sample_fraction=None, ctx=None):
-    """The shared path: one fresh request context for the plan."""
-    return plan.run(database, sample_fraction=sample_fraction,
-                    request_ctx=ctx or request_context(database))
-
-
 def _assert_identical(shared, oracle):
     assert set(shared) == set(oracle)
     for query, expected in oracle.items():
@@ -91,7 +83,7 @@ def _assert_identical(shared, oracle):
 @settings(max_examples=30, deadline=None)
 def test_shared_equals_per_group_exactly(queries, merge):
     plan = plan_execution(_DB, queries, merge=merge)
-    _assert_identical(_run(plan, _DB), run_per_group(plan, _DB))
+    _assert_identical(plan.run(_DB), run_per_group(plan, _DB))
 
 
 @given(query_sets(), st.sampled_from([0.05, 0.25, 0.5, 0.9]))
@@ -100,19 +92,20 @@ def test_shared_equals_per_group_under_sampling(queries, fraction):
     """TABLESAMPLE: the Bernoulli draw is keyed on the statement text,
     so both paths must select the same rows in the same order."""
     plan = plan_execution(_DB, queries, merge=True)
-    _assert_identical(_run(plan, _DB, sample_fraction=fraction),
+    _assert_identical(plan.run(_DB, sample_fraction=fraction),
                       run_per_group(plan, _DB, sample_fraction=fraction))
 
 
 @given(query_sets())
 @settings(max_examples=15, deadline=None)
 def test_shared_equals_per_group_on_the_scan_path(queries):
-    """Through the scan oracle every leaf predicate takes the full-scan
+    """Under :func:`scan_only` every leaf predicate takes the full-scan
     mask path (leaf masks from the selection cache); the per-group
     oracle takes the indexes."""
     plan = plan_execution(_DB, queries, merge=True)
-    _assert_identical(_run(plan, _DB, ctx=ScanContext(_DB)),
-                      run_per_group(plan, _DB))
+    with scan_only():
+        shared = plan.run(_DB)
+    _assert_identical(shared, run_per_group(plan, _DB))
 
 
 @pytest.mark.parametrize("rows", [
@@ -134,7 +127,7 @@ def test_chunk_boundaries_are_exact(rows):
                for func in _FUNCS
                for measure in _MEASURES]
     plan = plan_execution(db, queries, merge=True)
-    _assert_identical(_run(plan, db), run_per_group(plan, db))
+    _assert_identical(plan.run(db), run_per_group(plan, db))
 
 
 def test_float_summation_order_is_pinned():
@@ -156,7 +149,7 @@ def test_float_summation_order_is_pinned():
                for city in ("a", "b", "c")]
     plan = plan_execution(db, queries, merge=True)
     oracle = run_per_group(plan, db)
-    _assert_identical(_run(plan, db), oracle)
+    _assert_identical(plan.run(db), oracle)
     # Sanity: the chunked kernel stays close to a single np.sum over
     # the same values.
     for city in ("a", "b", "c"):
@@ -167,14 +160,14 @@ def test_float_summation_order_is_pinned():
 
 
 def test_shared_context_across_plans_stays_identical():
-    """Progressive strategies reuse one request context across several
-    ``run_plan`` calls; cached leaf masks must not perturb results."""
+    """Progressive strategies run several plans per request, and the
+    database's selection cache is the work they share: a second run
+    served from cached leaf selections must not perturb results."""
     queries = [AggregateQuery.build("nyc311", "avg", "resolution_hours",
                                     {"borough": b, "agency": "NYPD"})
                for b in ("Brooklyn", "Bronx", "Queens")]
     plan = plan_execution(_DB, queries, merge=False)
-    ctx = request_context(_DB)
-    first = plan.run(_DB, request_ctx=ctx)
-    second = plan.run(_DB, request_ctx=ctx)
+    first = plan.run(_DB)
+    second = plan.run(_DB)
     _assert_identical(first, run_per_group(plan, _DB))
     _assert_identical(second, first)

@@ -1,8 +1,9 @@
 """Progressive strategies emit the same updates as the per-group oracle.
 
-IncrementalPlotting and ApproximateProcessing route their per-plot (or
-per-pass) plans through one shared request context instead of
-independent ``run`` calls.  The user-visible contract: the
+IncrementalPlotting and ApproximateProcessing run several plans per
+request (one per plot, or per pass), and the later plans take leaf
+selections the earlier ones left in the database's selection cache.
+The user-visible contract: the
 *sequence* of emitted updates (structure, flags, descriptions and every
 bar value, bit for bit) is the one the per-group oracle in
 :mod:`tests.execution.oracle` produces; only wall-clock timing may

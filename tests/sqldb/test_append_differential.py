@@ -37,7 +37,7 @@ from repro.sqldb.schema import ColumnSchema, TableSchema
 from repro.sqldb.statistics import ColumnStatistics
 from repro.sqldb.table import Table
 from repro.sqldb.types import DataType
-from tests.sqldb.scan_oracle import ScanContext
+from tests.sqldb.scan_oracle import full_scan
 
 SCHEMA = TableSchema("t", (
     ColumnSchema("city", DataType.TEXT),
@@ -126,16 +126,16 @@ def canon(value):
     return value
 
 
-def outcome(database: Database, sql: str, shared=None):
+def outcome(database: Database, sql: str):
     try:
-        return canon(database.execute(sql, shared=shared).rows)
+        return canon(database.execute(sql).rows)
     except ReproError as exc:
         return type(exc).__name__, str(exc)
 
 
 def results(database: Database) -> list:
     indexed = [outcome(database, sql) for sql in STATEMENTS]
-    scanned = [outcome(database, sql, ScanContext(database))
+    scanned = [full_scan(database, lambda db: outcome(db, sql))
                for sql in STATEMENTS]
     assert indexed == scanned
     return indexed

@@ -41,7 +41,7 @@ from repro.sqldb.index import (
 from repro.sqldb.schema import ColumnSchema, TableSchema
 from repro.sqldb.table import Table
 from repro.sqldb.types import DataType
-from tests.sqldb.scan_oracle import ScanContext
+from tests.sqldb.scan_oracle import full_scan
 
 
 def _table(rows=1200, seed=3) -> Table:
@@ -247,7 +247,7 @@ class TestFlagAndStats:
         sql = ("SELECT borough, COUNT(*) FROM nyc311 "
                "WHERE borough IN ('Bronx', 'Queens') GROUP BY borough")
         indexed = db.execute(sql).rows
-        scanned = db.execute(sql, shared=ScanContext(db)).rows
+        scanned = full_scan(db, lambda twin: twin.execute(sql).rows)
         assert indexed == scanned
 
 

@@ -7,11 +7,11 @@ match bit for bit, NULL normalisation, empty postings, HAVING and
 ORDER BY/LIMIT included.  Hypothesis generates statements over a mixed
 TEXT/FLOAT(+NaN)/INT table and candidate-style batch workloads, and the
 tests compare the indexed answers with the full-scan oracle
-(:class:`tests.sqldb.scan_oracle.ScanContext`, passed as the request's
-shared work) with plain ``==`` — including when the predicate misses
-every row, when rows are appended mid-stream, when the selection cache
-is in play, and when fault injection or an exhausted deadline degrades
-the batch path.
+(:func:`tests.sqldb.scan_oracle.full_scan`, a memo-free twin of the
+database with every WHERE tree scanned) with plain ``==`` — including
+when the predicate misses every row, when rows are appended
+mid-stream, when the selection cache is in play, and when fault
+injection or an exhausted deadline degrades the batch path.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from repro.sqldb.table import Table
 from repro.sqldb.types import DataType
 from repro.testing.faults import inject_faults
 from tests.execution.oracle import run_per_group
-from tests.sqldb.scan_oracle import ScanContext
+from tests.sqldb.scan_oracle import full_scan, scan_only
 
 _CITIES = ["nyc", "sf", "la", "boston", "austin"]
 _DEPTS = ["sales", "eng", "hr"]
@@ -91,10 +91,10 @@ def _outcome(fn):
 
 
 def _both_modes(fn, database=_DB):
-    """``fn(shared)`` run on the index path (``shared=None``) and
-    through the scan oracle."""
-    return (_outcome(lambda: fn(None)),
-            _outcome(lambda: fn(ScanContext(database))))
+    """``fn(database)`` on the index path and ``fn`` through the scan
+    oracle."""
+    return (_outcome(lambda: fn(database)),
+            _outcome(lambda: full_scan(database, fn)))
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +182,7 @@ def query_sets(draw):
 @settings(max_examples=60, deadline=None)
 def test_execute_indexed_equals_scan(sql):
     indexed, scanned = _both_modes(
-        lambda shared: _canon_rows(_DB.execute(sql, shared=shared).rows))
+        lambda db: _canon_rows(db.execute(sql).rows))
     assert indexed == scanned, sql
 
 
@@ -194,8 +194,7 @@ def test_sampling_bypasses_indexes_identically(sql, percent):
     sampled = sql.replace(
         "FROM metrics", f"FROM metrics TABLESAMPLE BERNOULLI ({percent})", 1)
     indexed, scanned = _both_modes(
-        lambda shared: _canon_rows(
-            _DB.execute(sampled, shared=shared).rows))
+        lambda db: _canon_rows(db.execute(sampled).rows))
     assert indexed == scanned, sampled
 
 
@@ -208,8 +207,7 @@ def test_sampling_bypasses_indexes_identically(sql, percent):
 @settings(max_examples=30, deadline=None)
 def test_batch_indexed_equals_scan(queries, merge):
     plan = plan_execution(_DB, queries, merge=merge)
-    indexed, scanned = _both_modes(
-        lambda shared: plan.run(_DB, request_ctx=shared))
+    indexed, scanned = _both_modes(plan.run)
     assert indexed == scanned
 
 
@@ -220,8 +218,8 @@ def test_batch_indexed_equals_legacy_per_group(queries):
     full-scan oracle."""
     plan = plan_execution(_DB, queries, merge=True)
     indexed_batch = _outcome(lambda: plan.run(_DB))
-    legacy = _outcome(
-        lambda: run_per_group(plan, _DB, shared=ScanContext(_DB)))
+    with scan_only():
+        legacy = _outcome(lambda: run_per_group(plan, _DB))
     assert indexed_batch == legacy
 
 
@@ -235,7 +233,7 @@ def test_selection_cache_interaction(queries, budget):
     plan = plan_execution(db, queries, merge=True)
     first = _outcome(lambda: plan.run(db))
     second = _outcome(lambda: plan.run(db))
-    scanned = _outcome(lambda: plan.run(db, request_ctx=ScanContext(db)))
+    scanned = _outcome(lambda: full_scan(db, plan.run))
     assert first == second == scanned
 
 
@@ -253,8 +251,7 @@ class TestAppendInvalidation:
         db.register_table(make_metrics_table(num_rows=300))
         for batch_no in range(3):
             indexed, scanned = _both_modes(
-                lambda shared: db.execute(self.SQL, shared=shared).rows,
-                db)
+                lambda database: database.execute(self.SQL).rows, db)
             assert indexed == scanned, f"after append #{batch_no}"
             db.insert_rows("metrics", [
                 ("nyc", "eng", 75.0 + batch_no, 2),
@@ -274,16 +271,15 @@ class TestFaultsAndDeadlines:
 
     def test_batch_fault_fallback_identical_under_indexes(self):
         """The batch->per-group degradation rung stays lossless with
-        indexes on: the degraded run (the rung runs without shared work,
-        so through the indexes) equals the undegraded one and the scan
+        indexes on: the degraded run (the rung re-runs the same loop,
+        through the indexes) equals the undegraded one and the scan
         oracle."""
         plan = plan_execution(_DB, self.QUERIES, merge=True)
         baseline = plan.run(_DB)
 
         with inject_faults("executor.batch:error"):
             degraded = _outcome(lambda: plan.run(_DB))
-        scanned = _outcome(
-            lambda: plan.run(_DB, request_ctx=ScanContext(_DB)))
+        scanned = _outcome(lambda: full_scan(_DB, plan.run))
         assert degraded == scanned == ("ok", baseline)
 
     def test_exhausted_deadline_identical_under_indexes(self):
@@ -292,10 +288,10 @@ class TestFaultsAndDeadlines:
         change that (degradation accounting stays with ``muve.ask``)."""
         plan = plan_execution(_DB, self.QUERIES, merge=True)
 
-        def degraded_run(shared):
+        def degraded_run(database):
             with inject_faults("executor.batch:exhaust_deadline"):
                 with deadline_scope(60_000):
-                    return plan.run(_DB, request_ctx=shared)
+                    return plan.run(database)
 
         indexed, scanned = _both_modes(degraded_run)
         assert indexed == scanned

@@ -169,12 +169,12 @@ class TestParallelAsk:
         stats = json.loads(raw)
         assert stats["responses"]["hits"] >= 1
         assert set(stats) >= {"responses", "query_results", "plans",
-                              "statements", "plan_costs",
-                              "batch_executor",
+                              "statements", "plan_costs", "selections",
                               "phonetic_probes", "phonetic_indexes",
                               "phonetics", "indexes"}
+        assert "batch_executor" not in stats
         for name, counters in stats.items():
-            if name in ("batch_executor", "phonetics", "indexes"):
+            if name in ("phonetics", "indexes"):
                 continue  # subsystem counters, not a cache
             assert counters["hits"] + counters["misses"] >= 0
             assert 0.0 <= counters["hit_rate"] <= 1.0
@@ -184,9 +184,11 @@ class TestParallelAsk:
         phonetics = stats["phonetics"]
         assert phonetics["probes"] >= 0
         assert 0.0 <= phonetics["scanned_fraction"] <= 1.0
-        batch = stats["batch_executor"]
-        assert batch["requests"] >= 0
-        assert batch["masks_reused"] >= 0
+        # Two asks of one question: the first builds the leaf
+        # selections its plan needs.
+        selections = stats["selections"]
+        assert selections["misses"] >= 1
+        assert selections["size"] >= 1
 
     def test_cached_repeat_is_5x_faster_than_cold(self):
         # Fresh server so the first request is genuinely cold.
