@@ -1,9 +1,14 @@
 """Per-probe memoisation of exact phonetic top-k rankings.
 
-Candidate generation asks :class:`~repro.phonetics.index.PhoneticIndex`
-for the same handful of probes over and over (every request repeats the
-schema element names, and users repeat constants), so rankings are worth
-caching across requests.  The cache key is::
+Every serving-path phonetic lookup goes through this cache: the speech
+channel's confusions, text-to-SQL's column, value and keyword matches,
+and candidate generation's alternatives.  They ask
+:class:`~repro.phonetics.index.PhoneticIndex` for the same handful of
+probes over and over (every request repeats the schema element names
+and function words, and users repeat constants), so rankings are worth
+caching across requests.  ``PhoneticIndex`` itself stays uncached; its
+``phonetic_stats()`` counters therefore count retrievals (cache misses),
+not lookups.  The cache key is::
 
     (index.uid, index.version, probe, k, include_self)
 
@@ -74,7 +79,8 @@ _default: PhoneticProbeCache | None = None
 
 
 def phonetic_probe_cache() -> PhoneticProbeCache:
-    """The process-wide probe cache shared by candidate generators."""
+    """The process-wide probe cache shared by speech, text-to-SQL and
+    candidate generation."""
     global _default
     if _default is None:
         with _default_lock:

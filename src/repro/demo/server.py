@@ -220,45 +220,40 @@ class MuveDemoServer:
     def _answer(self, question: str, voice: bool, trend: bool) -> dict:
         if trend:
             response = self.muve.ask_trend(question)
+        elif voice:
+            response = self.muve.ask_voice(question)
+        else:
+            response = self.muve.ask(question)
+        svg = self._render_svg(response)
+        text = self._render_text(response)
+        # The body renders every candidate's SQL: spanned, so a trace
+        # accounts for that time too.
+        with trace_span("render.json"):
+            if trend:
+                seed_sql = (f"{response.seed_query.to_sql()} "
+                            f"BY {response.x_column}")
+                planner = "series planner (cardinality greedy)"
+            else:
+                planning = response.planning
+                seed_sql = response.seed_query.to_sql()
+                planner = (f"{planning.solver_name}, expected "
+                           f"{planning.expected_cost:.0f} ms, planned in "
+                           f"{planning.elapsed_seconds * 1000:.0f} ms")
             return {
                 "transcript": response.transcript,
-                "seed_sql": (f"{response.seed_query.to_sql()} "
-                             f"BY {response.x_column}"),
-                "planner": "series planner (cardinality greedy)",
+                "seed_sql": seed_sql,
+                "planner": planner,
                 "candidates": [
-                    {"sql": c.query.to_sql(),
-                     "probability": c.probability}
+                    {"sql": c.query.to_sql(), "probability": c.probability}
                     for c in response.candidates],
-                "svg": self._render_svg(response),
-                "text": self._render_text(response),
+                "svg": svg,
+                "text": text,
                 "degraded": response.degraded,
                 "degradations": [event.to_dict()
                                  for event in response.degradations],
                 "quality": (response.quality.to_dict()
                             if response.quality else None),
             }
-        if voice:
-            response = self.muve.ask_voice(question)
-        else:
-            response = self.muve.ask(question)
-        planning = response.planning
-        return {
-            "transcript": response.transcript,
-            "seed_sql": response.seed_query.to_sql(),
-            "planner": (f"{planning.solver_name}, expected "
-                        f"{planning.expected_cost:.0f} ms, planned in "
-                        f"{planning.elapsed_seconds * 1000:.0f} ms"),
-            "candidates": [
-                {"sql": c.query.to_sql(), "probability": c.probability}
-                for c in response.candidates],
-            "svg": self._render_svg(response),
-            "text": self._render_text(response),
-            "degraded": response.degraded,
-            "degradations": [event.to_dict()
-                             for event in response.degradations],
-            "quality": (response.quality.to_dict()
-                        if response.quality else None),
-        }
 
     def _render_svg(self, response) -> str:
         with trace_span("render.svg") as span:

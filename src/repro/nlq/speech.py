@@ -16,6 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from repro.caching.phonetic import phonetic_probe_cache
 from repro.phonetics.index import PhoneticIndex
 from repro.resilience import current_deadline
 from repro.testing.faults import fault_point
@@ -106,8 +107,9 @@ class SpeechSimulator:
 
     def _confuse(self, word: str, rng: np.random.Generator) -> str:
         """One mis-recognition of *word*."""
-        neighbours = [st for st in self._index.most_similar(
-            word.lower(), k=8, include_self=False) if st.score >= 0.6]
+        neighbours = [st for st in phonetic_probe_cache().most_similar(
+            self._index, word.lower(), 8, include_self=False)
+            if st.score >= 0.6]
         if neighbours:
             weights = np.array([st.score ** 4 for st in neighbours])
             weights /= weights.sum()

@@ -18,13 +18,15 @@ All fuzzy matching is one lookup, ``most_similar(phrase, 1)``, on a
 transcript still resolves to a plausible seed query.  Values are looked up
 in the shared per-vocabulary-version :class:`IndexBundle`, column names in
 small indexes over their spoken forms, and misheard aggregate keywords in
-one index over the keyword list.
+one index over the keyword list.  Every lookup goes through the
+process-wide probe cache, so a phrase heard before costs no retrieval.
 """
 
 from __future__ import annotations
 
 import re
 
+from repro.caching.phonetic import phonetic_probe_cache
 from repro.errors import CandidateGenerationError
 from repro.nlq.candidates import index_bundle
 from repro.phonetics.index import PhoneticIndex, ScoredTerm
@@ -270,5 +272,6 @@ def _spans(tokens: list[str], max_len: int) -> list[str]:
 def _most_similar(index: PhoneticIndex, phrase: str) -> ScoredTerm | None:
     """The entry of *index* that sounds most like *phrase* (ties go to
     the first in term order)."""
-    ranked = index.most_similar(phrase, 1) if phrase else []
+    ranked = (phonetic_probe_cache().most_similar(index, phrase, 1)
+              if phrase else ())
     return ranked[0] if ranked else None

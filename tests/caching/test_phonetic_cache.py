@@ -1,4 +1,8 @@
-"""Probe-cache and index-bundle caching on the candidate-generation path.
+"""Probe-cache and index-bundle caching on the serving path.
+
+Speech, text-to-SQL and candidate generation answer every phonetic
+lookup from the process-wide probe cache: a repeated probe counts a
+cache hit and no retrieval in ``phonetic_stats()``.
 
 Covers the invalidation protocol end to end: ``PhoneticIndex`` mutations
 bump ``index.version`` (keying fresh probe-cache entries), ``Database``
@@ -22,7 +26,9 @@ from repro.nlq.candidates import (
     index_bundle_cache,
     reset_index_bundles,
 )
-from repro.phonetics.index import PhoneticIndex
+from repro.nlq.speech import SpeechSimulator
+from repro.nlq.text_to_sql import TextToSql
+from repro.phonetics.index import PhoneticIndex, phonetic_stats
 from repro.sqldb.database import Database
 from repro.sqldb.query import AggregateQuery
 
@@ -239,3 +245,54 @@ class TestIndexBundleReuse:
         stats = phonetic_probe_cache().stats
         assert stats.misses == misses, "repeat request adds no misses"
         assert stats.hits > hits
+
+
+class TestServingLookups:
+    """Speech and text-to-SQL resolve through the probe cache."""
+
+    def setup_method(self):
+        reset_index_bundles()
+        reset_phonetic_probe_cache()
+
+    def teardown_method(self):
+        reset_index_bundles()
+        reset_phonetic_probe_cache()
+
+    def test_repeated_translation_runs_no_retrieval(self):
+        translator = TextToSql(make_fruit_database(), "fruits")
+        text = "avrage price for name bluberry and name grap"
+        first = translator.translate(text)
+        hits = phonetic_probe_cache().stats.hits
+        probes = phonetic_stats()["probes"]
+        assert translator.translate(text) == first
+        assert phonetic_probe_cache().stats.hits > hits
+        assert phonetic_stats()["probes"] == probes
+
+    def test_repeated_transcription_runs_no_retrieval(self):
+        speech = SpeechSimulator(_FRUITS, word_error_rate=1.0, seed=3)
+        utterance = "apple grape lemon peach"
+        first = speech.transcribe(utterance)
+        hits = phonetic_probe_cache().stats.hits
+        probes = phonetic_stats()["probes"]
+        assert speech.transcribe(utterance) == first
+        # Every word is misheard, so every word is one cached lookup.
+        assert phonetic_probe_cache().stats.hits - hits == 4
+        assert phonetic_stats()["probes"] == probes
+
+    def test_speech_index_gaining_a_term_ranks_it(self):
+        speech = SpeechSimulator(["brooklyn", "manhattan", "bronx"],
+                                 word_error_rate=1.0, seed=0)
+        before = speech.transcribe("queenz")
+        assert before != "queens"
+        speech._index.add("queens")
+        assert speech.transcribe("queenz") == "queens"
+
+    def test_inserted_text_value_is_translated(self):
+        database = make_fruit_database()
+        translator = TextToSql(database, "fruits")
+        text = "average price for name cherry"
+        before = translator.translate(text).predicate_on("name").value
+        assert before != "cherry"
+        database.insert_rows("fruits", [("cherry", 3.5)])
+        after = translator.translate(text).predicate_on("name").value
+        assert after == "cherry"

@@ -8,6 +8,11 @@ the whole vocabulary.  Both must give an equal :class:`AggregateQuery`,
 or fail with the same error type, on seeded workload utterances over
 nyc311, DOB and ads passed through the speech simulator at three word
 error rates, and on trend questions over flights.
+
+Both the speech channel and the translator answer their lookups from the
+process-wide probe cache, so the same corpus is also heard and
+translated with the cache emptied before every call: a cold cache must
+give the transcripts and translations a warm one gives.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import random
 
 import pytest
 
+from repro.caching.phonetic import reset_phonetic_probe_cache
 from repro.datasets import DATASET_GENERATORS, WorkloadGenerator
 from repro.nlq.speech import SpeechSimulator, build_default_vocabulary
 from repro.nlq.text_to_sql import TextToSql
@@ -72,14 +78,11 @@ def database_of(name: str) -> Database:
     return database
 
 
-def transcripts(database: Database, table: str, wer: float, seed: int,
-                trend: bool = False) -> list[str]:
-    """Seeded workload questions as the speech simulator hears them; with
-    *trend*, each ends in a ``by``/``per`` phrase naming a column."""
+def utterances(database: Database, table: str, seed: int,
+               trend: bool = False) -> list[str]:
+    """Seeded workload questions as spoken; with *trend*, each ends in a
+    ``by``/``per`` phrase naming a column."""
     workload = WorkloadGenerator(database.table(table), seed=seed)
-    speech = SpeechSimulator(
-        build_default_vocabulary(database.vocabulary(table)),
-        word_error_rate=wer, seed=seed)
     columns = database.table(table).schema.column_names
     rng = random.Random(seed)
     texts = []
@@ -88,8 +91,23 @@ def transcripts(database: Database, table: str, wer: float, seed: int,
         if trend:
             text += (f" {rng.choice(('by', 'per'))} "
                      f"{rng.choice(columns).replace('_', ' ')}")
-        texts.append(speech.transcribe(text))
+        texts.append(text)
     return texts
+
+
+def speech_of(database: Database, table: str, wer: float,
+              seed: int) -> SpeechSimulator:
+    return SpeechSimulator(
+        build_default_vocabulary(database.vocabulary(table)),
+        word_error_rate=wer, seed=seed)
+
+
+def transcripts(database: Database, table: str, wer: float, seed: int,
+                trend: bool = False) -> list[str]:
+    """Seeded workload questions as the speech simulator hears them."""
+    speech = speech_of(database, table, wer, seed)
+    return [speech.transcribe(text)
+            for text in utterances(database, table, seed, trend)]
 
 
 @pytest.mark.parametrize("wer", ERROR_RATES)
@@ -112,3 +130,32 @@ def test_translate_trend_matches_scan(wer):
                             seed=int(wer * 100) + 2, trend=True):
         assert (outcome(lambda: index.translate_trend(text))
                 == outcome(lambda: scan.translate_trend(text))), text
+
+
+@pytest.mark.parametrize("table", ("nyc311", "dob", "ads", "flights"))
+def test_cold_probe_cache_equals_warm(table):
+    """Hearing and translating the corpus with the probe cache emptied
+    before every call gives what a warm cache gives."""
+    wer, seed, trend = 0.4, 41, table == "flights"
+    database = database_of(table)
+    speech = speech_of(database, table, wer, seed)
+    translator = TextToSql(database, table)
+    translate = (translator.translate_trend if trend
+                 else translator.translate)
+    texts = utterances(database, table, seed, trend)
+
+    def heard(cold: bool) -> list[tuple]:
+        results = []
+        for text in texts:
+            if cold:
+                reset_phonetic_probe_cache()
+            transcript = speech.transcribe(text)
+            if cold:
+                reset_phonetic_probe_cache()
+            results.append(
+                (transcript, outcome(lambda: translate(transcript))))
+        return results
+
+    heard(cold=False)  # fill the cache
+    warm = heard(cold=False)
+    assert heard(cold=True) == warm

@@ -20,7 +20,7 @@ from tools.muvelint.engine import (
 )
 from tools.muvelint.rules import contextvar_rules, determinism
 from tools.muvelint.rules import exceptions as exc_rules
-from tools.muvelint.rules import locks
+from tools.muvelint.rules import locks, lookups
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -426,6 +426,58 @@ def test_ml007_ignores_narrow_excepts():
                 pass
     """)
     assert list(exc_rules.check_broad_excepts(module)) == []
+
+
+# ---------------------------------------------------------------------------
+# ML008 — phonetic lookups under repro.nlq go through the probe cache
+# ---------------------------------------------------------------------------
+
+
+def test_ml008_flags_direct_index_lookups():
+    module = parse("""
+        def bad(self, index, phrase):
+            first = index.most_similar(phrase, 1)
+            second = self._index.most_similar(phrase, k=8,
+                                              include_self=False)
+            return first, second
+    """, relpath="src/repro/nlq/x.py")
+    found = list(lookups.check_cached_lookups(module))
+    assert rules_fired(found) == ["ML008", "ML008"]
+    assert found[0].key == "ML008 src/repro/nlq/x.py::bad"
+
+
+def test_ml008_flags_a_cache_held_in_a_variable():
+    module = parse("""
+        def bad(index, phrase):
+            cache = phonetic_probe_cache()
+            lookup = cache
+            return lookup.most_similar(index, phrase, 1)
+    """, relpath="src/repro/nlq/x.py")
+    assert rules_fired(lookups.check_cached_lookups(module)) == ["ML008"]
+
+
+def test_ml008_accepts_the_probe_cache():
+    module = parse("""
+        from repro import caching
+
+        def good(index, phrase):
+            first = phonetic_probe_cache().most_similar(index, phrase, 1)
+            second = caching.phonetic_probe_cache().most_similar(
+                index, phrase, 8, include_self=False)
+            return first, second
+    """, relpath="src/repro/nlq/x.py")
+    assert list(lookups.check_cached_lookups(module)) == []
+
+
+def test_ml008_only_under_nlq():
+    source = """
+        def walk(index, phrase):
+            return index.most_similar(phrase, 1)
+    """
+    for relpath in ("src/repro/caching/phonetic.py",
+                    "src/repro/phonetics/index.py", "scripts/bench.py"):
+        module = parse(source, relpath=relpath)
+        assert list(lookups.check_cached_lookups(module)) == []
 
 
 # ---------------------------------------------------------------------------

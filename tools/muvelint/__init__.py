@@ -24,6 +24,9 @@ ML006   Every ``MUVE_*`` environment read goes through
         direct ``os.environ`` reads outside the registry module.
 ML007   No silent broad excepts: ``except Exception`` must re-raise,
         consume the bound exception, or feed a counter/log.
+ML008   Phonetic lookups under ``src/repro/nlq`` go through the probe
+        cache: ``.most_similar(`` only as
+        ``phonetic_probe_cache().most_similar(index, ...)``.
 ======  ==============================================================
 
 Violations are keyed without line numbers so the allowlist

@@ -175,6 +175,7 @@ def _rules() -> tuple[list[FileRule], list[RepoRule]]:
     from tools.muvelint.rules import exceptions as _exc
     from tools.muvelint.rules import imports as _imp
     from tools.muvelint.rules import locks as _locks
+    from tools.muvelint.rules import lookups as _lookups
 
     file_rules: list[FileRule] = [
         _locks.check_blocking_under_lock,
@@ -182,6 +183,7 @@ def _rules() -> tuple[list[FileRule], list[RepoRule]]:
         _det.check_determinism,
         _cv.check_contextvar_hygiene,
         _exc.check_broad_excepts,
+        _lookups.check_cached_lookups,
     ]
     repo_rules: list[RepoRule] = [
         _imp.check_import_cycles,
