@@ -13,11 +13,11 @@ planner stores a plan only when planning took no degradation rung, a
 decision it can make only after planning, so concurrent identical misses
 each plan.
 
-Invalidation story: neither cache expires entries on its own.  Anything
-that mutates a table (``insert_rows``/``drop_table``) must call
-:meth:`QueryResultCache.clear` and :meth:`PlanCache.clear` —
-:class:`~repro.muve.Muve` exposes ``invalidate_caches()`` for exactly
-that.
+Invalidation story: none is needed.  A query result is keyed on the
+statement and the database's ``data_version``, which every DDL
+statement and insert moves, so a result from before a mutation is never
+looked up again and ages out.  A plan is keyed on the whole planning
+problem, all the planner reads.  ``clear()`` only frees memory.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ def register_cache_metrics(registry: "MetricsRegistry", cache_name: str,
 
 
 class QueryResultCache:
-    """Query results keyed on the executed statement.
+    """Query results keyed on the executed statement and data version.
 
     Wired into the execution layer: every merged-group statement the
     executor would run is first looked up here, so a repeated question (or
@@ -75,10 +75,11 @@ class QueryResultCache:
     def get_or_execute(self, statement: "SelectStatement",
                        execute: Callable[["SelectStatement"],
                                          "QueryResult"],
-                       ) -> "QueryResult":
-        """The cached result of *statement*, running *execute* once on a
-        miss."""
-        return self._cache.get_or_compute(statement,
+                       version: int) -> "QueryResult":
+        """The cached result of *statement* at *version* (the
+        database's ``data_version``, read before *execute* reads the
+        table), running *execute* once on a miss."""
+        return self._cache.get_or_compute((version, statement),
                                           lambda: execute(statement))
 
     @property

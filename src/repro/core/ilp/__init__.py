@@ -1,8 +1,8 @@
 """The integer-programming multiplot solver (Section 5 of the paper).
 
 * :mod:`repro.core.ilp.modeling` — a small 0/1 MILP modeling layer (the
-  Gurobi-API substitute): variables, linear expressions, constraints, and
-  automatic linearisation of binary-variable products.
+  Gurobi-API substitute): variables, linear expressions, constraints and
+  the objective.
 * :mod:`repro.core.ilp.highs` — backend solving models with scipy's HiGHS
   (``scipy.optimize.milp``), with timeout support.
 * :mod:`repro.core.ilp.bnb` — a from-scratch branch-and-bound backend over

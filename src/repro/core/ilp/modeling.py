@@ -1,12 +1,9 @@
 """A compact 0/1 MILP modeling layer (the Gurobi-API substitute).
 
 Supports binary and bounded continuous variables, linear expressions,
-``<=``/``>=``/``==`` constraints, a linear objective, and
-:meth:`Model.product` — the standard linearisation of a product of two
-binary variables (``y <= x1``, ``y <= x2``, ``y >= x1 + x2 - 1``) that
-Section 5.3 of the paper leans on.  Models compile to the matrix form
-consumed by the backends in :mod:`repro.core.ilp.highs` and
-:mod:`repro.core.ilp.bnb`.
+``<=``/``>=``/``==`` constraints and a linear objective.  Models compile
+to the matrix form consumed by the backends in
+:mod:`repro.core.ilp.highs` and :mod:`repro.core.ilp.bnb`.
 """
 
 from __future__ import annotations
@@ -106,7 +103,6 @@ class Model:
         self._constraints: list[Constraint] = []
         self._objective = LinExpr()
         self._minimize = True
-        self._product_cache: dict[tuple[int, int], Variable] = {}
 
     # ------------------------------------------------------------------
     # Variables
@@ -132,27 +128,6 @@ class Model:
         variable = Variable(len(self._variables), name, False, lower, upper)
         self._variables.append(variable)
         return variable
-
-    def product(self, x1: Variable, x2: Variable) -> Variable:
-        """A variable equal to ``x1 * x2`` for binary inputs (cached).
-
-        Linearised per Section 5.3: ``y <= x1``, ``y <= x2``,
-        ``y >= x1 + x2 - 1`` with ``y in [0, 1]`` (continuous suffices —
-        the constraints force integrality at binary corners).
-        """
-        if x1.index == x2.index:
-            return x1
-        key = (min(x1.index, x2.index), max(x1.index, x2.index))
-        cached = self._product_cache.get(key)
-        if cached is not None:
-            return cached
-        y = self.continuous(f"prod[{x1.name},{x2.name}]")
-        self.add_le(LinExpr({y.index: 1.0, x1.index: -1.0}))
-        self.add_le(LinExpr({y.index: 1.0, x2.index: -1.0}))
-        self.add_le(LinExpr({y.index: -1.0, x1.index: 1.0, x2.index: 1.0},
-                            constant=-1.0))
-        self._product_cache[key] = y
-        return y
 
     # ------------------------------------------------------------------
     # Constraints / objective

@@ -37,8 +37,10 @@ handles requests **concurrently**: the MUVE pipeline is thread-safe
 (randomness is derived per call, lazy caches are locked, planner and
 executor hold no per-request state), so no server-wide lock is needed.
 Answers are additionally memoised in a response cache keyed on
-``(question, voice, trend)`` — the pipeline is deterministic per question,
-so a repeated question is served straight from memory.  Only undegraded
+``(question, voice, trend)`` and the database's ``data_version`` — the
+pipeline is deterministic per question and data, so a repeated question
+is served straight from memory until a DDL statement or an insert moves
+the version.  Only undegraded
 answers are stored (whatever the request's deadline), and under an
 active fault plan the cache is bypassed.
 
@@ -186,7 +188,10 @@ class MuveDemoServer:
             if active_fault_plan() is not None:
                 # Injected faults fire regardless of cache warmth.
                 return self._answer(question, voice, trend)
-            key = (question, voice, trend)
+            # Read before the answer reads the table, so an answer built
+            # from rows a concurrent insert then changes is stored under
+            # a version that is never current again.
+            key = (question, voice, trend, self.muve.database.data_version)
             result = self._responses.get(key)
             if result is None:
                 result = self._answer(question, voice, trend)

@@ -59,7 +59,8 @@ def run_plan(plan: "ExecutionPlan", database: Database,
     group alone, bit for bit, including TABLESAMPLE draws (the rng
     derives from the statement's SQL rendering), NULL/zero-row
     normalisation and result-cache entries (keyed on the group
-    statement).  The request deadline is polled per group.
+    statement and the data version read before the group runs).  The
+    request deadline is polled per group.
     """
     from repro.execution.merging import (
         _extract_group_results,
@@ -91,7 +92,8 @@ def run_plan(plan: "ExecutionPlan", database: Database,
             try:
                 if cache is not None:
                     executed = False
-                    outcome = cache.get_or_execute(statement, execute)
+                    outcome = cache.get_or_execute(
+                        statement, execute, database.data_version)
                     span.set_attribute(
                         "cache", "miss" if executed else "hit")
                 else:

@@ -216,13 +216,14 @@ class ApproximateProcessing(ProcessingStrategy):
         return max(self.min_fraction, budget_rows / scanned_rows)
 
     def _calibrate(self, database: Database, table) -> float:
-        """Rows/second of a filtered scan on this engine (cached).
+        """Rows/second of a filtered scan on this engine (cached per
+        database, by its never-reused ``uid``).
 
         The measurement is serialised process-wide so concurrent App-D
         requests against one database calibrate once and agree on the
         throughput figure afterwards.
         """
-        key = id(database)
+        key = database.uid
         cached = self._throughput_cache.get(key)
         if cached is not None:
             return cached

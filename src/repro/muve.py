@@ -18,8 +18,13 @@ from repro.core.problem import MultiplotSelectionProblem
 from repro.errors import DeadlineExceeded, ReproError, TransientError
 from repro.execution.engine import MuveExecutor, VisualizationUpdate
 from repro.execution.progressive import ProcessingStrategy
-from repro.nlq.candidates import CandidateGenerator, CandidateQuery
-from repro.nlq.speech import SpeechSimulator, build_default_vocabulary
+from repro.nlq.candidates import (
+    CandidateGenerator,
+    CandidateQuery,
+    index_bundle,
+    index_bundle_cache,
+)
+from repro.nlq.speech import SpeechSimulator
 from repro.nlq.text_to_sql import TextToSql
 from repro.observability import (
     MetricsRegistry,
@@ -176,6 +181,12 @@ class Muve:
         server's per-request ``deadline_ms``) win — the instance
         default only applies when no deadline is active.
 
+    Nothing here goes stale when the table changes: query results key
+    on the database's ``data_version``, the speech, text-to-SQL and
+    candidate indexes on its ``vocabulary_version`` (through the shared
+    index bundle), so ``insert_rows`` and DDL need no call on this
+    object.
+
     One instance is safe to share across threads: the pipeline components
     hold no per-request state, randomness is derived per call, and the
     caches are thread-safe.  See DESIGN.md, "Concurrency model".
@@ -203,13 +214,13 @@ class Muve:
         self.geometry = geometry or ScreenGeometry()
         self.planner = planner or VisualizationPlanner(strategy="best")
         self.max_candidates = max_candidates
+        # All three resolve the table's index bundle per call (the
+        # translator warms it here), so they follow DDL and inserts.
         self._text_to_sql = TextToSql(database, table_name)
         self._candidate_generator = CandidateGenerator(database, table_name)
-        vocabulary = build_default_vocabulary(
-            database.vocabulary(table_name))
-        self._speech = SpeechSimulator(vocabulary,
-                                       word_error_rate=word_error_rate,
-                                       seed=seed)
+        self._speech = SpeechSimulator(
+            lambda: index_bundle(database, self.table_name).speech,
+            word_error_rate=word_error_rate, seed=seed)
         self.result_cache = QueryResultCache() if enable_caching else None
         if enable_caching and self.planner.plan_cache is None:
             self.planner.plan_cache = PlanCache()
@@ -230,7 +241,6 @@ class Muve:
             register_cache_metrics(self.metrics, "plans",
                                    self.planner.plan_cache)
         from repro.caching.phonetic import phonetic_probe_cache
-        from repro.nlq.candidates import index_bundle_cache
         from repro.phonetics.index import register_phonetic_metrics
         from repro.sqldb.index import register_index_metrics
         register_index_metrics(self.metrics)
@@ -258,7 +268,6 @@ class Muve:
                 "evictions": snapshot.evictions, "size": snapshot.size,
                 "hit_rate": snapshot.hit_rate}
         from repro.caching.phonetic import phonetic_probe_cache
-        from repro.nlq.candidates import index_bundle_cache
         for name, snapshot in (
                 ("statements", self.database.statement_cache_stats),
                 ("plan_costs", self.database.cost_cache_stats),
@@ -279,7 +288,9 @@ class Muve:
         return stats
 
     def invalidate_caches(self) -> None:
-        """Drop cached results/plans (call after mutating the data)."""
+        """Drop cached query results and plans, to free memory or to
+        make the next asks miss (benchmarks do).  Never needed for
+        correctness: neither cache can serve a stale answer."""
         if self.result_cache is not None:
             self.result_cache.clear()
         if self.planner.plan_cache is not None:
@@ -301,36 +312,35 @@ class Muve:
         unless the caller already set one — the instance deadline."""
         begin = time.perf_counter()
         error_type: str | None = None
-        trace_ref: str | None = None
         budget = (None if current_deadline() is not None
                   else self.deadline_ms)
-        try:
-            with trace_span(name) as span:
-                # Captured while the root span is open: by the time the
-                # finally block runs the span has closed and the
-                # contextvar is reset, so this is the only place the
-                # request's trace id is reachable for the exemplar.
-                trace_ref = current_trace_id()
+        with trace_span(name) as span:
+            try:
                 with degradation_scope(), deadline_scope(budget):
                     yield span
-        except Exception as exc:
-            error_type = type(exc).__name__
-            raise
-        finally:
-            elapsed_ms = (time.perf_counter() - begin) * 1000.0
-            request = name.removeprefix("muve.")
-            self.metrics.histogram("muve_request_ms",
-                                   request=request).observe(
-                                       elapsed_ms, exemplar=trace_ref)
-            status = "error" if error_type is not None else "ok"
-            self.metrics.counter("muve_requests", request=request,
-                                 status=status).inc()
-            if error_type is not None:
-                self.metrics.counter("errors", where="muve",
-                                     type=error_type).inc()
-            self.slo.record("latency_p95",
-                            elapsed_ms <= self._slo_latency_ms)
-            self.slo.record("error_rate", error_type is None)
+            except Exception as exc:
+                error_type = type(exc).__name__
+                raise
+            finally:
+                # Recorded while the span is still open, so a trace
+                # accounts for this time and the exemplar carries the
+                # request's trace id.
+                self._record_request(name, begin, error_type)
+
+    def _record_request(self, name: str, begin: float,
+                        error_type: str | None) -> None:
+        elapsed_ms = (time.perf_counter() - begin) * 1000.0
+        request = name.removeprefix("muve.")
+        self.metrics.histogram("muve_request_ms", request=request).observe(
+            elapsed_ms, exemplar=current_trace_id())
+        status = "error" if error_type is not None else "ok"
+        self.metrics.counter("muve_requests", request=request,
+                             status=status).inc()
+        if error_type is not None:
+            self.metrics.counter("errors", where="muve",
+                                 type=error_type).inc()
+        self.slo.record("latency_p95", elapsed_ms <= self._slo_latency_ms)
+        self.slo.record("error_rate", error_type is None)
 
     def ask_voice(self, utterance: str,
                   strategy: ProcessingStrategy | None = None,

@@ -24,6 +24,7 @@ from repro.errors import (
     DeadlineExceeded,
     TransientError,
 )
+from repro.nlq.speech import SpeechLexicon, build_default_vocabulary
 from repro.observability.workload import get_workload_analytics
 from repro.phonetics.index import PhoneticIndex, phonetic_similarity
 from repro.resilience import (
@@ -77,21 +78,44 @@ class _Alternative:
 
 
 @dataclass(frozen=True)
+class SpokenColumns:
+    """Column names indexed by their spoken form: underscores become
+    spaces, so spoken "resolution hours" finds ``resolution_hours``."""
+
+    names: tuple[str, ...]
+    by_spoken: Mapping[str, str]
+    index: PhoneticIndex
+
+    @classmethod
+    def of(cls, names: list[str]) -> "SpokenColumns":
+        by_spoken = {name.replace("_", " ").lower(): name
+                     for name in names}
+        return cls(tuple(names), MappingProxyType(by_spoken),
+                   PhoneticIndex(by_spoken))
+
+
+@dataclass(frozen=True)
 class IndexBundle:
     """The phonetic indexes for one (database, table, vocabulary) state.
 
-    Built once per distinct ``Database.vocabulary_version`` and shared by
-    every :class:`CandidateGenerator` and :class:`TextToSql` over the
-    same table — index construction is the expensive part of generator
-    construction, and the indexes are immutable once built (DDL, and
-    inserts that add a distinct text value, bump the version, which keys
-    a *new* bundle instead of mutating this one; other inserts leave the
-    vocabulary, and so the bundle, as it is).
+    The one owner of every index built from a table's vocabulary:
+    candidate generation's, text-to-SQL's and the speech channel's.
+    Built once per distinct ``Database.vocabulary_version`` and resolved
+    once per call by every :class:`CandidateGenerator`,
+    :class:`TextToSql` and ``Muve`` speech channel over the same table.
+    The indexes are immutable once built (DDL, and inserts that add a
+    distinct text value, bump the version, which keys a *new* bundle
+    instead of mutating this one; other inserts leave the vocabulary,
+    and so the bundle, as it is).
     """
 
     numeric_index: PhoneticIndex
     text_column_index: PhoneticIndex
     value_indexes: Mapping[str, PhoneticIndex]
+    numeric_columns: SpokenColumns
+    text_columns: SpokenColumns
+    all_columns: SpokenColumns
+    speech: SpeechLexicon
 
 
 #: (database.uid, table, vocabulary_version) -> IndexBundle, shared
@@ -112,17 +136,19 @@ def reset_index_bundles() -> None:
 
 def _build_bundle(database: Database, table_name: str) -> IndexBundle:
     table = database.table(table_name)
-    numeric_index = PhoneticIndex(
-        c.name for c in table.schema.numeric_columns())
-    text_column_index = PhoneticIndex(
-        c.name for c in table.schema.text_columns())
-    value_indexes: dict[str, PhoneticIndex] = {}
-    for column in table.schema.text_columns():
-        value_indexes[column.name] = PhoneticIndex(
-            table.sorted_values(column.name))
-    return IndexBundle(numeric_index=numeric_index,
-                       text_column_index=text_column_index,
-                       value_indexes=MappingProxyType(value_indexes))
+    numeric = [c.name for c in table.schema.numeric_columns()]
+    text = [c.name for c in table.schema.text_columns()]
+    value_indexes = {column: PhoneticIndex(table.sorted_values(column))
+                     for column in text}
+    return IndexBundle(
+        numeric_index=PhoneticIndex(numeric),
+        text_column_index=PhoneticIndex(text),
+        value_indexes=MappingProxyType(value_indexes),
+        numeric_columns=SpokenColumns.of(numeric),
+        text_columns=SpokenColumns.of(text),
+        all_columns=SpokenColumns.of(text + numeric),
+        speech=SpeechLexicon(build_default_vocabulary(
+            database.vocabulary(table_name))))
 
 
 def index_bundle(database: Database, table_name: str) -> IndexBundle:

@@ -12,7 +12,7 @@ mis-transcribe -> translate -> recover via multiplot) is exercised for real.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -30,6 +30,21 @@ _ADJACENT_KEYS = {
 }
 
 
+class SpeechLexicon:
+    """The words a recogniser can output, indexed for confusion lookups:
+    every word of every phrase, lowercased, in first-seen order."""
+
+    def __init__(self, vocabulary: Iterable[str]) -> None:
+        self.index = PhoneticIndex()
+        self.words: list[str] = []
+        for phrase in vocabulary:
+            for word in str(phrase).split():
+                lowered = word.lower()
+                if lowered not in self.index:
+                    self.words.append(lowered)
+                self.index.add(lowered)
+
+
 class SpeechSimulator:
     """Corrupts utterances with phonetically plausible recognition errors.
 
@@ -37,7 +52,11 @@ class SpeechSimulator:
     ----------
     vocabulary:
         Words/phrases the recogniser could plausibly output (typically the
-        database vocabulary plus common function words).
+        database vocabulary plus common function words), or a callable
+        returning the current :class:`SpeechLexicon`, resolved once per
+        :meth:`transcribe`: :class:`~repro.muve.Muve` passes the lexicon
+        of the database's index bundle, so the channel follows the
+        table's vocabulary.
     word_error_rate:
         Probability that any given word is mis-recognised.
     seed:
@@ -52,7 +71,8 @@ class SpeechSimulator:
     reproducible.
     """
 
-    def __init__(self, vocabulary: Iterable[str],
+    def __init__(self,
+                 vocabulary: Iterable[str] | Callable[[], SpeechLexicon],
                  word_error_rate: float = 0.15,
                  deletion_rate: float = 0.0,
                  insertion_rate: float = 0.0,
@@ -62,14 +82,11 @@ class SpeechSimulator:
                            ("insertion_rate", insertion_rate)):
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{name} must be within [0, 1]")
-        self._index = PhoneticIndex()
-        self._words: list[str] = []
-        for phrase in vocabulary:
-            for word in str(phrase).split():
-                lowered = word.lower()
-                if lowered not in self._index:
-                    self._words.append(lowered)
-                self._index.add(lowered)
+        if callable(vocabulary):
+            self._lexicon = vocabulary
+        else:
+            lexicon = SpeechLexicon(vocabulary)
+            self._lexicon = lambda: lexicon
         self.word_error_rate = word_error_rate
         self.deletion_rate = deletion_rate
         self.insertion_rate = insertion_rate
@@ -89,6 +106,7 @@ class SpeechSimulator:
             deadline.check("speech.transcribe")
         from repro.sqldb.sampling import derive_rng
         rng = derive_rng(self._seed, "speech", utterance)
+        lexicon = self._lexicon()
         words = utterance.split()
         output: list[str] = []
         for word in words:
@@ -96,19 +114,20 @@ class SpeechSimulator:
                     self.deletion_rate:
                 continue
             if rng.random() < self.word_error_rate:
-                output.append(self._confuse(word, rng))
+                output.append(self._confuse(word, rng, lexicon))
             else:
                 output.append(word)
-            if (self.insertion_rate and self._words
+            if (self.insertion_rate and lexicon.words
                     and rng.random() < self.insertion_rate):
-                output.append(self._words[
-                    int(rng.integers(len(self._words)))])
+                output.append(lexicon.words[
+                    int(rng.integers(len(lexicon.words)))])
         return " ".join(output)
 
-    def _confuse(self, word: str, rng: np.random.Generator) -> str:
+    def _confuse(self, word: str, rng: np.random.Generator,
+                 lexicon: SpeechLexicon) -> str:
         """One mis-recognition of *word*."""
         neighbours = [st for st in phonetic_probe_cache().most_similar(
-            self._index, word.lower(), 8, include_self=False)
+            lexicon.index, word.lower(), 8, include_self=False)
             if st.score >= 0.6]
         if neighbours:
             weights = np.array([st.score ** 4 for st in neighbours])

@@ -15,10 +15,10 @@ plus equality predicates on one table) with a transparent algorithm:
 
 All fuzzy matching is one lookup, ``most_similar(phrase, 1)``, on a
 :class:`PhoneticIndex` — the matcher candidate generation uses — so a noisy
-transcript still resolves to a plausible seed query.  Values are looked up
-in the shared per-vocabulary-version :class:`IndexBundle`, column names in
-small indexes over their spoken forms, and misheard aggregate keywords in
-one index over the keyword list.  Every lookup goes through the
+transcript still resolves to a plausible seed query.  Values and column
+names (indexed by their spoken forms) are looked up in the shared
+per-vocabulary-version :class:`IndexBundle`, misheard aggregate keywords
+in one index over the keyword list.  Every lookup goes through the
 process-wide probe cache, so a phrase heard before costs no retrieval.
 """
 
@@ -28,7 +28,7 @@ import re
 
 from repro.caching.phonetic import phonetic_probe_cache
 from repro.errors import CandidateGenerationError
-from repro.nlq.candidates import index_bundle
+from repro.nlq.candidates import IndexBundle, SpokenColumns, index_bundle
 from repro.phonetics.index import PhoneticIndex, ScoredTerm
 from repro.sqldb.database import Database
 from repro.sqldb.expressions import AggregateCall, AggregateFunction
@@ -65,32 +65,24 @@ _MIN_MATCH_SIMILARITY = 0.55
 _MIN_KEYWORD_SIMILARITY = 0.85
 
 
-class _Columns:
-    """Column names, matched by their spoken form (underscores become
-    spaces, so spoken "resolution hours" hits ``resolution_hours``)."""
-
-    def __init__(self, names: list[str]) -> None:
-        self.names = names
-        self._by_spoken = {name.replace("_", " ").lower(): name
-                           for name in names}
-        self._index = PhoneticIndex(self._by_spoken)
-
-    def match(self, phrase: str) -> ScoredTerm | None:
-        best = _most_similar(self._index, phrase)
-        return best and ScoredTerm(best.score, self._by_spoken[best.term])
-
-
 class TextToSql:
-    """Translates one natural-language request into one AggregateQuery."""
+    """Translates one natural-language request into one AggregateQuery.
+
+    Column and value indexes come from the table's index bundle,
+    resolved per call, so a translator follows DDL and inserts the way
+    candidate generation does.
+    """
 
     def __init__(self, database: Database, table_name: str) -> None:
         self._database = database
-        table = database.table(table_name)
-        self._table_name = table.schema.name
-        self._numeric = _Columns([c.name
-                                  for c in table.schema.numeric_columns()])
-        self._text = _Columns([c.name for c in table.schema.text_columns()])
-        self._all = _Columns(self._text.names + self._numeric.names)
+        self._table_name = database.table(table_name).schema.name
+        # Warm (or share) the bundle, so the first translation is not
+        # the one paying its construction.
+        self._bundle()
+
+    def _bundle(self) -> IndexBundle:
+        """The index bundle for the database's *current* vocabulary."""
+        return index_bundle(self._database, self._table_name)
 
     # ------------------------------------------------------------------
 
@@ -102,6 +94,7 @@ class TextToSql:
         Raises :class:`CandidateGenerationError` when no grouping phrase
         is present or it matches no column.
         """
+        bundle = self._bundle()
         tokens = _tokenize(text)
         split_at = None
         for index in range(len(tokens) - 1, 0, -1):
@@ -112,20 +105,21 @@ class TextToSql:
             raise CandidateGenerationError(
                 "trend questions need a trailing 'by <column>' phrase")
         group_phrase = " ".join(tokens[split_at + 1:])
-        match = self._match_column(group_phrase, self._all)
+        match = self._match_column(group_phrase, bundle.all_columns)
         if match is None or match.score < _MIN_MATCH_SIMILARITY:
             raise CandidateGenerationError(
                 f"cannot resolve grouping phrase {group_phrase!r} to a "
                 "column")
-        head_text = " ".join(tokens[:split_at])
-        return self.translate(head_text), match.term
+        return self._translate(tokens[:split_at], bundle), match.term
 
     def translate(self, text: str) -> AggregateQuery:
         """Translate *text*; raises CandidateGenerationError if hopeless."""
-        tokens = _tokenize(text)
+        return self._translate(_tokenize(text), self._bundle())
+
+    def _translate(self, tokens: list[str],
+                   bundle: IndexBundle) -> AggregateQuery:
         if not tokens:
             raise CandidateGenerationError("empty input text")
-
         func, func_index = self._find_aggregate(tokens)
         split_at, clauses = _split_clauses(tokens)
 
@@ -134,15 +128,18 @@ class TextToSql:
             # The aggregation column is named after the keyword, before
             # the first clause; a keyword elsewhere leaves the whole head.
             start = func_index + 1 if 0 <= func_index < split_at else 0
-            column = self._find_aggregate_column(tokens[start:split_at])
+            numeric = bundle.numeric_columns
+            column = self._find_aggregate_column(tokens[start:split_at],
+                                                 numeric)
             if column is None:
-                if not self._numeric.names:
+                if not numeric.names:
                     raise CandidateGenerationError(
                         f"table {self._table_name!r} has no numeric column "
                         f"to aggregate")
-                column = self._numeric.names[0]
+                column = numeric.names[0]
 
-        predicates = tuple(self._parse_clause(clause) for clause in clauses)
+        predicates = tuple(self._parse_clause(clause, bundle.text_columns)
+                           for clause in clauses)
         predicates = tuple(p for p in predicates if p is not None)
         return AggregateQuery(self._table_name,
                               AggregateCall(func, column), predicates)
@@ -150,12 +147,12 @@ class TextToSql:
     # -- matching: the phonetically most similar column, value, keyword --
 
     def _match_column(self, phrase: str,
-                      columns: _Columns) -> ScoredTerm | None:
-        return columns.match(phrase)
+                      columns: SpokenColumns) -> ScoredTerm | None:
+        best = _most_similar(columns.index, phrase)
+        return best and ScoredTerm(best.score, columns.by_spoken[best.term])
 
     def _match_value(self, phrase: str, column: str) -> ScoredTerm | None:
-        bundle = index_bundle(self._database, self._table_name)
-        values = bundle.value_indexes.get(column)
+        values = self._bundle().value_indexes.get(column)
         return None if values is None else _most_similar(values, phrase)
 
     def _match_keyword(self, token: str) -> ScoredTerm | None:
@@ -179,20 +176,23 @@ class TextToSql:
             return _AGG_KEYWORDS[best[0].term], best[1]
         return AggregateFunction.COUNT, -1
 
-    def _find_aggregate_column(self, tokens: list[str]) -> str | None:
-        """Match spans of *tokens* to numeric columns."""
+    def _find_aggregate_column(self, tokens: list[str],
+                               numeric: SpokenColumns) -> str | None:
+        """Match spans of *tokens* to the *numeric* columns."""
         candidates = [t for t in tokens if t not in _NOISE_WORDS]
         best: ScoredTerm | None = None
         for span in _spans(candidates, max_len=3):
-            match = self._match_column(span, self._numeric)
+            match = self._match_column(span, numeric)
             if match and (best is None or match.score > best.score):
                 best = match
         if best and best.score >= _MIN_MATCH_SIMILARITY:
             return best.term
         return None
 
-    def _parse_clause(self, clause: list[str]) -> Predicate | None:
-        """Interpret one ``<column> [is] <value>`` clause."""
+    def _parse_clause(self, clause: list[str],
+                      text: SpokenColumns) -> Predicate | None:
+        """Interpret one ``<column> [is] <value>`` clause over the *text*
+        columns."""
         tokens = [t for t in clause if t]
         if not tokens:
             return None
@@ -205,7 +205,7 @@ class TextToSql:
             if not value_tokens:
                 continue
             column_match = self._match_column(" ".join(column_tokens),
-                                              self._text)
+                                              text)
             if column_match is None:
                 continue
             value_match = self._match_value(" ".join(value_tokens),
@@ -223,7 +223,7 @@ class TextToSql:
         # Value-only clause ("for Brooklyn"): find the column by value.
         best_value: tuple[float, Predicate] | None = None
         phrase = " ".join(t for t in tokens if t not in _EQUALS_WORDS)
-        for column in self._text.names:
+        for column in text.names:
             match = self._match_value(phrase, column)
             if match and match.score >= _MIN_MATCH_SIMILARITY:
                 if best_value is None or match.score > best_value[0]:

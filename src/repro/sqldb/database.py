@@ -6,7 +6,7 @@ import itertools
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -76,9 +76,9 @@ def _as_statement(query: str | SelectStatement | AggregateQuery,
 class Database:
     """An in-memory database: catalog, tables, statistics, execution.
 
-    Statistics are taken lazily per table and cached; any mutation
-    through :meth:`insert_rows` drops them (our ``ANALYZE``), and the
-    next reader takes a fresh snapshot whose columns are analyzed on
+    Statistics are taken lazily per table and cached; every DDL
+    statement and :meth:`insert_rows` drops them (our ``ANALYZE``), and
+    the next reader takes a fresh snapshot whose columns are analyzed on
     first read (see :class:`~repro.sqldb.statistics.TableStatistics`).
 
     Concurrency: the read path (:meth:`execute`, :meth:`explain`,
@@ -145,18 +145,17 @@ class Database:
                 dtype = parse_type_name(dtype)
             schema_columns.append(ColumnSchema(column_name, dtype))
         schema = TableSchema(name, tuple(schema_columns))
-        self.catalog.register(schema)
-        with self._masks.mutation():
-            self._tables[schema.name.lower()] = Table(schema)
-        self._invalidate_statement_caches()
+        self.register_table(Table(schema))
         return schema
 
     def register_table(self, table: Table) -> None:
         """Adopt a pre-built table (dataset generators use this)."""
         self.catalog.register(table.schema)
-        with self._masks.mutation():
+
+        def adopt() -> bool:
             self._tables[table.schema.name.lower()] = table
-        self._invalidate_statement_caches()
+            return True
+        self._mutate(table.schema.name, adopt)
 
     def load_csv(self, path: str, table_name: str,
                  delimiter: str = ",") -> TableSchema:
@@ -168,42 +167,39 @@ class Database:
 
     def drop_table(self, name: str) -> None:
         self.catalog.drop(name)
-        with self._masks.mutation():
+
+        def drop() -> bool:
             self._tables.pop(name.lower(), None)
-        self._statistics.pop(name.lower(), None)
-        self._invalidate_statement_caches()
+            return True
+        self._mutate(name, drop)
 
     def insert_rows(self, table_name: str,
                     rows: Iterable[Sequence[Any]]) -> None:
         """Append rows; the vocabulary version moves only when a TEXT
         column gains a distinct value (see :attr:`vocabulary_version`)."""
         table = self.table(table_name)
-        # No selection of the rows before the append is stored after it.
-        with self._masks.mutation():
-            grown = table.append_rows(rows)
-        # Under the lock a first reader holds while it snapshots and
-        # stores, so no snapshot from before the append outlives it.
-        with self._statistics_lock:
-            self._statistics.pop(table_name.lower(), None)
-        self._invalidate_statement_caches(vocabulary_changed=bool(grown))
+        self._mutate(table_name, lambda: bool(table.append_rows(rows)))
 
-    def _invalidate_statement_caches(self,
-                                     vocabulary_changed: bool = True,
-                                     ) -> None:
-        """Drop cached bound statements and cost estimates, and bump the
-        vocabulary version if *vocabulary_changed*.
+    def _mutate(self, table_name: str, change: Callable[[], bool]) -> None:
+        """The one bracket every DDL statement and insert runs in, and
+        so the one place that decides when derived state is stale.
 
-        Called after any DDL or data mutation: bound statements depend
-        on schemas, cost estimates on table statistics.  (Leaf
-        selections are dropped by the ``SelectionCache.mutation``
-        bracket around the change itself.)  Dropping everything
-        (instead of per-table entries) keeps invalidation trivially
-        correct.
+        *change* applies the mutation and returns whether the vocabulary
+        changed.  It runs inside ``SelectionCache.mutation()``, which
+        moves :attr:`data_version` at both ends; still inside, the
+        statistics are dropped (under the lock a first reader holds
+        while it snapshots), then bound statements and cost estimates,
+        and the vocabulary version moves.  So a reader that sees the
+        closing :attr:`data_version` sees every effect of the change.
         """
-        self._statements.clear()
-        self._costs.clear()
-        if vocabulary_changed:
-            self._vocabulary_version += 1
+        with self._masks.mutation():
+            vocabulary_changed = change()
+            with self._statistics_lock:
+                self._statistics.pop(table_name.lower(), None)
+            self._statements.clear()
+            self._costs.clear()
+            if vocabulary_changed:
+                self._vocabulary_version += 1
 
     # ------------------------------------------------------------------
     # Introspection
@@ -213,6 +209,14 @@ class Database:
     def uid(self) -> int:
         """A process-unique identity (never reused, unlike ``id()``)."""
         return self._uid
+
+    @property
+    def data_version(self) -> int:
+        """The selection cache's epoch, moved at both ends of every
+        mutation.  Leaf selections, query results and demo responses
+        key on the value read before their work starts, so nothing
+        built before or during a mutation is served after it."""
+        return self._masks.epoch
 
     @property
     def vocabulary_version(self) -> int:

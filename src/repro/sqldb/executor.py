@@ -28,7 +28,6 @@ from repro.sqldb.expressions import (
     combine_masks,
 )
 from repro.sqldb.index import (
-    ZONE_BLOCK_ROWS,
     record_index_fallback,
     record_index_statement,
     resolve_leaf,
@@ -42,15 +41,15 @@ from repro.sqldb.types import DataType
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from repro.caching.selection import SelectionCache
 
-#: Rows per chunk of the SUM/AVG kernel below — 8 zone-map blocks.  The
-#: chunking holds the kernel's float64 weights and intp group-id
-#: temporaries to one chunk instead of the whole selection, so peak
-#: memory does not grow with the rows a grouped SUM/AVG reads.  Float
+#: Rows per chunk of the SUM/AVG kernel below.  The chunking holds the
+#: kernel's float64 weights and intp group-id temporaries to one chunk
+#: instead of the whole selection, so peak memory does not grow with
+#: the rows a grouped SUM/AVG reads.  Float
 #: addition is not associative, so the chunking also fixes the SUM/AVG
 #: values: chunk boundaries depend only on the row count.  Tests may
 #: monkeypatch this to a small value to exercise chunk boundaries on
 #: small tables.
-MORSEL_ROWS = 8 * ZONE_BLOCK_ROWS
+MORSEL_ROWS = 65_536
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ The dominant statement shape in a candidate workload is an equality (or
 ``IN``) predicate on a TEXT or low-cardinality column plus a GROUP BY and
 an aggregate.  The scan engine answers it in O(rows): one full-column
 pass to build the predicate mask, another to gather the group codes.
-This module gives every table three secondary structures that turn that
+This module gives every table two secondary structures that turn that
 into O(result):
 
 * **Inverted group indexes** — per column, ``value -> sorted row
@@ -15,13 +15,9 @@ into O(result):
 * **Sorted projections** — per numeric column, a stable argsort
   permutation plus the sorted values.  A range predicate binary-searches
   the sorted values and gathers the matching positions through the
-  permutation: O(result · log result), not O(rows).
-* **Zone maps** — per numeric column, block-level min/max summaries.
-  When a range matches too much of the table for position gathering to
-  pay off, the zone map builds the boolean mask touching only blocks
-  whose [min, max] overlaps the range — fully-covered blocks are set
-  wholesale, disjoint blocks skipped, and only boundary blocks compare
-  per row.
+  permutation: O(result · log result), not O(rows).  A range that
+  matches more than :data:`_RANGE_POSITIONS_FRACTION` of the table
+  resolves to its scan mask instead (one vectorized comparison).
 
 All structures are built lazily on first probe under the table's
 double-checked lock (the same pattern as dictionary encoding).
@@ -93,14 +89,9 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 #: Beyond this matched fraction, gathering sorted positions through the
-#: permutation loses to a zone-map-pruned mask build (positions must be
-#: re-sorted, masks are sequential writes).
+#: permutation loses to the scan mask (positions must be re-sorted, a
+#: mask is one sequential comparison).
 _RANGE_POSITIONS_FRACTION = 0.25
-
-#: Rows per zone-map block.  8k float64 rows is half an L2-sized chunk —
-#: small enough to prune meaningfully, large enough that the per-block
-#: bookkeeping never shows up in profiles.
-ZONE_BLOCK_ROWS = 8192
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +292,7 @@ def _starts(counts: np.ndarray) -> np.ndarray:
 
 
 class SortedProjection:
-    """Sorted copy of a numeric column + permutation + zone map.
+    """Sorted copy of a numeric column + permutation.
 
     Range predicates binary-search the sorted values; the matching rows
     are ``sort(order[lo:hi])``.  NaNs sort to the end and are excluded
@@ -317,21 +308,9 @@ class SortedProjection:
                                - np.count_nonzero(np.isnan(self._values)))
         else:
             self._finite = len(self._values)
-        # Zone map over *storage order*: per-block min/max of the raw
-        # column.  A block containing NaN gets NaN bounds, which fail
-        # every comparison below and so classify as "boundary" — the
-        # exact per-row path then handles its NaNs correctly.
-        if len(array):
-            block_starts = np.arange(0, len(array), ZONE_BLOCK_ROWS)
-            self._zone_min = np.minimum.reduceat(array, block_starts)
-            self._zone_max = np.maximum.reduceat(array, block_starts)
-        else:
-            self._zone_min = np.empty(0, dtype=array.dtype)
-            self._zone_max = np.empty(0, dtype=array.dtype)
 
     def estimated_bytes(self) -> int:
-        return int(self._order.nbytes + self._values.nbytes
-                   + self._zone_min.nbytes + self._zone_max.nbytes)
+        return int(self._order.nbytes + self._values.nbytes)
 
     def _bounds(self, low: Any, high: Any, low_strict: bool,
                 high_strict: bool) -> tuple[int, int]:
@@ -358,46 +337,6 @@ class SortedProjection:
         """Ascending row positions inside the range."""
         lo, hi = self._bounds(low, high, low_strict, high_strict)
         return np.sort(self._order[lo:hi])
-
-    def range_mask(self, array: np.ndarray, low: Any, high: Any,
-                   low_strict: bool, high_strict: bool) -> np.ndarray:
-        """Boolean range mask, touching only zone-map-overlapping blocks.
-
-        Blocks entirely inside the range are set wholesale, blocks
-        entirely outside stay False untouched; only boundary blocks pay
-        per-row comparisons.  Bit-identical to evaluating the
-        comparisons over the full column.
-        """
-        mask = np.zeros(len(array), dtype=bool)
-        # A block is disjoint when its max falls below the low bound or
-        # its min above the high bound; covered when both bounds hold
-        # block-wide.  NaN zone bounds fail every test -> boundary.
-        disjoint = np.zeros(len(self._zone_min), dtype=bool)
-        covered = np.ones(len(self._zone_min), dtype=bool)
-        if low is not None:
-            disjoint |= ((self._zone_max < low) if not low_strict
-                         else (self._zone_max <= low))
-            covered &= ((self._zone_min >= low) if not low_strict
-                        else (self._zone_min > low))
-        if high is not None:
-            disjoint |= ((self._zone_min > high) if not high_strict
-                         else (self._zone_min >= high))
-            covered &= ((self._zone_max <= high) if not high_strict
-                        else (self._zone_max < high))
-        covered &= ~disjoint
-        for block in np.nonzero(covered)[0]:
-            start = int(block) * ZONE_BLOCK_ROWS
-            mask[start:start + ZONE_BLOCK_ROWS] = True
-        for block in np.nonzero(~covered & ~disjoint)[0]:
-            start = int(block) * ZONE_BLOCK_ROWS
-            chunk = array[start:start + ZONE_BLOCK_ROWS]
-            local = np.ones(len(chunk), dtype=bool)
-            if low is not None:
-                local &= (chunk > low) if low_strict else (chunk >= low)
-            if high is not None:
-                local &= (chunk < high) if high_strict else (chunk <= high)
-            mask[start:start + len(chunk)] = local
-        return mask
 
 
 class TableIndexes:
@@ -473,7 +412,7 @@ class TableIndexes:
         *dictionaries* maps each TEXT column to its extended encoding and
         *counts* to its rows per code.
         The built TEXT inverted indexes carry over, extended with the new
-        rows; sorted projections, zone maps and numeric inverted indexes
+        rows; sorted projections and numeric inverted indexes
         are left to rebuild lazily on their next probe.
         """
         fresh = TableIndexes(table)
@@ -545,8 +484,10 @@ _RANGE_OPS = {
 }
 
 
-def _range_selection(table: "Table", column: str, low: Any, high: Any,
-                     low_strict: bool, high_strict: bool) -> np.ndarray:
+def _range_selection(expr: BooleanExpr, table: "Table", column: str,
+                     low: Any, high: Any, low_strict: bool,
+                     high_strict: bool) -> np.ndarray:
+    """Sorted positions of a narrow range, the scan mask of a wide one."""
     projection = table.indexes().sorted_projection(column)
     _STATS.record_probe()
     fraction = projection.matched_fraction(low, high, low_strict,
@@ -554,8 +495,7 @@ def _range_selection(table: "Table", column: str, low: Any, high: Any,
     if fraction <= _RANGE_POSITIONS_FRACTION:
         return projection.range_positions(low, high, low_strict,
                                           high_strict)
-    return projection.range_mask(table.column(column), low, high,
-                                 low_strict, high_strict)
+    return expr.evaluate(table)
 
 
 def resolve_leaf(expr: BooleanExpr, table: "Table") -> np.ndarray | None:
@@ -575,7 +515,7 @@ def resolve_leaf(expr: BooleanExpr, table: "Table") -> np.ndarray | None:
             low_kind, high_kind, strict = _RANGE_OPS[expr.op]
             low = expr.value if low_kind else None
             high = expr.value if high_kind else None
-            return _range_selection(table, expr.column, low, high,
+            return _range_selection(expr, table, expr.column, low, high,
                                     strict if low_kind else False,
                                     strict if high_kind else False)
         return None
@@ -586,7 +526,7 @@ def resolve_leaf(expr: BooleanExpr, table: "Table") -> np.ndarray | None:
     if isinstance(expr, Between):
         dtype = table.schema.column(expr.column).dtype
         if dtype in (DataType.INT, DataType.FLOAT):
-            return _range_selection(table, expr.column, expr.low,
+            return _range_selection(expr, table, expr.column, expr.low,
                                     expr.high, False, False)
         return None
     return None

@@ -36,8 +36,8 @@ class TestQueryResultCache:
             return ("result-of", statement)
 
         statement = parse("SELECT COUNT(*) FROM nyc311")
-        first = cache.get_or_execute(statement, execute)
-        second = cache.get_or_execute(statement, execute)
+        first = cache.get_or_execute(statement, execute, 0)
+        second = cache.get_or_execute(statement, execute, 0)
         assert first == second
         assert len(executed) == 1, "second lookup must not re-execute"
         stats = cache.stats
@@ -52,12 +52,13 @@ class TestQueryResultCache:
             executed.append(statement)
             return "result"
 
-        cache.get_or_execute(parse("SELECT COUNT(*) FROM t"), execute)
-        cache.get_or_execute(parse("select   count(*)\n from t"), execute)
-        cache.get_or_execute(parse("SELECT COUNT(*) FROM t;"), execute)
+        cache.get_or_execute(parse("SELECT COUNT(*) FROM t"), execute, 0)
+        cache.get_or_execute(parse("select   count(*)\n from t"), execute,
+                             0)
+        cache.get_or_execute(parse("SELECT COUNT(*) FROM t;"), execute, 0)
         cache.get_or_execute(
             AggregateQuery.build("t", "count", None).to_statement(),
-            execute)
+            execute, 0)
         assert len(executed) == 1
         assert len(cache) == 1
         assert cache.stats.hits == 3
@@ -71,9 +72,9 @@ class TestQueryResultCache:
             return statement
 
         cache.get_or_execute(
-            parse("SELECT COUNT(*) FROM t WHERE b = 'Brooklyn'"), execute)
+            parse("SELECT COUNT(*) FROM t WHERE b = 'Brooklyn'"), execute, 0)
         cache.get_or_execute(
-            parse("SELECT COUNT(*) FROM t WHERE b = 'brooklyn'"), execute)
+            parse("SELECT COUNT(*) FROM t WHERE b = 'brooklyn'"), execute, 0)
         assert len(executed) == 2
 
     def test_execute_receives_original_sql(self):
@@ -81,7 +82,7 @@ class TestQueryResultCache:
         seen = []
         original = parse("SELECT  COUNT(*)  FROM T")
         cache.get_or_execute(original, lambda statement: seen.append(
-            statement))
+            statement), 0)
         assert len(seen) == 1 and seen[0] is original
 
     def test_sampled_statement_is_its_own_entry(self):
@@ -90,17 +91,28 @@ class TestQueryResultCache:
         exact = parse("SELECT COUNT(*) FROM t")
         for statement in (exact, sampled(exact, 0.25), exact):
             cache.get_or_execute(statement,
-                                 lambda s: executed.append(s) or "r")
+                                 lambda s: executed.append(s) or "r", 0)
         assert executed == [exact, sampled(exact, 0.25)]
 
     def test_clear_forces_reexecution(self):
         cache = QueryResultCache(capacity=16)
         executed = []
         statement = parse("SELECT COUNT(*) FROM t")
-        cache.get_or_execute(statement, lambda s: executed.append(s))
+        cache.get_or_execute(statement, lambda s: executed.append(s), 0)
         cache.clear()
-        cache.get_or_execute(statement, lambda s: executed.append(s))
+        cache.get_or_execute(statement, lambda s: executed.append(s), 0)
         assert len(executed) == 2
+
+    def test_new_data_version_misses(self):
+        cache = QueryResultCache(capacity=16)
+        executed = []
+        statement = parse("SELECT COUNT(*) FROM t")
+        for version in (2, 2, 4, 2):
+            cache.get_or_execute(statement,
+                                 lambda s: executed.append(s) or "r",
+                                 version)
+        assert len(executed) == 2
+        assert cache.stats.hits == 2
 
     def test_capacity_zero_never_stores(self):
         cache = QueryResultCache(capacity=0)
@@ -108,7 +120,7 @@ class TestQueryResultCache:
         statement = parse("SELECT COUNT(*) FROM t")
         for _ in range(3):
             cache.get_or_execute(statement,
-                                 lambda s: executed.append(s) or "r")
+                                 lambda s: executed.append(s) or "r", 0)
         assert len(executed) == 3
         assert len(cache) == 0
 

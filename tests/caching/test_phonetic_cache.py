@@ -284,7 +284,7 @@ class TestServingLookups:
                                  word_error_rate=1.0, seed=0)
         before = speech.transcribe("queenz")
         assert before != "queens"
-        speech._index.add("queens")
+        speech._lexicon().index.add("queens")
         assert speech.transcribe("queenz") == "queens"
 
     def test_inserted_text_value_is_translated(self):

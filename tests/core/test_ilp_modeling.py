@@ -55,19 +55,6 @@ class TestModel:
         with pytest.raises(SolverError):
             Model().continuous("x", lower=2.0, upper=1.0)
 
-    def test_product_cached(self):
-        model = Model()
-        x = model.binary("x")
-        y = model.binary("y")
-        p1 = model.product(x, y)
-        p2 = model.product(y, x)
-        assert p1.index == p2.index
-
-    def test_product_of_self_is_self(self):
-        model = Model()
-        x = model.binary("x")
-        assert model.product(x, x).index == x.index
-
     def test_compile_shapes(self):
         model = Model()
         x = model.binary("x")
@@ -124,19 +111,6 @@ class TestBackends:
         result = backend(model.compile(), None)
         assert result.optimal
         assert result.objective == pytest.approx(-22.0)  # items 2 and 3
-
-    def test_product_linearization(self, backend):
-        # Force x=y=1 through the objective; the product must become 1.
-        model = Model()
-        x = model.binary("x")
-        y = model.binary("y")
-        p = model.product(x, y)
-        # min -(x + y) + 0.1 * p  (p must track the product)
-        model.minimize(LinExpr({x.index: -1.0, y.index: -1.0,
-                                p.index: 0.1}))
-        result = backend(model.compile(), None)
-        assert result.is_one(x) and result.is_one(y)
-        assert result.value_of(p) == pytest.approx(1.0)
 
     def test_objective_constant_carried(self, backend):
         model = Model()

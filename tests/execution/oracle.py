@@ -87,7 +87,8 @@ def run_per_group(plan, database, sample_fraction=None, cache=None):
             if cache is None:
                 outcome = execute(sql)
             else:
-                outcome = cache.get_or_execute(parse(sql), execute)
+                outcome = cache.get_or_execute(parse(sql), execute,
+                                               database.data_version)
         except NullAggregateError:
             for query in group.queries:
                 results[query] = _normalize(query, None)

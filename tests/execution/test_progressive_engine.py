@@ -1,5 +1,7 @@
 """Tests for progressive presentation strategies and the executor."""
 
+import gc
+
 import pytest
 
 from repro.core.greedy import GreedySolver
@@ -132,6 +134,28 @@ class TestApproximateProcessing:
             multiplot, ApproximateProcessing(fraction=None,
                                              target_seconds=0.2))
         assert updates[-1].final
+
+    def test_each_database_calibrates_its_own_throughput(self):
+        """``id()`` is reused once a database is collected, so a figure
+        keyed on it would hand one database's rows/second to the next
+        database, whatever its size."""
+        from repro.datasets import make_nyc311_table
+        from repro.sqldb.database import Database
+        strategy = ApproximateProcessing(fraction=None)
+        probed = []
+        for rows in (200, 3000) * 4:
+            database = Database()
+            database.register_table(make_nyc311_table(rows, seed=1))
+            executed = []
+            execute = database.execute
+            database.execute = (
+                lambda query, rng=None, execute=execute, executed=executed:
+                executed.append(query) or execute(query, rng))
+            strategy._calibrate(database, database.table("nyc311"))
+            probed.append(bool(executed))
+            del database, execute
+            gc.collect()
+        assert probed == [True] * 8
 
     def test_invalid_fraction(self):
         with pytest.raises(ExecutionError):

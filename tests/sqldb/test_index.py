@@ -2,7 +2,7 @@
 
 Each structure is checked against the scan-path ground truth it must
 reproduce bit for bit: inverted postings against ``np.nonzero``, sorted
-projections and zone maps against the vectorized comparisons, the
+projections and range leaves against the vectorized comparisons, the
 selection algebra against boolean set operations.  The Hypothesis suite
 in ``test_index_differential.py`` covers whole statements; this file
 pins the building blocks and the operational surface (lazy builds,
@@ -26,7 +26,6 @@ from repro.sqldb.expressions import (
     Or,
 )
 from repro.sqldb.index import (
-    ZONE_BLOCK_ROWS,
     InvertedIndex,
     SortedProjection,
     and_selections,
@@ -35,6 +34,7 @@ from repro.sqldb.index import (
     index_stats,
     or_selections,
     reset_index_stats,
+    resolve_leaf,
     resolve_selection,
     selection_size,
 )
@@ -91,7 +91,7 @@ class TestInvertedIndex:
 
 
 class TestSortedProjection:
-    def _array(self, n=3 * ZONE_BLOCK_ROWS + 257, nan_every=97):
+    def _array(self, n=3 * 8192 + 257, nan_every=97):
         rng = np.random.default_rng(11)
         array = rng.normal(0.0, 10.0, n)
         array[::nan_every] = np.nan
@@ -119,24 +119,30 @@ class TestSortedProjection:
                                                bool(low_strict),
                                                bool(high_strict))
         np.testing.assert_array_equal(positions, np.nonzero(expected)[0])
-        mask = projection.range_mask(array, low, high,
-                                     bool(low_strict), bool(high_strict))
-        np.testing.assert_array_equal(mask, expected)
+        # The leaf resolves to positions below the fraction cut-off and
+        # to its scan mask above it; both select the same rows.
+        schema = TableSchema("t", (ColumnSchema("x", DataType.FLOAT),))
+        table = Table(schema, {"x": array})
+        if low is not None and high is not None:
+            leaf = Between("x", low, high)
+        elif low is not None:
+            leaf = Comparison("x", ComparisonOp.GT if low_strict
+                              else ComparisonOp.GE, low)
+        else:
+            leaf = Comparison("x", ComparisonOp.LT if high_strict
+                              else ComparisonOp.LE, high)
+        selection = resolve_leaf(leaf, table)
+        np.testing.assert_array_equal(_as_mask(selection, len(array)),
+                                      expected)
 
-    def test_zone_map_skips_disjoint_and_covers_full_blocks(self):
-        # Three blocks with disjoint value bands: the middle block is
-        # fully covered by the range, the outer two fully disjoint.
-        array = np.concatenate([
-            np.full(ZONE_BLOCK_ROWS, -100.0),
-            np.linspace(1.0, 2.0, ZONE_BLOCK_ROWS),
-            np.full(ZONE_BLOCK_ROWS, 100.0),
-        ])
-        projection = SortedProjection(array)
-        mask = projection.range_mask(array, 0.0, 10.0, False, False)
-        expected = (array >= 0.0) & (array <= 10.0)
-        np.testing.assert_array_equal(mask, expected)
-        assert mask[ZONE_BLOCK_ROWS:2 * ZONE_BLOCK_ROWS].all()
-        assert not mask[:ZONE_BLOCK_ROWS].any()
+    def test_wide_range_takes_the_scan_mask(self):
+        schema = TableSchema("t", (ColumnSchema("x", DataType.FLOAT),))
+        table = Table(schema, {"x": self._array()})
+        narrow = resolve_leaf(Between("x", -0.5, 0.5), table)  # ~4%
+        wide = resolve_leaf(Comparison("x", ComparisonOp.GE, -1.0),
+                            table)  # ~54%
+        assert narrow.dtype != np.bool_
+        assert wide.dtype == np.bool_
 
     def test_empty_column(self):
         projection = SortedProjection(np.empty(0, dtype=np.float64))

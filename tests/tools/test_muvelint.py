@@ -20,7 +20,7 @@ from tools.muvelint.engine import (
 )
 from tools.muvelint.rules import contextvar_rules, determinism
 from tools.muvelint.rules import exceptions as exc_rules
-from tools.muvelint.rules import locks, lookups
+from tools.muvelint.rules import identity, locks, lookups
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -467,6 +467,47 @@ def test_ml008_accepts_the_probe_cache():
             return first, second
     """, relpath="src/repro/nlq/x.py")
     assert list(lookups.check_cached_lookups(module)) == []
+
+
+# ---------------------------------------------------------------------------
+# ML009 — no builtin id() under src/repro
+# ---------------------------------------------------------------------------
+
+
+def test_ml009_flags_builtin_id_calls():
+    module = parse("""
+        _cache = {}
+
+        class Calibration:
+            def lookup(self, database):
+                return _cache.get(id(database))
+
+        KEY = id(_cache)
+    """, relpath="src/repro/execution/x.py")
+    found = list(identity.check_builtin_id(module))
+    assert rules_fired(found) == ["ML009", "ML009"]
+    assert {v.key for v in found} == {
+        "ML009 src/repro/execution/x.py::Calibration.lookup",
+        "ML009 src/repro/execution/x.py::<module>"}
+
+
+def test_ml009_accepts_uids_and_id_attributes():
+    module = parse("""
+        def good(database, span):
+            return database.uid, span.id(), trace_id(span)
+    """, relpath="src/repro/execution/x.py")
+    assert list(identity.check_builtin_id(module)) == []
+
+
+def test_ml009_only_covers_src_repro():
+    source = """
+        def helper(value):
+            return id(value)
+    """
+    assert list(identity.check_builtin_id(
+        parse(source, relpath="scripts/x.py"))) == []
+    assert list(identity.check_builtin_id(
+        parse(source, relpath="tools/x.py"))) == []
 
 
 def test_ml008_only_under_nlq():

@@ -27,6 +27,8 @@ ML007   No silent broad excepts: ``except Exception`` must re-raise,
 ML008   Phonetic lookups under ``src/repro/nlq`` go through the probe
         cache: ``.most_similar(`` only as
         ``phonetic_probe_cache().most_similar(index, ...)``.
+ML009   No builtin ``id()`` call under ``src/repro``: ids are reused
+        after garbage collection; key on a process-unique ``uid``.
 ======  ==============================================================
 
 Violations are keyed without line numbers so the allowlist

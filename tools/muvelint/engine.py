@@ -173,6 +173,7 @@ def _rules() -> tuple[list[FileRule], list[RepoRule]]:
     from tools.muvelint.rules import determinism as _det
     from tools.muvelint.rules import envflags as _env
     from tools.muvelint.rules import exceptions as _exc
+    from tools.muvelint.rules import identity as _identity
     from tools.muvelint.rules import imports as _imp
     from tools.muvelint.rules import locks as _locks
     from tools.muvelint.rules import lookups as _lookups
@@ -184,6 +185,7 @@ def _rules() -> tuple[list[FileRule], list[RepoRule]]:
         _cv.check_contextvar_hygiene,
         _exc.check_broad_excepts,
         _lookups.check_cached_lookups,
+        _identity.check_builtin_id,
     ]
     repo_rules: list[RepoRule] = [
         _imp.check_import_cycles,
